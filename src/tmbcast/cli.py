@@ -39,6 +39,7 @@ from tmbcast.core import (
     UnsatisfiedClause,
     ValidationError,
     WrongSourceCount,
+    _check_times,
     is_feasible,
 )
 from tmbcast.distances import Measure, distance, objective, path_stats
@@ -134,6 +135,7 @@ def _load_labeling(path: str, instance) -> Labeling:
     if doc.labels.edge_count != instance.graph.edge_count:
         _fail(3, f"{path}: labeling covers {doc.labels.edge_count} edges, "
                  f"instance has {instance.graph.edge_count}")
+    _check_times(doc.labels.times_by_edge, instance.tau, f"{path}: label")
     return doc.labels
 
 

@@ -19,6 +19,7 @@ import heapq
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 
@@ -235,19 +236,13 @@ class TraversalSpec:
         return tuple(dict(items) for items in self.overrides)
 
     @cached_property
-    def override_times(self) -> tuple[tuple[Time, ...], ...]:
-        return tuple(tuple(t for t, _ in items) for items in self.overrides)
+    def _override_departures(self) -> tuple[tuple[tuple[Time, Time], ...], ...]:
+        """Per edge, ``(t, t + weight)`` at each override time."""
+        return tuple(tuple((t, t + w) for t, w in items) for items in self.overrides)
 
     def weight(self, e: Edge, t: Time) -> int:
         """Evaluated traversal weight ``tr(e, t)``."""
         return self._override_index[e].get(t, self.defaults[e])
-
-    def max_override_time(self) -> int:
-        best = 0
-        for items in self.overrides:
-            if items:
-                best = max(best, items[-1][0])
-        return best
 
 
 def _check_times(label_sets: Iterable[Iterable[Time]], tau: int, what: str) -> None:
@@ -515,69 +510,176 @@ def validate_path(
     return True
 
 
-def _reachable(
-    graph: StaticGraph,
-    availability: Availability,
-    traversal: TraversalSpec,
-    source: Vertex,
-) -> set[Vertex]:
-    """Vertices temporally reachable from ``source`` (earliest-arrival search).
+class CandidateTable:
+    """Per-edge departures of one (availability, traversal) pair, built once
+    and shared by every search over the pair: every source, every
+    latest-departure or fastest probe.
 
-    Candidate departures per edge are its override times at-or-after the
-    current arrival plus the earliest non-override available time; later
-    default-weight departures never reach anywhere a dominated one cannot.
+    ``departures[e]`` lists ``(t, t + tr(e, t))`` in ascending ``t`` over the
+    edge's scheduled times (for a labeling) or its override times (for the
+    full temporal graph, computed once per traversal).  On the full temporal
+    graph (``tau`` not None) the edge also departs at its default weight at
+    the first non-override time at or after the current arrival.  A labeling
+    may also be given as per-edge tuples already sorted and duplicate-free,
+    as the brute-force oracle enumerates them.
     """
-    arrivals: dict[Vertex, int] = {source: 1}
-    heap: list[tuple[int, Vertex]] = [(1, source)]
-    settled: set[Vertex] = set()
-    override_index = traversal._override_index
-    full = isinstance(availability, FullAvailability)
+
+    __slots__ = ("departures", "tau", "defaults", "overrides")
+
+    def __init__(self, availability: Availability | Sequence[tuple[Time, ...]],
+                 traversal: TraversalSpec):
+        self.defaults = traversal.defaults
+        self.overrides = traversal._override_index
+        if isinstance(availability, FullAvailability):
+            self.tau = availability.tau
+            self.departures = traversal._override_departures
+            return
+        if isinstance(availability, Labeling):
+            availability = availability.times_by_edge
+        self.tau = None
+        self.departures = []
+        for times, per_edge, default in zip(availability, self.overrides, self.defaults):
+            row = []
+            for t in times:
+                row.append((t, t + per_edge.get(t, default)))
+            self.departures.append(row)
+
+    def candidates(self, e: Edge, lo: Time) -> Sequence[tuple[Time, Time]]:
+        """(departure, arrival) pairs worth trying at or after ``lo`` when
+        minimizing, in the order searches try them.
+
+        A later departure at the default weight costs the same travel, waits
+        longer and arrives later than an earlier one, so only the first
+        default-weight departure at or after ``lo`` is kept: on a labeling
+        the scheduled times minus later default-weight ones, on the full
+        temporal graph the override times, then that default slot.
+        """
+        per_edge = self.overrides[e]
+        if self.tau is not None and lo > self.tau:
+            return []
+        departures = self.departures[e]
+        departures = departures[bisect_left(departures, lo, key=_time):]
+        if self.tau is None:
+            out = []
+            saw_default = False
+            for t, arrival in departures:
+                if t not in per_edge:
+                    if saw_default:
+                        continue
+                    saw_default = True
+                out.append((t, arrival))
+            return out
+        t = lo
+        while t in per_edge:
+            t += 1
+        if t <= self.tau:
+            return [*departures, (t, t + self.defaults[e])]
+        return departures
+
+    def available(self, e: Edge) -> Sequence[tuple[Time, Time]]:
+        """Every available (departure, arrival) pair of the edge."""
+        if self.tau is None:
+            return self.departures[e]
+        weight = self.overrides[e].get
+        return [(t, t + weight(t, self.defaults[e])) for t in range(1, self.tau + 1)]
+
+
+_time = itemgetter(0)  # bisection key of a (departure, arrival) pair
+_NEVER = float("inf")
+
+
+def earliest_arrival(
+    graph: StaticGraph,
+    table: CandidateTable,
+    source: Vertex,
+    first_time: Time | None = None,
+) -> tuple[list[Time | None], list[tuple[Vertex, Edge, Time] | None]]:
+    """Earliest arrival at every vertex from ``source``: (arrivals, parents).
+
+    Dijkstra over (arrival, vertex), relaxing edges in adjacency order.  The
+    walk starts at time 1; with ``first_time`` its first step departs
+    exactly then.  ``arrivals[v]`` is None for the source and for unreached
+    vertices; ``parents[v]`` is ``(previous vertex, edge, departure)``, and
+    the parent forest realizes the arrivals.  Within an edge the departure
+    is the first of ``table.candidates`` with the least arrival; the scan
+    stops once a departure time reaches the best arrival so far.
+    """
+    n = graph.vertex_count
+    adjacency = graph.adjacency
+    all_departures = table.departures
+    tau = table.tau
+    full = tau is not None
+    overrides = table.overrides
+    defaults = table.defaults
+    arrival: list = [_NEVER] * n
+    parents: list = [None] * n
+    done = [False] * n
+    heap: list[tuple[Time, Vertex]] = []
+    if first_time is None:
+        heap.append((1, source))
+    else:
+        done[source] = True
+        if not full or 1 <= first_time <= tau:
+            for e, w in adjacency[source]:
+                departures = all_departures[e]
+                i = bisect_left(departures, first_time, key=_time)
+                if i < len(departures) and departures[i][0] == first_time:
+                    arrival[w] = departures[i][1]
+                elif full:
+                    arrival[w] = first_time + defaults[e]
+                else:
+                    continue
+                parents[w] = (source, e, first_time)
+                heap.append((arrival[w], w))
+        heapq.heapify(heap)
+    pop = heapq.heappop
+    push = heapq.heappush
+    unsettled = n if first_time is None else n - 1
     while heap:
-        arr, v = heapq.heappop(heap)
-        if v in settled:
+        now, u = pop(heap)
+        if done[u]:
             continue
-        settled.add(v)
-        for e, w in graph.incident(v):
-            if w in settled:
+        done[u] = True
+        unsettled -= 1
+        if not unsettled:
+            break  # nothing left to improve
+        if full and now > tau:
+            continue
+        for e, w in adjacency[u]:
+            if done[w]:
                 continue
-            per_edge = override_index[e]
-            best = None
+            departures = all_departures[e]
+            if departures and departures[0][0] < now:
+                departures = departures[bisect_left(departures, now, key=_time):]
+            best = _NEVER
+            for t, a in departures:
+                if t >= best:
+                    break
+                if a < best:
+                    best = a
+                    best_t = t
             if full:
-                tau = availability.tau
-                t = arr
-                while t in per_edge and t <= tau:
-                    cand = t + per_edge[t]
-                    if best is None or cand < best:
-                        best = cand
+                t = now
+                per_edge = overrides[e]
+                while t in per_edge:
                     t += 1
-                if t <= tau:
-                    cand = t + traversal.defaults[e]
-                    if best is None or cand < best:
-                        best = cand
-                for t2, wt in traversal.overrides[e]:
-                    if t2 >= arr:
-                        cand = t2 + wt
-                        if best is None or cand < best:
-                            best = cand
-            else:
-                times = availability.times(e)
-                i = bisect_left(times, arr)
-                default = traversal.defaults[e]
-                saw_default = False
-                for t2 in times[i:]:
-                    wt = per_edge.get(t2)
-                    if wt is None:
-                        if saw_default:
-                            continue
-                        saw_default = True
-                        wt = default
-                    cand = t2 + wt
-                    if best is None or cand < best:
-                        best = cand
-            if best is not None and (w not in arrivals or best < arrivals[w]):
-                arrivals[w] = best
-                heapq.heappush(heap, (best, w))
-    return settled
+                if t <= tau and t + defaults[e] < best:
+                    best = t + defaults[e]
+                    best_t = t
+            if best < arrival[w]:
+                arrival[w] = best
+                parents[w] = (u, e, best_t)
+                push(heap, (best, w))
+    return [None if a is _NEVER else a for a in arrival], parents
+
+
+def _check_quota(instance: Instance, labeling: Labeling) -> None:
+    for e in range(instance.graph.edge_count):
+        if len(labeling.times(e)) > instance.multiplicity[e]:
+            raise MultiplicityViolation(
+                f"edge {e} has {len(labeling.times(e))} labels, "
+                f"multiplicity {instance.multiplicity[e]}"
+            )
 
 
 def is_feasible(instance: Instance, labeling: Labeling) -> bool:
@@ -586,18 +688,15 @@ def is_feasible(instance: Instance, labeling: Labeling) -> bool:
     Raises MultiplicityViolation if the labeling exceeds some edge's
     multiplicity (that is an input error, not infeasibility).
     """
-    for e in range(instance.graph.edge_count):
-        if len(labeling.times(e)) > instance.multiplicity[e]:
-            raise MultiplicityViolation(
-                f"edge {e} has {len(labeling.times(e))} labels, "
-                f"multiplicity {instance.multiplicity[e]}"
-            )
+    _check_quota(instance, labeling)
     _check_times(labeling.times_by_edge, instance.tau, "label")
-    everyone = set(range(instance.graph.vertex_count))
-    for s in instance.sources:
-        if _reachable(instance.graph, labeling, instance.traversal, s) != everyone:
-            return False
-    return True
+    table = CandidateTable(labeling, instance.traversal)
+    return all(_reaches_all(instance.graph, table, s) for s in instance.sources)
+
+
+def _reaches_all(graph: StaticGraph, table: CandidateTable, source: Vertex) -> bool:
+    arrivals, _ = earliest_arrival(graph, table, source)
+    return arrivals.count(None) == 1
 
 
 def reaches_all(
@@ -607,4 +706,4 @@ def reaches_all(
     source: Vertex,
 ) -> bool:
     """True iff ``source`` temporally reaches every vertex of the graph."""
-    return len(_reachable(graph, availability, traversal, source)) == graph.vertex_count
+    return _reaches_all(graph, CandidateTable(availability, traversal), source)

@@ -1,39 +1,40 @@
 """The six temporal distance measures and the bound quantities for FT/MW.
 
-One engine, measure-specific dominance:
+Every search reads one ``core.CandidateTable``, built once per availability
+and shared by every source and probe:
 
-* earliest arrival: Dijkstra over (vertex, arrival) with parent recording;
-* latest departure: probe candidate first departures in descending order,
-  checking reachability with an arrival search seeded at that exact time;
-* fastest (min duration): probe candidate first departures, minimizing
-  arrival minus departure;
+* earliest arrival: one run of the kernel ``core.earliest_arrival``;
+* latest departure: kernel runs whose first step departs at an exact time,
+  probing candidate first departures latest first until every wanted
+  vertex is reached;
+* fastest (min duration): the same probes over every candidate first
+  departure, minimizing arrival minus departure;
 * shortest travel / minimum hop: label-correcting search over Pareto sets of
   (arrival, cost) per vertex;
-* minimum waiting: depth-first enumeration of simple paths (waiting is the
-  one statistic where revisiting a vertex could pay off, and the definitions
-  range over simple paths only).
+* minimum waiting: depth-first enumeration of simple paths with an explicit
+  stack (waiting is the one statistic where revisiting a vertex could pay
+  off, and the definitions range over simple paths only).
 
-Candidate departures on an edge given a lower bound are its override times
-at-or-after the bound plus the earliest available non-override time: a later
-departure at the default weight costs the same travel, waits longer, and
-arrives no earlier, so it is dominated for every minimizing search.
+Values come first, witnesses on demand: a search returns per-vertex values
+and a function that builds the paths of the vertices asked for.  A
+latest-departure or fastest witness re-runs the probe that attained the
+value (the kernel is deterministic), so no probe's parents outlive it.
 """
 
 from __future__ import annotations
 
 import heapq
-from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from tmbcast.core import (
     Availability,
+    CandidateTable,
     FullAvailability,
     Instance,
     Labeling,
-    MultiplicityViolation,
     PathStats,
     SameVertex,
     StaticGraph,
@@ -41,6 +42,8 @@ from tmbcast.core import (
     TraversalSpec,
     Unreachable,
     ValidationError,
+    _check_quota,
+    earliest_arrival,
     path_stats,
 )
 
@@ -120,133 +123,75 @@ class Bounds:
 
 
 # ---------------------------------------------------------------------------
-# Candidate departures
-
-
-def _min_candidates(
-    avail: Availability, trav: TraversalSpec, e: int, lo: int
-) -> Iterator[tuple[int, int]]:
-    """(time, weight) departures worth trying at-or-after ``lo`` when minimizing."""
-    per_edge = trav._override_index[e]
-    if isinstance(avail, FullAvailability):
-        tau = avail.tau
-        if lo > tau:
-            return
-        for t, w in trav.overrides[e]:
-            if t >= lo:
-                yield t, w
-        t = lo
-        while t <= tau and t in per_edge:
-            t += 1
-        if t <= tau:
-            yield t, trav.defaults[e]
-    else:
-        times = avail.times(e)
-        default = trav.defaults[e]
-        saw_default = False
-        for i in range(bisect_left(times, lo), len(times)):
-            t = times[i]
-            w = per_edge.get(t)
-            if w is None:
-                if saw_default:
-                    continue
-                saw_default = True
-                w = default
-            yield t, w
-
-
-def _all_times(avail: Availability, e: int, lo: int = 1) -> Iterator[int]:
-    """Every available departure at-or-after ``lo`` (used by maximizing scans)."""
-    if isinstance(avail, FullAvailability):
-        yield from range(lo, avail.tau + 1)
-    else:
-        times = avail.times(e)
-        for i in range(bisect_left(times, lo), len(times)):
-            yield times[i]
+# Earliest-arrival probes
 
 
 def _first_departure_times(
-    graph: StaticGraph, avail: Availability, source: int
+    graph: StaticGraph, table: CandidateTable, source: int
 ) -> list[int]:
     """Distinct times at which some edge incident to ``source`` is available."""
-    if isinstance(avail, FullAvailability):
-        return list(range(1, avail.tau + 1)) if graph.incident(source) else []
+    if table.tau is not None:
+        return list(range(1, table.tau + 1)) if graph.incident(source) else []
     out: set[int] = set()
     for e, _ in graph.incident(source):
-        out.update(avail.times(e))
+        out.update(t for t, _ in table.departures[e])
     return sorted(out)
 
 
-# ---------------------------------------------------------------------------
-# Earliest-arrival search (the workhorse)
-
-
-def _ea_run(
-    graph: StaticGraph,
-    avail: Availability,
-    trav: TraversalSpec,
-    source: int,
-    first_time: int | None = None,
-):
-    """Dijkstra over (arrival, vertex); returns (arrivals, parents).
-
-    With ``first_time`` the first step must depart exactly then; otherwise the
-    first step may depart at any available time.  ``parents[v]`` is
-    ``(previous vertex, edge, departure)`` and the parent forest realizes the
-    recorded arrivals.
-    """
-    arrivals: dict[int, int] = {}
-    parents: dict[int, tuple[int, int, int]] = {}
-    heap: list[tuple[int, int]] = []
-
-    def relax(u: int, arr_u: int, exact: int | None):
-        for e, w_v in graph.incident(u):
-            if w_v == source:
-                continue
-            best = None
-            best_t = None
-            if exact is None:
-                for t, w in _min_candidates(avail, trav, e, arr_u):
-                    if best is None or t + w < best:
-                        best, best_t = t + w, t
-            else:
-                if avail.available(e, exact):
-                    best, best_t = exact + trav.weight(e, exact), exact
-            if best is None:
-                continue
-            if w_v not in arrivals or best < arrivals[w_v]:
-                arrivals[w_v] = best
-                parents[w_v] = (u, e, best_t)
-                heapq.heappush(heap, (best, w_v))
-
-    settled: set[int] = set()
-    if first_time is None:
-        relax(source, 1, None)
-    else:
-        relax(source, first_time, first_time)
-    settled.add(source)
-    while heap:
-        arr, v = heapq.heappop(heap)
-        if v in settled or arr > arrivals.get(v, -1):
-            continue
-        settled.add(v)
-        relax(v, arr, None)
-    return arrivals, parents
-
-
-def _path_from_parents(
-    graph: StaticGraph, parents: dict, source: int, v: int
-) -> TemporalPath:
+def _path_from_parents(graph: StaticGraph, parents: list, source: int, v: int) -> TemporalPath:
     steps = []
-    vertices = [v]
     while v != source:
-        u, e, t = parents[v]
+        v, e, t = parents[v]
         steps.append((e, t))
-        vertices.append(u)
-        v = u
-    steps.reverse()
-    vertices.reverse()
-    return TemporalPath(tuple(vertices), tuple(steps))
+    return TemporalPath.from_steps(graph, source, steps[::-1])
+
+
+def _latest_departures(
+    graph: StaticGraph, table: CandidateTable, source: int, targets: Iterable[int]
+) -> list[int | None]:
+    """Latest first departure from which each target is reachable: probes
+    candidate first departures latest first until every target is reached.
+    Entries of unreached vertices and of non-targets stay None."""
+    value: list[int | None] = [None] * graph.vertex_count
+    remaining = set(targets)
+    for t0 in reversed(_first_departure_times(graph, table, source)):
+        if not remaining:
+            break
+        arrivals, _ = earliest_arrival(graph, table, source, t0)
+        found = [v for v in remaining if arrivals[v] is not None]
+        for v in found:
+            value[v] = t0
+        remaining.difference_update(found)
+    return value
+
+
+def _fastest(graph: StaticGraph, table: CandidateTable, source: int):
+    """(durations, first departures): least arrival minus departure per
+    vertex over every candidate first departure, and the earliest first
+    departure attaining it."""
+    duration: list[int | None] = [None] * graph.vertex_count
+    start: list[int | None] = [None] * graph.vertex_count
+    for t0 in _first_departure_times(graph, table, source):
+        arrivals, _ = earliest_arrival(graph, table, source, t0)
+        for v, arrival in enumerate(arrivals):
+            if arrival is not None and (duration[v] is None or arrival - t0 < duration[v]):
+                duration[v] = arrival - t0
+                start[v] = t0
+    return duration, start
+
+
+def _probe_paths(graph, table, source, start, vertices) -> dict[int, TemporalPath]:
+    """Witness paths of ``vertices`` from re-runs of their probes, one run
+    per distinct first departure ``start[v]``."""
+    by_start: dict[int, list[int]] = {}
+    for v in vertices:
+        by_start.setdefault(start[v], []).append(v)
+    paths: dict[int, TemporalPath] = {}
+    for t0, group in by_start.items():
+        _, parents = earliest_arrival(graph, table, source, t0)
+        for v in group:
+            paths[v] = _path_from_parents(graph, parents, source, v)
+    return paths
 
 
 # ---------------------------------------------------------------------------
@@ -254,33 +199,18 @@ def _path_from_parents(
 
 
 class _State:
-    __slots__ = ("vertex", "arrival", "cost", "parent", "edge", "time")
+    __slots__ = ("vertex", "arrival", "cost", "steps")
 
-    def __init__(self, vertex, arrival, cost, parent, edge, time):
+    def __init__(self, vertex, arrival, cost, steps):
         self.vertex = vertex
         self.arrival = arrival
         self.cost = cost
-        self.parent = parent
-        self.edge = edge
-        self.time = time
-
-
-def _state_path(state: _State) -> TemporalPath:
-    steps = []
-    vertices = [state.vertex]
-    while state.parent is not None:
-        steps.append((state.edge, state.time))
-        state = state.parent
-        vertices.append(state.vertex)
-    steps.reverse()
-    vertices.reverse()
-    return TemporalPath(tuple(vertices), tuple(steps))
+        self.steps = steps  # linked (edge, time, previous steps), see _chain_path
 
 
 def _pareto_run(
     graph: StaticGraph,
-    avail: Availability,
-    trav: TraversalSpec,
+    table: CandidateTable,
     source: int,
     hop_cost: bool,
 ):
@@ -290,7 +220,7 @@ def _pareto_run(
     arrival and a weakly lower cost; revisiting a vertex along a walk is
     therefore always rejected, so reconstructed witnesses are simple paths.
     """
-    root = _State(source, 1, 0, None, None, None)
+    root = _State(source, 1, 0, None)
     frontier: dict[int, list[_State]] = {source: [root]}
     queue: deque[_State] = deque()
     queue.append(root)
@@ -311,14 +241,12 @@ def _pareto_run(
         if cur not in frontier.get(cur.vertex, []):
             continue
         for e, w_v in graph.incident(cur.vertex):
-            for t, w in _min_candidates(avail, trav, e, cur.arrival):
+            for t, arrival in table.candidates(e, cur.arrival):
                 nxt = _State(
                     w_v,
-                    t + w,
-                    cur.cost + (1 if hop_cost else w),
-                    cur,
-                    e,
-                    t,
+                    arrival,
+                    cur.cost + (1 if hop_cost else arrival - t),
+                    (e, t, cur.steps),
                 )
                 if try_add(nxt):
                     queue.append(nxt)
@@ -330,118 +258,115 @@ def _pareto_run(
 
 
 def _min_wait_run(
-    graph: StaticGraph, avail: Availability, trav: TraversalSpec, source: int
+    graph: StaticGraph, table: CandidateTable, source: int
 ) -> dict[int, tuple[int, tuple]]:
-    """Best (waiting, steps) per vertex over simple temporal paths from source."""
+    """Least waiting per vertex over simple temporal paths from ``source``.
+
+    Maps each reached vertex to ``(waiting, steps)`` for the first path found
+    with that waiting, where ``steps`` is the linked list
+    ``(edge, time, previous steps)`` ending in None (see ``_chain_path``).
+
+    Depth-first over simple paths with an explicit stack of move iterators,
+    so the depth is not bounded by the interpreter's recursion limit.
+    Waiting never decreases along a path: once every vertex has a best, a
+    prefix whose waiting reaches the largest of them cannot improve any
+    vertex and is skipped.
+    """
+    adjacency = graph.adjacency
     best: dict[int, tuple[int, tuple]] = {}
     on_path = [False] * graph.vertex_count
     on_path[source] = True
-    steps: list[tuple[int, int]] = []
+    missing = graph.vertex_count - 1
+    bound = float("inf")
+    worst: list[tuple[int, int]] = []  # (-waiting, v); stale entries dropped lazily
 
-    def visit(v: int, arrival: int, waited: int, first: bool):
-        if not first:
-            cur = best.get(v)
-            if cur is None or waited < cur[0]:
-                best[v] = (waited, tuple(steps))
-        for e, w_v in graph.incident(v):
-            if on_path[w_v]:
+    def moves(v: int, arrival: int, waited: int, first: bool):
+        return iter([
+            (w, e, t, reach, waited if first else waited + t - arrival)
+            for e, w in adjacency[v]
+            if not on_path[w]
+            for t, reach in (
+                table.available(e) if first else table.candidates(e, arrival)
+            )
+        ])
+
+    stack = [(moves(source, 1, 0, True), None, source)]
+    while stack:
+        pending, chain, v = stack[-1]
+        for w, e, t, reach, waited in pending:
+            if waited >= bound:
                 continue
-            if first:
-                candidates = (
-                    (t, trav.weight(e, t)) for t in _all_times(avail, e)
-                )
-            else:
-                candidates = _min_candidates(avail, trav, e, arrival)
-            for t, w in candidates:
-                extra = 0 if first else t - arrival
-                on_path[w_v] = True
-                steps.append((e, t))
-                visit(w_v, t + w, waited + extra, False)
-                steps.pop()
-                on_path[w_v] = False
-
-    visit(source, 1, 0, True)
+            link = (e, t, chain)
+            cur = best.get(w)
+            if cur is None or waited < cur[0]:
+                best[w] = (waited, link)
+                if cur is None:
+                    missing -= 1
+                heapq.heappush(worst, (-waited, w))
+                if not missing:
+                    while -worst[0][0] != best[worst[0][1]][0]:
+                        heapq.heappop(worst)
+                    bound = -worst[0][0]
+            on_path[w] = True
+            stack.append((moves(w, reach, waited, False), link, w))
+            break
+        else:
+            stack.pop()
+            on_path[v] = False
     return best
 
 
-def _steps_to_path(graph: StaticGraph, source: int, steps: tuple) -> TemporalPath:
-    return TemporalPath.from_steps(graph, source, list(steps))
+def _chain_path(graph: StaticGraph, source: int, chain: tuple) -> TemporalPath:
+    """The path of a linked step list ``(edge, time, previous)``."""
+    steps = []
+    while chain is not None:
+        e, t, chain = chain
+        steps.append((e, t))
+    return TemporalPath.from_steps(graph, source, steps[::-1])
 
 
 # ---------------------------------------------------------------------------
 # Public distance operations
 
 
-def _sssp_ea(graph, avail, trav, source):
-    arrivals, parents = _ea_run(graph, avail, trav, source)
-    out = [UNREACHED] * graph.vertex_count
-    for v, arr in arrivals.items():
-        out[v] = DistanceResult(arr, _path_from_parents(graph, parents, source, v))
-    return out
+def _search(graph, table, source, measure: Measure, targets=None):
+    """(values, witnesses) of one source.
 
-
-def _sssp_ld(graph, avail, trav, source):
-    out: list[DistanceResult] = [UNREACHED] * graph.vertex_count
-    remaining = set(range(graph.vertex_count)) - {source}
-    for t0 in sorted(_first_departure_times(graph, avail, source), reverse=True):
-        if not remaining:
-            break
-        arrivals, parents = _ea_run(graph, avail, trav, source, first_time=t0)
-        for v in list(remaining):
-            if v in arrivals:
-                out[v] = DistanceResult(t0, _path_from_parents(graph, parents, source, v))
-                remaining.discard(v)
-    return out
-
-
-def _sssp_ft(graph, avail, trav, source):
-    best: list[tuple[int, TemporalPath] | None] = [None] * graph.vertex_count
-    for t0 in _first_departure_times(graph, avail, source):
-        arrivals, parents = _ea_run(graph, avail, trav, source, first_time=t0)
-        for v, arr in arrivals.items():
-            if v == source:
-                continue
-            dur = arr - t0
-            if best[v] is None or dur < best[v][0]:
-                best[v] = (dur, _path_from_parents(graph, parents, source, v))
-    return [
-        UNREACHED if b is None else DistanceResult(b[0], b[1]) for b in best
-    ]
-
-
-def _sssp_pareto(graph, avail, trav, source, hop_cost: bool):
-    frontier = _pareto_run(graph, avail, trav, source, hop_cost)
-    out = [UNREACHED] * graph.vertex_count
-    for v, states in frontier.items():
-        if v == source or not states:
-            continue
-        winner = min(states, key=lambda s: (s.cost, s.arrival))
-        out[v] = DistanceResult(winner.cost, _state_path(winner))
-    return out
-
-
-def _sssp_mw(graph, avail, trav, source):
-    best = _min_wait_run(graph, avail, trav, source)
-    out = [UNREACHED] * graph.vertex_count
-    for v, (wait, steps) in best.items():
-        out[v] = DistanceResult(wait, _steps_to_path(graph, source, steps))
-    return out
-
-
-def _sssp(graph, avail, trav, source, measure: Measure):
+    ``values[v]`` is measure(source, v), None for the source and for
+    unreached vertices; ``witnesses(vertices)`` maps each given reached
+    vertex to a realizing path.  ``targets`` (default: every vertex) only
+    lets the latest-departure probes stop early.
+    """
     if measure is Measure.EARLIEST_ARRIVAL:
-        return _sssp_ea(graph, avail, trav, source)
+        arrivals, parents = earliest_arrival(graph, table, source)
+        return arrivals, lambda vs: {
+            v: _path_from_parents(graph, parents, source, v) for v in vs
+        }
     if measure is Measure.LATEST_DEPARTURE:
-        return _sssp_ld(graph, avail, trav, source)
+        if targets is None:
+            targets = range(graph.vertex_count)
+        value = _latest_departures(graph, table, source, targets)
+        return value, lambda vs: _probe_paths(graph, table, source, value, vs)
     if measure is Measure.FASTEST:
-        return _sssp_ft(graph, avail, trav, source)
-    if measure is Measure.SHORTEST_TRAVEL:
-        return _sssp_pareto(graph, avail, trav, source, hop_cost=False)
-    if measure is Measure.MIN_HOP:
-        return _sssp_pareto(graph, avail, trav, source, hop_cost=True)
+        duration, start = _fastest(graph, table, source)
+        return duration, lambda vs: _probe_paths(graph, table, source, start, vs)
     if measure is Measure.MIN_WAIT:
-        return _sssp_mw(graph, avail, trav, source)
-    raise ValidationError(f"unhandled measure {measure}")
+        best = _min_wait_run(graph, table, source)
+    elif measure in (Measure.SHORTEST_TRAVEL, Measure.MIN_HOP):
+        frontier = _pareto_run(
+            graph, table, source, hop_cost=measure is Measure.MIN_HOP
+        )
+        best = {}
+        for v, states in frontier.items():
+            if v != source and states:
+                winner = min(states, key=lambda s: (s.cost, s.arrival))
+                best[v] = (winner.cost, winner.steps)
+    else:
+        raise ValidationError(f"unhandled measure {measure}")
+    values = [None] * graph.vertex_count
+    for v, (value, _) in best.items():
+        values[v] = value
+    return values, lambda vs: {v: _chain_path(graph, source, best[v][1]) for v in vs}
 
 
 def sssp(
@@ -454,7 +379,13 @@ def sssp(
     graph = instance.graph
     if not (0 <= source < graph.vertex_count):
         raise ValidationError(f"source {source} out of range")
-    return tuple(_sssp(graph, availability, instance.traversal, source, measure))
+    table = CandidateTable(availability, instance.traversal)
+    values, witnesses = _search(graph, table, source, measure)
+    paths = witnesses([v for v, value in enumerate(values) if value is not None])
+    return tuple(
+        UNREACHED if value is None else DistanceResult(value, paths[v])
+        for v, value in enumerate(values)
+    )
 
 
 def distance(
@@ -470,7 +401,33 @@ def distance(
         raise ValidationError("vertex out of range")
     if u == v:
         raise SameVertex(f"distance between {u} and itself is undefined")
-    return _sssp(graph, availability, instance.traversal, u, measure)[v]
+    table = CandidateTable(availability, instance.traversal)
+    values, witnesses = _search(graph, table, u, measure, targets=(v,))
+    if values[v] is None:
+        return UNREACHED
+    return DistanceResult(values[v], witnesses([v])[v])
+
+
+def _pair_values(
+    instance: Instance, table: CandidateTable, measure: Measure
+) -> dict[tuple[int, int], int | None]:
+    """measure(s, v) for every source s and every other vertex v (None when
+    unreachable), one search per source, no witnesses."""
+    out: dict[tuple[int, int], int | None] = {}
+    for s in sorted(instance.sources):
+        values, _ = _search(instance.graph, table, s, measure)
+        for v, value in enumerate(values):
+            if v != s:
+                out[(s, v)] = value
+    return out
+
+
+def _worst(measure: Measure, values: Iterable[int | None]) -> int | None:
+    """The measure's worst case over pair values; None if any is None."""
+    values = list(values)
+    if None in values:
+        return None
+    return measure.worst(values)
 
 
 def objective(
@@ -481,22 +438,9 @@ def objective(
     Max over pairs for the minimizing measures, min for latest departure;
     None when some source fails to reach some vertex.
     """
-    for e in range(instance.graph.edge_count):
-        if len(labeling.times(e)) > instance.multiplicity[e]:
-            raise MultiplicityViolation(
-                f"edge {e} has {len(labeling.times(e))} labels, "
-                f"multiplicity {instance.multiplicity[e]}"
-            )
-    values: list[int] = []
-    for s in sorted(instance.sources):
-        results = sssp(s, labeling, instance, measure)
-        for v, res in enumerate(results):
-            if v == s:
-                continue
-            if res.value is None:
-                return None
-            values.append(res.value)
-    return measure.worst(values)
+    _check_quota(instance, labeling)
+    table = CandidateTable(labeling, instance.traversal)
+    return _worst(measure, _pair_values(instance, table, measure).values())
 
 
 # ---------------------------------------------------------------------------
@@ -544,10 +488,10 @@ def _max_stats_run(graph: StaticGraph, avail: FullAvailability, trav: TraversalS
             new_dur: list[tuple[int, int]] = []
             new_wait: list[tuple[int, int]] = []
             for td, arr in dur_states:
-                for t in _all_times(avail, e, max(arr, 1)):
+                for t in range(max(arr, 1), avail.tau + 1):
                     new_dur.append((td if td else t, t + trav.weight(e, t)))
             for wait, arr in wait_states:
-                for t in _all_times(avail, e, max(arr, 1)):
+                for t in range(max(arr, 1), avail.tau + 1):
                     gap = 0 if arr == 0 else t - arr
                     new_wait.append((wait + gap, t + trav.weight(e, t)))
             if not new_dur:
@@ -576,16 +520,17 @@ def ft_mw_bounds(source: int, instance: Instance) -> Bounds:
     graph = instance.graph
     avail = instance.full_availability()
     trav = instance.traversal
-    ft = _sssp_ft(graph, avail, trav, source)
+    table = CandidateTable(avail, trav)
+    ft, _ = _fastest(graph, table, source)
     others = [v for v in range(graph.vertex_count) if v != source]
-    if any(ft[v].value is None for v in others):
-        missing = [v for v in others if ft[v].value is None]
+    missing = [v for v in others if ft[v] is None]
+    if missing:
         raise Unreachable(f"source {source} cannot reach vertices {missing}")
-    mw = _sssp_mw(graph, avail, trav, source)
+    mw = _min_wait_run(graph, table, source)
     max_dur, max_wait = _max_stats_run(graph, avail, trav, source)
     return Bounds(
-        ft_min=max(ft[v].value for v in others),
+        ft_min=max(ft[v] for v in others),
         ft_max=max(max_dur[v] for v in others),
-        mw_min=max(mw[v].value for v in others),
+        mw_min=max(mw[v][0] for v in others),
         mw_max=max(max_wait[v] for v in others),
     )

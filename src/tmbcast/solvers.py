@@ -18,13 +18,13 @@ sets dominate and nothing smaller needs to be tried.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
 
 from tmbcast.core import (
+    CandidateTable,
     Instance,
     Labeling,
     MultiplicityTooSmall,
@@ -36,16 +36,16 @@ from tmbcast.core import (
     Unreachable,
     ValidationError,
     WrongSourceCount,
-    is_feasible,
+    _reaches_all,
     reaches_all,
 )
 from tmbcast.distances import (
     Bounds,
     DistanceResult,
     Measure,
+    _pair_values,
+    _worst,
     ft_mw_bounds,
-    objective,
-    sssp,
 )
 from tmbcast.tsot import build_ea_tsot, build_ld_tsot
 
@@ -62,6 +62,13 @@ class SolveStatus(Enum):
 
 @dataclass(frozen=True)
 class SolveResult:
+    """A schedule with its objective.
+
+    ``per_source_distances`` maps every (source, other vertex) pair to its
+    distance value under the schedule; the witness is left None (``sssp``
+    or ``distance`` on the labeling gives one).
+    """
+
     labeling: Labeling
     objective: int | None
     per_source_distances: dict[tuple[int, int], DistanceResult]
@@ -86,18 +93,6 @@ def _require_measure(measure: Measure, allowed, what: str) -> None:
         raise ValidationError(f"{what} supports only {codes}, not {measure.code}")
 
 
-def _per_source_distances(
-    instance: Instance, labeling: Labeling, measure: Measure
-) -> dict[tuple[int, int], DistanceResult]:
-    out: dict[tuple[int, int], DistanceResult] = {}
-    for s in sorted(instance.sources):
-        vec = sssp(s, labeling, instance, measure)
-        for v in range(instance.graph.vertex_count):
-            if v != s:
-                out[(s, v)] = vec[v]
-    return out
-
-
 def _check_full_reachability(instance: Instance) -> None:
     avail = instance.full_availability()
     for s in sorted(instance.sources):
@@ -108,10 +103,13 @@ def _check_full_reachability(instance: Instance) -> None:
 
 
 def _finish(instance, labeling, measure, regime, status=SolveStatus.OPTIMAL, bounds=None):
+    pairs = _pair_values(instance, CandidateTable(labeling, instance.traversal), measure)
     return SolveResult(
         labeling=labeling,
-        objective=objective(instance, labeling, measure),
-        per_source_distances=_per_source_distances(instance, labeling, measure),
+        objective=_worst(measure, pairs.values()),
+        per_source_distances={
+            pair: DistanceResult(value, None) for pair, value in pairs.items()
+        },
         status=status,
         regime=regime,
         bounds=bounds,
@@ -321,49 +319,6 @@ def search_space_size(instance: Instance) -> int:
     return total
 
 
-def _fast_reaches_all(graph, trav, label_table, source) -> bool:
-    """Reachability over raw per-edge label tuples (hot path of the oracle)."""
-    n = graph.vertex_count
-    override_index = trav._override_index
-    defaults = trav.defaults
-    arrivals = [None] * n
-    arrivals[source] = 1
-    heap = [(1, source)]
-    settled = 0
-    done = [False] * n
-    while heap:
-        arr, v = heapq.heappop(heap)
-        if done[v]:
-            continue
-        done[v] = True
-        settled += 1
-        if settled == n:
-            return True
-        for e, w in graph.incident(v):
-            if done[w]:
-                continue
-            per_edge = override_index[e]
-            default = defaults[e]
-            best = None
-            saw_default = False
-            for t in label_table[e]:
-                if t < arr:
-                    continue
-                wt = per_edge.get(t)
-                if wt is None:
-                    if saw_default:
-                        continue
-                    saw_default = True
-                    wt = default
-                cand = t + wt
-                if best is None or cand < best:
-                    best = cand
-            if best is not None and (arrivals[w] is None or best < arrivals[w]):
-                arrivals[w] = best
-                heapq.heappush(heap, (best, w))
-    return settled == n
-
-
 def brute_force(
     instance: Instance,
     measure: Measure,
@@ -398,12 +353,10 @@ def brute_force(
     best_value: int | None = None
     best_table: tuple | None = None
     for table in itertools.product(*per_edge):
-        if not all(
-            _fast_reaches_all(graph, trav, table, s) for s in sources
-        ):
+        candidates = CandidateTable(table, trav)
+        if not all(_reaches_all(graph, candidates, s) for s in sources):
             continue
-        labeling = Labeling(table)
-        value = objective(instance, labeling, measure)
+        value = _worst(measure, _pair_values(instance, candidates, measure).values())
         if value is None:
             continue
         if best_value is None or measure.better(value, best_value):
@@ -418,14 +371,7 @@ def brute_force(
             status=SolveStatus.INFEASIBLE,
             regime="oracle",
         )
-    labeling = Labeling(best_table)
-    return SolveResult(
-        labeling=labeling,
-        objective=best_value,
-        per_source_distances=_per_source_distances(instance, labeling, measure),
-        status=SolveStatus.OPTIMAL,
-        regime="oracle",
-    )
+    return _finish(instance, Labeling(best_table), measure, regime="oracle")
 
 
 def pick_regime(instance: Instance, measure: Measure) -> str:

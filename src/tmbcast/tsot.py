@@ -19,6 +19,7 @@ from typing import Union
 
 from tmbcast.core import (
     Availability,
+    CandidateTable,
     Instance,
     Labeling,
     ReachFastInstance,
@@ -27,8 +28,9 @@ from tmbcast.core import (
     TraversalSpec,
     Unreachable,
     ValidationError,
+    earliest_arrival,
 )
-from tmbcast.distances import _sssp_ea, _sssp_ld
+from tmbcast.distances import _latest_departures, _path_from_parents
 
 
 @dataclass(frozen=True)
@@ -149,16 +151,15 @@ def build_ea_tsot(
     cannot reach some vertex.
     """
     graph, trav, avail = _resolve(instance, availability)
-    results = _sssp_ea(graph, avail, trav, root)
+    arrivals, parents = earliest_arrival(graph, CandidateTable(avail, trav), root)
     parent: list[tuple[int, int, int] | None] = [None] * graph.vertex_count
     for v in range(graph.vertex_count):
         if v == root:
             continue
-        if results[v].value is None:
+        if arrivals[v] is None:
             raise Unreachable(f"root {root} cannot reach vertex {v}")
-        path = results[v].witness
-        e, t = path.steps[-1]
-        parent[v] = (e, t, path.vertices[-2])
+        u, e, t = parents[v]
+        parent[v] = (e, t, u)
     return Tsot(root, tuple(parent), trav)
 
 
@@ -169,9 +170,11 @@ def build_ld_tsot(
 ) -> Tsot:
     """Tree whose every latest departure is at least the graph's worst one."""
     graph, trav, avail = _resolve(instance, availability)
-    results = _sssp_ld(graph, avail, trav, root)
-    for v in range(graph.vertex_count):
-        if v != root and results[v].value is None:
+    table = CandidateTable(avail, trav)
+    others = [v for v in range(graph.vertex_count) if v != root]
+    latest = _latest_departures(graph, table, root, others)
+    for v in others:
+        if latest[v] is None:
             raise Unreachable(f"root {root} cannot reach vertex {v}")
 
     parent: dict[int, tuple[int, int, int] | None] = {root: None}
@@ -184,14 +187,17 @@ def build_ld_tsot(
             cur = parent[cur][2]
         return candidate == root
 
-    order = sorted(
-        (v for v in range(graph.vertex_count) if v != root),
-        key=lambda v: (results[v].value, v),
-    )
-    for u in order:
+    # Vertices are admitted in nondecreasing latest-departure order, so
+    # those sharing a witness probe come together and one re-run of that
+    # probe serves them all.
+    probe_time = None
+    for u in sorted(others, key=lambda v: (latest[v], v)):
         if u in parent:
             continue
-        path = results[u].witness
+        if latest[u] != probe_time:
+            probe_time = latest[u]
+            _, probe = earliest_arrival(graph, table, root, probe_time)
+        path = _path_from_parents(graph, probe, root, u)
         tree_edges = {entry[0] for entry in parent.values() if entry is not None}
         for (e, t), tail, head in zip(path.steps, path.vertices, path.vertices[1:]):
             if head not in parent:

@@ -223,6 +223,23 @@ def test_distance_with_witness(capsys, network):
     assert hops[-1]["to"] == "v1"
 
 
+def test_labels_outside_horizon_are_rejected(capsys, network, tmp_path):
+    doc = json.loads((FIXTURES / "delivery-schedule-ea.json").read_text())
+    doc["labels"][8] = [64]  # the network's tau is 14
+    late = tmp_path / "late.json"
+    late.write_text(json.dumps(doc))
+    for argv in (
+        ("distance", "--measure", "ld", "--from", "M", "--to", "v1"),
+        ("verify", "--measure", "ld"),
+    ):
+        code, payload, err = run(
+            capsys, *argv, "--in", str(network), "--labeling", str(late)
+        )
+        assert code == 3
+        assert payload is None
+        assert "time 64 outside 1..14" in err
+
+
 def test_distance_same_vertex_is_error(capsys, network):
     code, _, err = run(
         capsys, "distance", "--measure", "ea", "--from", "M", "--to", "M",

@@ -195,6 +195,26 @@ def test_sssp_agrees_with_pairwise_distance():
 # Properties
 
 
+def test_min_wait_on_a_1500_vertex_path():
+    # The depth of the minimum-waiting search grows with the path; its
+    # objective is the sum of the gaps before the far end.
+    rng = random.Random(1500)
+    n = 1500
+    weights = [rng.randint(1, 2) for _ in range(n - 1)]
+    times, t = [], 1
+    for w in weights:
+        times.append(t)
+        t += w + rng.randint(0, 2)
+    graph = StaticGraph(n, tuple((i, i + 1) for i in range(n - 1)))
+    inst = Instance(
+        graph, frozenset({0}), TraversalSpec(tuple(weights), ((),) * (n - 1)),
+        (1,) * (n - 1), times[-1],
+    )
+    lab = Labeling(tuple((t,) for t in times))
+    waiting = sum(times[i + 1] - (times[i] + weights[i]) for i in range(n - 2))
+    assert objective(inst, lab, Measure.MIN_WAIT) == waiting
+
+
 def test_monotone_in_labels():
     rng = random.Random(505)
     for _ in range(40):
