@@ -40,7 +40,6 @@ from tmbcast.core import (
     ValidationError,
     WrongSourceCount,
     _check_times,
-    is_feasible,
 )
 from tmbcast.distances import Measure, distance, objective, path_stats
 from tmbcast.fileformat import (
@@ -268,8 +267,8 @@ def cmd_verify(args) -> None:
     doc, instance = _load_tmb(args.input)
     measure = _measure(args.measure)
     labeling = _load_labeling(args.labeling, instance)
-    feasible = is_feasible(instance, labeling)
-    value = objective(instance, labeling, measure) if feasible else None
+    value = objective(instance, labeling, measure)
+    feasible = value is not None
     _emit(
         {
             "command": "verify",

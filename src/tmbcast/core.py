@@ -162,9 +162,6 @@ class StaticGraph:
                 return e
         raise ValidationError(f"no edge {key}")
 
-    def has_edge(self, u: Vertex, v: Vertex) -> bool:
-        return any(other == v for _, other in self.adjacency[u])
-
     def is_connected(self) -> bool:
         if self.vertex_count == 1:
             return True

@@ -15,15 +15,28 @@ and shared by every source and probe:
   stack (waiting is the one statistic where revisiting a vertex could pay
   off, and the definitions range over simple paths only).
 
+The certificate's maxima (the longest duration and the longest waiting of a
+simple temporal path to each vertex) take one pair of searches per target
+``v``: a simple path to ``v`` is a prefix to a neighbour ``u`` that avoids
+``v``, then the edge ``(u, v)``.  On the full temporal graph waiting is free,
+so a prefix's cycle through a vertex other than the source can be replaced
+by waiting there; each search therefore runs over walks in ``G - v`` that
+never re-enter the source, keeping per vertex the Pareto front of (first
+departure, arrival) for duration and of (first departure + travel, arrival)
+for waiting.  Both are polynomial in the graph size and the number of
+override times.
+
 Values come first, witnesses on demand: a search returns per-vertex values
 and a function that builds the paths of the vertices asked for.  A
-latest-departure or fastest witness re-runs the probe that attained the
+latest-departure witness comes from the probe that found its vertex, as a
+linked step list; a fastest witness re-runs the probe that attained the
 value (the kernel is deterministic), so no probe's parents outlive it.
 """
 
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
@@ -32,17 +45,17 @@ from typing import Iterable
 from tmbcast.core import (
     Availability,
     CandidateTable,
-    FullAvailability,
     Instance,
     Labeling,
     PathStats,
     SameVertex,
     StaticGraph,
     TemporalPath,
-    TraversalSpec,
     Unreachable,
     ValidationError,
+    _NEVER,
     _check_quota,
+    _time,
     earliest_arrival,
     path_stats,
 )
@@ -99,10 +112,6 @@ class DistanceResult:
     value: int | None
     witness: TemporalPath | None
 
-    @property
-    def reachable(self) -> bool:
-        return self.value is not None
-
 
 UNREACHED = DistanceResult(None, None)
 
@@ -148,21 +157,44 @@ def _path_from_parents(graph: StaticGraph, parents: list, source: int, v: int) -
 
 def _latest_departures(
     graph: StaticGraph, table: CandidateTable, source: int, targets: Iterable[int]
-) -> list[int | None]:
-    """Latest first departure from which each target is reachable: probes
-    candidate first departures latest first until every target is reached.
-    Entries of unreached vertices and of non-targets stay None."""
+) -> tuple[list[int | None], list[tuple | None]]:
+    """(values, chains): the latest first departure from which each target is
+    reachable, and its witness from that probe as a linked step list (see
+    ``_chain_path``).
+
+    Probes candidate first departures latest first until every target is
+    reached; the chains built in one probe share their prefixes, and no
+    probe's parents outlive it.  Entries of unreached vertices and of
+    non-targets stay None.
+    """
     value: list[int | None] = [None] * graph.vertex_count
+    chains: list[tuple | None] = [None] * graph.vertex_count
     remaining = set(targets)
     for t0 in reversed(_first_departure_times(graph, table, source)):
         if not remaining:
             break
-        arrivals, _ = earliest_arrival(graph, table, source, t0)
+        arrivals, parents = earliest_arrival(graph, table, source, t0)
         found = [v for v in remaining if arrivals[v] is not None]
+        links = {source: None}
         for v in found:
             value[v] = t0
+            chains[v] = _parent_chain(parents, links, v)
         remaining.difference_update(found)
-    return value
+    return value, chains
+
+
+def _parent_chain(parents: list, links: dict, v: int) -> tuple:
+    """Linked step list of ``v``'s path in a parent forest, memoized in
+    ``links`` (vertex -> chain), which starts out holding the root."""
+    climbed = []
+    while v not in links:
+        climbed.append(v)
+        v = parents[v][0]
+    chain = links[v]
+    for w in reversed(climbed):
+        _, e, t = parents[w]
+        chain = links[w] = (e, t, chain)
+    return chain
 
 
 def _fastest(graph: StaticGraph, table: CandidateTable, source: int):
@@ -345,8 +377,8 @@ def _search(graph, table, source, measure: Measure, targets=None):
     if measure is Measure.LATEST_DEPARTURE:
         if targets is None:
             targets = range(graph.vertex_count)
-        value = _latest_departures(graph, table, source, targets)
-        return value, lambda vs: _probe_paths(graph, table, source, value, vs)
+        value, chains = _latest_departures(graph, table, source, targets)
+        return value, lambda vs: {v: _chain_path(graph, source, chains[v]) for v in vs}
     if measure is Measure.FASTEST:
         duration, start = _fastest(graph, table, source)
         return duration, lambda vs: _probe_paths(graph, table, source, start, vs)
@@ -436,78 +468,140 @@ def objective(
     """Worst-case measure over every (source, other vertex) pair, or None.
 
     Max over pairs for the minimizing measures, min for latest departure;
-    None when some source fails to reach some vertex.
+    None when some source fails to reach some vertex.  One earliest-arrival
+    search per source decides that first, stopping at the first source that
+    misses a vertex, so an infeasible schedule pays for no measure search;
+    earliest arrival reads its values from those searches.
     """
     _check_quota(instance, labeling)
+    graph = instance.graph
     table = CandidateTable(labeling, instance.traversal)
-    return _worst(measure, _pair_values(instance, table, measure).values())
+    arrivals = {}
+    for s in sorted(instance.sources):
+        arrivals[s], _ = earliest_arrival(graph, table, s)
+        if arrivals[s].count(None) > 1:
+            return None
+    if measure is Measure.EARLIEST_ARRIVAL:
+        values = [a for s, row in arrivals.items() for v, a in enumerate(row) if v != s]
+    else:
+        values = _pair_values(instance, table, measure).values()
+    return _worst(measure, values)
 
 
 # ---------------------------------------------------------------------------
 # FT/MW bound quantities on the full temporal graph
 
 
-def _max_stats_run(graph: StaticGraph, avail: FullAvailability, trav: TraversalSpec, source: int):
-    """Per-vertex maxima of duration and waiting over simple temporal paths.
+def _fronts(graph: StaticGraph, table: CandidateTable, source: int, target: int,
+            seeds: list[tuple[int, int, int]], add_travel: bool,
+            until: set[int] | None = None) -> list[list]:
+    """Per-vertex Pareto fronts of (key, arrival), both minimized, over the
+    temporal walks from ``source`` that avoid ``target``, never re-enter
+    ``source`` and arrive everywhere by tau (full temporal graph).
 
-    DFS over simple static paths carrying Pareto sets of partial schedules:
-    (departure, arrival) for duration (both minimized: a smaller departure can
-    only lengthen, a smaller arrival keeps every later departure open), and
-    (waiting, arrival) for waiting (waiting maximized, arrival minimized).
+    ``seeds`` are the first steps as (key, arrival, vertex).  A later step
+    keeps the key (the first departure) or, with ``add_travel``, adds its
+    traversal time (first departure + travel).  Keys and arrivals never
+    decrease along a walk, so states pop in (key, arrival) order: a vertex's
+    front grows by ascending key and strictly descending arrival, and a
+    state is expanded only when it arrives before every earlier one there.
+    With ``until`` the search stops once each of those vertices has its
+    least-key state (the set is consumed).
     """
-    max_dur: dict[int, int] = {}
-    max_wait: dict[int, int] = {}
-    on_path = [False] * graph.vertex_count
-    on_path[source] = True
+    adjacency = graph.adjacency
+    tau = table.tau
+    best = [_NEVER] * graph.vertex_count
+    best[source] = best[target] = -1  # every arrival is dominated: never entered
+    fronts: list[list] = [[] for _ in range(graph.vertex_count)]
+    heap = list(seeds)
+    heapq.heapify(heap)
+    pop = heapq.heappop
+    push = heapq.heappush
+    while heap:
+        key, arrival, x = pop(heap)
+        if arrival >= best[x]:
+            continue
+        best[x] = arrival
+        fronts[x].append((key, arrival))
+        if until is not None:
+            until.discard(x)
+            if not until:
+                break
+        for e, y in adjacency[x]:
+            if best[y] <= arrival:
+                continue  # no step from here can arrive earlier
+            for t, reach in table.candidates(e, arrival):
+                if reach < best[y] and reach <= tau:
+                    push(heap, (key + reach - t if add_travel else key, reach, y))
+    return fronts
 
-    def pareto_dur(states: list[tuple[int, int]]) -> list[tuple[int, int]]:
-        states.sort()
-        kept: list[tuple[int, int]] = []
-        best_arr = None
-        for td, arr in states:
-            if best_arr is None or arr < best_arr:
-                kept.append((td, arr))
-                best_arr = arr
-        return kept
 
-    def pareto_wait(states: list[tuple[int, int]]) -> list[tuple[int, int]]:
-        # maximize wait, minimize arrival
-        states.sort(key=lambda s: (-s[0], s[1]))
-        kept: list[tuple[int, int]] = []
-        best_arr = None
-        for wait, arr in states:
-            if best_arr is None or arr < best_arr:
-                kept.append((wait, arr))
-                best_arr = arr
-        return kept
+def _max_stats(graph: StaticGraph, table: CandidateTable, source: int):
+    """(max duration, max waiting) per vertex over simple temporal paths from
+    ``source`` on the full temporal graph; None for unreached vertices.
 
-    def visit(v: int, dur_states: list[tuple[int, int]], wait_states: list[tuple[int, int]]):
-        for e, w_v in graph.incident(v):
-            if on_path[w_v]:
-                continue
-            new_dur: list[tuple[int, int]] = []
-            new_wait: list[tuple[int, int]] = []
-            for td, arr in dur_states:
-                for t in range(max(arr, 1), avail.tau + 1):
-                    new_dur.append((td if td else t, t + trav.weight(e, t)))
-            for wait, arr in wait_states:
-                for t in range(max(arr, 1), avail.tau + 1):
-                    gap = 0 if arr == 0 else t - arr
-                    new_wait.append((wait + gap, t + trav.weight(e, t)))
-            if not new_dur:
-                continue
-            d = max(arr - td for td, arr in new_dur)
-            w = max(wait for wait, _ in new_wait)
-            if d > max_dur.get(w_v, -1):
-                max_dur[w_v] = d
-            if w > max_wait.get(w_v, -1):
-                max_wait[w_v] = w
-            on_path[w_v] = True
-            visit(w_v, pareto_dur(new_dur), pareto_wait(new_wait))
-            on_path[w_v] = False
+    A path to ``v`` is a prefix to a neighbour ``u`` (state: first departure
+    ``t0``, arrival ``a``) and the edge ``(u, v)`` at some ``t`` in
+    ``a..tau``.  Its duration is ``t + tr(e, t) - t0``, so the prefixes that
+    count are the (t0, a) front of ``u``.  Its waiting telescopes to
+    ``t - t0 - travel(prefix)``, largest at ``t = tau``, so the prefix that
+    counts is the one of least ``t0 + travel``.  A single step has duration
+    ``tr(e, t)`` and waiting 0.  A first step departing at a default-weight
+    time right after another default-weight time is dominated by that one,
+    so the first departures tried are 1, the source edges' override times
+    and the times right after them.
+    """
+    adjacency = graph.adjacency
+    tau = table.tau
+    defaults, overrides, departures = table.defaults, table.overrides, table.departures
+    starts = {1}
+    for e, _ in adjacency[source]:
+        for t, _ in departures[e]:
+            starts.update((t, t + 1))
+    seeds = [
+        (t0, reach, w)
+        for e, w in adjacency[source]
+        for t0 in sorted(starts)
+        if t0 <= tau and (reach := t0 + overrides[e].get(t0, defaults[e])) <= tau
+    ]
+    cost_seeds = [(reach, reach, w) for _, reach, w in seeds]  # t0 + travel = arrival
+    last_default = []  # per edge, the latest default-weight time (0 if none)
+    for per_edge in overrides:
+        t = tau
+        while t in per_edge:
+            t -= 1
+        last_default.append(t)
 
-    # departure 0 / arrival 0 mark "no step taken yet"
-    visit(source, [(0, 0)], [(0, 0)])
+    def last_arrival(e: int, a: int) -> int:
+        """Latest arrival over the edge's departures in a..tau."""
+        later = departures[e][bisect_left(departures[e], a, key=_time):]
+        reach = max((reach for _, reach in later), default=-1)
+        if last_default[e] >= a:
+            reach = max(reach, last_default[e] + defaults[e])
+        return reach
+
+    max_dur: list[int | None] = [None] * graph.vertex_count
+    max_wait: list[int | None] = [None] * graph.vertex_count
+    for v in range(graph.vertex_count):
+        if v == source:
+            continue
+        by_start = _fronts(graph, table, source, v, seeds, False)
+        by_cost = _fronts(graph, table, source, v, cost_seeds, True,
+                          until={u for _, u in adjacency[v] if u != source})
+        durations, waits = [], []
+        for e, u in adjacency[v]:
+            if u == source:
+                weights = list(overrides[e].values())
+                if len(weights) < tau:  # some time in 1..tau has the default
+                    weights.append(defaults[e])
+                durations.append(max(weights))
+                waits.append(0)
+            elif by_start[u]:
+                durations.extend(last_arrival(e, a) - t0 for t0, a in by_start[u])
+                waits.append(tau - by_cost[u][0][0])
+        if durations:
+            max_dur[v] = max(durations)
+            max_wait[v] = max(waits)
     return max_dur, max_wait
 
 
@@ -518,16 +612,14 @@ def ft_mw_bounds(source: int, instance: Instance) -> Bounds:
     source even with every edge available at every time.
     """
     graph = instance.graph
-    avail = instance.full_availability()
-    trav = instance.traversal
-    table = CandidateTable(avail, trav)
+    table = CandidateTable(instance.full_availability(), instance.traversal)
     ft, _ = _fastest(graph, table, source)
     others = [v for v in range(graph.vertex_count) if v != source]
     missing = [v for v in others if ft[v] is None]
     if missing:
         raise Unreachable(f"source {source} cannot reach vertices {missing}")
     mw = _min_wait_run(graph, table, source)
-    max_dur, max_wait = _max_stats_run(graph, avail, trav, source)
+    max_dur, max_wait = _max_stats(graph, table, source)
     return Bounds(
         ft_min=max(ft[v] for v in others),
         ft_max=max(max_dur[v] for v in others),

@@ -685,38 +685,41 @@ def connected_after_removal(graph: StaticGraph, removed_edges: set[int]) -> bool
     return comps == 1
 
 
-def nonseparating_paths(graph: StaticGraph, s1: int, s2: int):
-    """Yield simple s1-s2 paths (vertices, edges) whose removal keeps the
-    graph connected.
+def find_nonseparating_path(graph: StaticGraph, s1: int, s2: int):
+    """First simple s1-s2 path (vertices, edges), depth first in adjacency
+    order, whose removal keeps the graph connected; None if there is none.
 
     Paths through internal vertices of degree two are skipped outright:
-    removing both their edges isolates them.
+    removing both their edges isolates them.  The search keeps an explicit
+    stack of adjacency iterators, so its depth is not bounded by the
+    interpreter's recursion limit.
     """
+    if s1 == s2:
+        return ((s1,), ()) if connected_after_removal(graph, set()) else None
     degree = [len(graph.incident(v)) for v in range(graph.vertex_count)]
-
-    def extend(vertices, edges):
-        v = vertices[-1]
-        if v == s2:
-            if connected_after_removal(graph, set(edges)):
-                yield (tuple(vertices), tuple(edges))
-            return
-        for e, w in graph.incident(v):
-            if w in vertices:
+    vertices, edges = [s1], []
+    on_path = {s1}
+    stack = [iter(graph.incident(s1))]
+    while stack:
+        for e, w in stack[-1]:
+            if w in on_path:
                 continue
-            if w != s2 and degree[w] <= 2:
+            if w == s2:
+                if connected_after_removal(graph, {*edges, e}):
+                    return (tuple(vertices) + (w,), tuple(edges) + (e,))
+                continue
+            if degree[w] <= 2:
                 continue
             vertices.append(w)
             edges.append(e)
-            yield from extend(vertices, edges)
-            vertices.pop()
-            edges.pop()
-
-    yield from extend([s1], [])
-
-
-def find_nonseparating_path(graph: StaticGraph, s1: int, s2: int):
-    for path in nonseparating_paths(graph, s1, s2):
-        return path
+            on_path.add(w)
+            stack.append(iter(graph.incident(w)))
+            break
+        else:
+            stack.pop()
+            on_path.discard(vertices.pop())
+            if edges:
+                edges.pop()
     return None
 
 

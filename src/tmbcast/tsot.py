@@ -24,13 +24,12 @@ from tmbcast.core import (
     Labeling,
     ReachFastInstance,
     StaticGraph,
-    TemporalPath,
     TraversalSpec,
     Unreachable,
     ValidationError,
     earliest_arrival,
 )
-from tmbcast.distances import _latest_departures, _path_from_parents
+from tmbcast.distances import _chain_path, _latest_departures
 
 
 @dataclass(frozen=True)
@@ -62,23 +61,6 @@ class Tsot:
         for e, t in self.tree_edges().items():
             table[e] = (t,)
         return Labeling(tuple(table))
-
-    def tree_path(self, v: int) -> TemporalPath:
-        if v == self.root:
-            raise ValidationError("no tree path from the root to itself")
-        steps = []
-        vertices = [v]
-        while v != self.root:
-            entry = self.parent[v]
-            if entry is None:
-                raise ValidationError(f"vertex {v} detached from the tree")
-            e, t, u = entry
-            steps.append((e, t))
-            vertices.append(u)
-            v = u
-        steps.reverse()
-        vertices.reverse()
-        return TemporalPath(tuple(vertices), tuple(steps))
 
     def arrival(self, v: int) -> int | None:
         """Arrival time of the tree path at v (None for the root)."""
@@ -172,7 +154,7 @@ def build_ld_tsot(
     graph, trav, avail = _resolve(instance, availability)
     table = CandidateTable(avail, trav)
     others = [v for v in range(graph.vertex_count) if v != root]
-    latest = _latest_departures(graph, table, root, others)
+    latest, chains = _latest_departures(graph, table, root, others)
     for v in others:
         if latest[v] is None:
             raise Unreachable(f"root {root} cannot reach vertex {v}")
@@ -187,18 +169,13 @@ def build_ld_tsot(
             cur = parent[cur][2]
         return candidate == root
 
-    # Vertices are admitted in nondecreasing latest-departure order, so
-    # those sharing a witness probe come together and one re-run of that
-    # probe serves them all.
-    probe_time = None
+    # Vertices are admitted in nondecreasing latest-departure order, each
+    # merging the witness recorded by the probe that first reached it.
+    tree_edges: set[int] = set()
     for u in sorted(others, key=lambda v: (latest[v], v)):
         if u in parent:
             continue
-        if latest[u] != probe_time:
-            probe_time = latest[u]
-            _, probe = earliest_arrival(graph, table, root, probe_time)
-        path = _path_from_parents(graph, probe, root, u)
-        tree_edges = {entry[0] for entry in parent.values() if entry is not None}
+        path = _chain_path(graph, root, chains[u])
         for (e, t), tail, head in zip(path.steps, path.vertices, path.vertices[1:]):
             if head not in parent:
                 parent[head] = (e, t, tail)

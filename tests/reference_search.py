@@ -1,25 +1,42 @@
-"""Reference copies of the earliest-arrival and minimum-waiting searches
-that ``core.earliest_arrival`` and the iterative ``distances._min_wait_run``
-replaced, kept verbatim so differential tests can compare the two.
+"""Reference copies of searches the library replaced, kept verbatim so
+differential tests can compare old and new.
 
-``_ea_run`` relaxes every edge through the candidate generator
-``_min_candidates``; ``_min_wait_run`` is the recursive depth-first search
-without pruning (its recursion depth grows with the path length, so only
-small instances may be given to it).
+* ``_ea_run`` (relaxing every edge through the candidate generator
+  ``_min_candidates``) was replaced by ``core.earliest_arrival``;
+* ``_min_wait_run``, the recursive depth-first search without pruning, by
+  the iterative ``distances._min_wait_run``;
+* ``_max_stats_run``, a depth-first search over every simple static path, by
+  the per-target Pareto searches of ``distances._max_stats``;
+* ``build_ld_tsot`` (with its ``_latest_departures``), which re-ran the
+  winning probe of every vertex it admitted, by the one-pass
+  ``tsot.build_ld_tsot``;
+* the recursive generator ``nonseparating_paths`` by the iterative
+  ``reductions.find_nonseparating_path``.
+
+The recursive searches' depth grows with the path length and the depth-first
+ones take exponential time, so only small instances may be given to them.
 """
 
 from __future__ import annotations
 
 import heapq
 from bisect import bisect_left
-from typing import Iterator
+from typing import Iterable, Iterator, Union
 
 from tmbcast.core import (
     Availability,
+    CandidateTable,
     FullAvailability,
+    Instance,
+    ReachFastInstance,
     StaticGraph,
     TraversalSpec,
+    Unreachable,
+    earliest_arrival,
 )
+from tmbcast.distances import _first_departure_times, _path_from_parents
+from tmbcast.reductions import connected_after_removal
+from tmbcast.tsot import Tsot, _resolve
 
 
 def _min_candidates(
@@ -150,3 +167,177 @@ def _min_wait_run(
 
     visit(source, 1, 0, True)
     return best
+
+
+def _max_stats_run(graph: StaticGraph, avail: FullAvailability, trav: TraversalSpec, source: int):
+    """Per-vertex maxima of duration and waiting over simple temporal paths.
+
+    DFS over simple static paths carrying Pareto sets of partial schedules:
+    (departure, arrival) for duration (both minimized: a smaller departure can
+    only lengthen, a smaller arrival keeps every later departure open), and
+    (waiting, arrival) for waiting (waiting maximized, arrival minimized).
+    """
+    max_dur: dict[int, int] = {}
+    max_wait: dict[int, int] = {}
+    on_path = [False] * graph.vertex_count
+    on_path[source] = True
+
+    def pareto_dur(states: list[tuple[int, int]]) -> list[tuple[int, int]]:
+        states.sort()
+        kept: list[tuple[int, int]] = []
+        best_arr = None
+        for td, arr in states:
+            if best_arr is None or arr < best_arr:
+                kept.append((td, arr))
+                best_arr = arr
+        return kept
+
+    def pareto_wait(states: list[tuple[int, int]]) -> list[tuple[int, int]]:
+        # maximize wait, minimize arrival
+        states.sort(key=lambda s: (-s[0], s[1]))
+        kept: list[tuple[int, int]] = []
+        best_arr = None
+        for wait, arr in states:
+            if best_arr is None or arr < best_arr:
+                kept.append((wait, arr))
+                best_arr = arr
+        return kept
+
+    def visit(v: int, dur_states: list[tuple[int, int]], wait_states: list[tuple[int, int]]):
+        for e, w_v in graph.incident(v):
+            if on_path[w_v]:
+                continue
+            new_dur: list[tuple[int, int]] = []
+            new_wait: list[tuple[int, int]] = []
+            for td, arr in dur_states:
+                for t in range(max(arr, 1), avail.tau + 1):
+                    new_dur.append((td if td else t, t + trav.weight(e, t)))
+            for wait, arr in wait_states:
+                for t in range(max(arr, 1), avail.tau + 1):
+                    gap = 0 if arr == 0 else t - arr
+                    new_wait.append((wait + gap, t + trav.weight(e, t)))
+            if not new_dur:
+                continue
+            d = max(arr - td for td, arr in new_dur)
+            w = max(wait for wait, _ in new_wait)
+            if d > max_dur.get(w_v, -1):
+                max_dur[w_v] = d
+            if w > max_wait.get(w_v, -1):
+                max_wait[w_v] = w
+            on_path[w_v] = True
+            visit(w_v, pareto_dur(new_dur), pareto_wait(new_wait))
+            on_path[w_v] = False
+
+    # departure 0 / arrival 0 mark "no step taken yet"
+    visit(source, [(0, 0)], [(0, 0)])
+    return max_dur, max_wait
+
+
+def _latest_departures(
+    graph: StaticGraph, table: CandidateTable, source: int, targets: Iterable[int]
+) -> list[int | None]:
+    """Latest first departure from which each target is reachable: probes
+    candidate first departures latest first until every target is reached.
+    Entries of unreached vertices and of non-targets stay None."""
+    value: list[int | None] = [None] * graph.vertex_count
+    remaining = set(targets)
+    for t0 in reversed(_first_departure_times(graph, table, source)):
+        if not remaining:
+            break
+        arrivals, _ = earliest_arrival(graph, table, source, t0)
+        found = [v for v in remaining if arrivals[v] is not None]
+        for v in found:
+            value[v] = t0
+        remaining.difference_update(found)
+    return value
+
+
+def build_ld_tsot(
+    root: int,
+    instance: Union[Instance, ReachFastInstance],
+    availability: Availability | None = None,
+) -> Tsot:
+    """Tree whose every latest departure is at least the graph's worst one."""
+    graph, trav, avail = _resolve(instance, availability)
+    table = CandidateTable(avail, trav)
+    others = [v for v in range(graph.vertex_count) if v != root]
+    latest = _latest_departures(graph, table, root, others)
+    for v in others:
+        if latest[v] is None:
+            raise Unreachable(f"root {root} cannot reach vertex {v}")
+
+    parent: dict[int, tuple[int, int, int] | None] = {root: None}
+
+    def is_ancestor(candidate: int, below: int) -> bool:
+        cur = below
+        while cur != root:
+            if cur == candidate:
+                return True
+            cur = parent[cur][2]
+        return candidate == root
+
+    # Vertices are admitted in nondecreasing latest-departure order, so
+    # those sharing a witness probe come together and one re-run of that
+    # probe serves them all.
+    probe_time = None
+    for u in sorted(others, key=lambda v: (latest[v], v)):
+        if u in parent:
+            continue
+        if latest[u] != probe_time:
+            probe_time = latest[u]
+            _, probe = earliest_arrival(graph, table, root, probe_time)
+        path = _path_from_parents(graph, probe, root, u)
+        tree_edges = {entry[0] for entry in parent.values() if entry is not None}
+        for (e, t), tail, head in zip(path.steps, path.vertices, path.vertices[1:]):
+            if head not in parent:
+                parent[head] = (e, t, tail)
+                tree_edges.add(e)
+                continue
+            if head == root:
+                continue
+            f, tf, _ = parent[head]
+            if t + trav.weight(e, t) >= tf + trav.weight(f, tf):
+                continue
+            # Swapping in an edge already in the tree, or hanging a vertex
+            # below its own descendant, would break the tree; the witness
+            # paths produced by the latest-departure search never ask for
+            # either, but guard anyway.
+            if e in tree_edges or is_ancestor(head, tail):
+                continue
+            tree_edges.discard(f)
+            tree_edges.add(e)
+            parent[head] = (e, t, tail)
+    return Tsot(
+        root,
+        tuple(parent.get(v) for v in range(graph.vertex_count)),
+        trav,
+    )
+
+
+def nonseparating_paths(graph: StaticGraph, s1: int, s2: int):
+    """Yield simple s1-s2 paths (vertices, edges) whose removal keeps the
+    graph connected.
+
+    Paths through internal vertices of degree two are skipped outright:
+    removing both their edges isolates them.
+    """
+    degree = [len(graph.incident(v)) for v in range(graph.vertex_count)]
+
+    def extend(vertices, edges):
+        v = vertices[-1]
+        if v == s2:
+            if connected_after_removal(graph, set(edges)):
+                yield (tuple(vertices), tuple(edges))
+            return
+        for e, w in graph.incident(v):
+            if w in vertices:
+                continue
+            if w != s2 and degree[w] <= 2:
+                continue
+            vertices.append(w)
+            edges.append(e)
+            yield from extend(vertices, edges)
+            vertices.pop()
+            edges.pop()
+
+    yield from extend([s1], [])

@@ -63,6 +63,47 @@ def test_verify_infeasible_exit_code(capsys, network, tmp_path):
     assert payload["feasible"] is False
 
 
+def test_verify_ea_runs_one_search_per_source(capsys, network, monkeypatch):
+    import tmbcast.core as core
+    import tmbcast.distances as distances
+
+    searched = []
+    kernel = core.earliest_arrival
+
+    def counting(graph, table, source, first_time=None):
+        searched.append(source)
+        return kernel(graph, table, source, first_time)
+
+    for module in (core, distances):
+        monkeypatch.setattr(module, "earliest_arrival", counting)
+    code, payload, _ = run(
+        capsys, "verify", "--in", str(network),
+        "--labeling", str(FIXTURES / "delivery-schedule-ea.json"), "--measure", "ea",
+    )
+    assert (code, payload["feasible"], payload["objective"]) == (0, True, 10)
+    assert sorted(searched) == [fig.E, fig.M]
+
+
+def test_verify_infeasible_runs_no_measure_search(capsys, network, tmp_path, monkeypatch):
+    import tmbcast.distances as distances
+    from tmbcast.core import Labeling
+    from tmbcast.fileformat import serialize_labeling
+
+    def refuse(*args):
+        raise AssertionError("measure search on an infeasible schedule")
+
+    monkeypatch.setattr(distances, "_min_wait_run", refuse)
+    bad = tmp_path / "bad.json"
+    bad.write_text(serialize_labeling(Labeling.empty(10)))
+    code, payload, _ = run(
+        capsys, "verify", "--in", str(network),
+        "--labeling", str(bad), "--measure", "mw",
+    )
+    assert code == 4
+    assert payload == {"command": "verify", "measure": "mw", "feasible": False,
+                       "objective": None}
+
+
 def test_solve_reports_no_tractable_regime(capsys, network):
     code, payload, err = run(
         capsys, "solve", "--measure", "ea", "--in", str(network)

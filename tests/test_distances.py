@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 
@@ -24,6 +25,8 @@ from tmbcast.distances import (
     objective,
     sssp,
 )
+
+from tmbcast.tsot import build_ld_tsot
 
 import worked_example as fig
 import oracles
@@ -298,6 +301,31 @@ def test_bounds_unreachable():
     inst = Instance(graph, frozenset({0}), TraversalSpec.uniform(1, 1), (1,), 3)
     with pytest.raises(Unreachable):
         ft_mw_bounds(0, inst)
+
+
+def test_bounds_on_a_5x5_grid_with_tau_60():
+    # Random default weights 1-3 and three overrides per edge, as in the
+    # benchmark's approximation instances.
+    rng = random.Random(60)
+    k, tau = 5, 60
+    edges = [(v, v + 1) for v in range(k * k) if v % k < k - 1]
+    edges += [(v, v + k) for v in range(k * (k - 1))]
+    defaults = tuple(rng.randint(1, 3) for _ in edges)
+    overrides = tuple(
+        tuple(sorted((t, rng.randint(0, 3)) for t in rng.sample(range(1, tau + 1), 3)))
+        for _ in edges
+    )
+    inst = Instance(
+        StaticGraph(k * k, tuple(edges)), frozenset({12}),
+        TraversalSpec(defaults, overrides), (1,) * len(edges), tau,
+    )
+    started = time.perf_counter()
+    b = ft_mw_bounds(12, inst)
+    # Tens of milliseconds here; the enumeration took about 50 s.
+    assert time.perf_counter() - started < 5
+    tree = build_ld_tsot(12, inst).to_labeling(len(edges))
+    assert b.ft_min <= objective(inst, tree, Measure.FASTEST) <= b.ft_max
+    assert b.mw_min <= objective(inst, tree, Measure.MIN_WAIT) <= b.mw_max
 
 
 def test_bounds_match_exhaustive_enumeration():

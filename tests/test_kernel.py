@@ -1,37 +1,40 @@
-"""Differential tests of the earliest-arrival kernel and the minimum-waiting
-search against the searches they replaced (``reference_search``), and of
-reachability against exhaustive enumeration."""
+"""Differential tests of the earliest-arrival kernel, the minimum-waiting
+search, the certificate maxima, the latest-departure tree and the
+nonseparating-path search against the code they replaced
+(``reference_search``), and of reachability against exhaustive enumeration."""
 
 from __future__ import annotations
 
 import itertools
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tmbcast.core import (
     CandidateTable,
     FullAvailability,
+    Instance,
     Labeling,
     StaticGraph,
     TraversalSpec,
+    Unreachable,
     earliest_arrival,
     reaches_all,
 )
-from tmbcast.distances import _chain_path, _min_wait_run
+from tmbcast.distances import _chain_path, _max_stats, _min_wait_run
+from tmbcast.reductions import find_nonseparating_path
+from tmbcast.tsot import build_ld_tsot
 
 import oracles
 import reference_search as reference
 
 
 @st.composite
-def searches(draw, max_vertices=6, max_edges=8):
-    """(graph, traversal, availability, source, first_time) on small graphs.
+def networks(draw, max_vertices=6, max_edges=8):
+    """(graph, traversal, tau) on small graphs.
 
     Weights start at zero and run past the horizon, so zero-weight edges and
-    arrivals after tau both occur; label sets may be empty; the availability
-    is a labeling or the full temporal graph; ``first_time`` is None or an
-    exact first departure, possibly outside 1..tau.
+    arrivals after tau both occur; every edge may have override times.
     """
     n = draw(st.integers(1, max_vertices))
     pairs = list(itertools.combinations(range(n), 2))
@@ -40,16 +43,33 @@ def searches(draw, max_vertices=6, max_edges=8):
     weights = st.integers(0, tau + 2)
     defaults = [draw(weights) for _ in edges]
     overrides = {e: draw(st.dictionaries(st.integers(1, tau), weights, max_size=3)) for e in range(len(edges))}
-    traversal = TraversalSpec.from_maps(defaults, overrides)
+    return StaticGraph(n, tuple(edges)), TraversalSpec.from_maps(defaults, overrides), tau
+
+
+def labelings(graph, tau):
+    """Labelings with up to three labels per edge, empty label sets included."""
+    return st.tuples(*(
+        st.sets(st.integers(1, tau), max_size=3).map(lambda ts: tuple(sorted(ts)))
+        for _ in graph.edges
+    )).map(Labeling)
+
+
+@st.composite
+def searches(draw, max_vertices=6, max_edges=8):
+    """(graph, traversal, availability, source, first_time) on small graphs.
+
+    The availability is a labeling (label sets may be empty) or the full
+    temporal graph; ``first_time`` is None or an exact first departure,
+    possibly outside 1..tau.
+    """
+    graph, traversal, tau = draw(networks(max_vertices, max_edges))
     if draw(st.booleans()):
         availability = FullAvailability(tau)
     else:
-        availability = Labeling(tuple(
-            tuple(sorted(draw(st.sets(st.integers(1, tau), max_size=3)))) for _ in edges
-        ))
-    source = draw(st.integers(0, n - 1))
+        availability = draw(labelings(graph, tau))
+    source = draw(st.integers(0, graph.vertex_count - 1))
     first_time = draw(st.none() | st.integers(0, tau + 1))
-    return StaticGraph(n, tuple(edges)), traversal, availability, source, first_time
+    return graph, traversal, availability, source, first_time
 
 
 @settings(max_examples=400, deadline=None)
@@ -88,3 +108,56 @@ def test_reaches_all_matches_exhaustive(case):
     assert reaches_all(graph, availability, traversal, source) == (
         reached == set(range(graph.vertex_count))
     )
+
+
+# A source of degree one on a zero-weight path, and a source of degree three
+# whose edges have overrides, one of them at weight zero and one arriving
+# past tau.
+@example((StaticGraph(4, ((0, 1), (1, 2), (2, 3))), TraversalSpec.uniform(3, 0), 3, 0))
+@example((
+    StaticGraph(5, ((0, 1), (0, 2), (0, 3), (1, 4), (2, 4))),
+    TraversalSpec.from_maps([1, 2, 0, 1, 3], {0: {2: 0}, 1: {1: 5, 3: 1}, 4: {4: 0}}),
+    4, 0,
+))
+@settings(max_examples=300, deadline=None)
+@given(networks().flatmap(lambda net: st.tuples(
+    st.just(net[0]), st.just(net[1]), st.just(net[2]),
+    st.integers(0, net[0].vertex_count - 1),
+)))
+def test_max_stats_match_reference(case):
+    graph, traversal, tau, source = case
+    table = CandidateTable(FullAvailability(tau), traversal)
+    max_dur, max_wait = _max_stats(graph, table, source)
+    want = reference._max_stats_run(graph, FullAvailability(tau), traversal, source)
+    assert (
+        {v: d for v, d in enumerate(max_dur) if d is not None},
+        {v: w for v, w in enumerate(max_wait) if w is not None},
+    ) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_ld_tree_matches_reference(data):
+    graph, traversal, tau = data.draw(networks())
+    root = data.draw(st.integers(0, graph.vertex_count - 1))
+    instance = Instance(graph, frozenset({root}), traversal, (1,) * graph.edge_count, tau)
+    availability = data.draw(st.none() | labelings(graph, tau))
+    try:
+        want = reference.build_ld_tsot(root, instance, availability).parent
+    except Unreachable:
+        want = Unreachable
+    try:
+        got = build_ld_tsot(root, instance, availability).parent
+    except Unreachable:
+        got = Unreachable
+    assert got == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_nonseparating_path_matches_reference(data):
+    graph, _, _ = data.draw(networks(max_vertices=7, max_edges=12))
+    s1, s2 = data.draw(st.tuples(*[st.integers(0, graph.vertex_count - 1)] * 2))
+    want = next(reference.nonseparating_paths(graph, s1, s2), None)
+    assert find_nonseparating_path(graph, s1, s2) == want
+

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import sys
 
 import pytest
 
@@ -17,7 +18,7 @@ from tmbcast.core import (
     WrongSourceCount,
     is_feasible,
 )
-from tmbcast.distances import Measure, distance, ft_mw_bounds, objective, sssp
+from tmbcast.distances import Bounds, Measure, distance, ft_mw_bounds, objective, sssp
 from tmbcast.solvers import (
     NoTractableRegime,
     OracleLimits,
@@ -339,6 +340,23 @@ def test_approx_certificate_random():
             assert opt.objective >= lo
             assert got.objective >= opt.objective
         done += 1
+
+
+def test_approx_on_a_path_longer_than_the_recursion_limit():
+    # Zero weights except the last edge's 1, so from vertex 0 every path
+    # starts at time 1 and arrives at time 1 until that edge.  The longest
+    # duration (to the far end, last step at tau) is tau and the longest
+    # waiting tau - 1; the far end needs duration 1, every waiting can be 0.
+    n = sys.getrecursionlimit() + 100
+    tau = 3
+    graph = StaticGraph(n, tuple((i, i + 1) for i in range(n - 1)))
+    traversal = TraversalSpec((0,) * (n - 2) + (1,), ((),) * (n - 1))
+    inst = Instance(graph, frozenset({0}), traversal, (1,) * (n - 1), tau)
+    got = approx_ft_mw(inst, FT)
+    assert got.bounds == Bounds(ft_min=1, ft_max=tau, mw_min=0, mw_max=tau - 1)
+    assert 1 <= got.objective <= tau
+    assert 0 <= objective(inst, got.labeling, MW) <= tau - 1
+    check_result_invariants(inst, got, FT)
 
 
 def test_approx_rejects_multi_source():
