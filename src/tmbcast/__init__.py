@@ -30,7 +30,6 @@ from tmbcast.core import (
     UnsatisfiedClause,
     ValidationError,
     WrongSourceCount,
-    full_temporal_graph,
     is_feasible,
     path_stats,
     reaches_all,

@@ -351,6 +351,9 @@ class Instance:
         object.__setattr__(self, "multiplicity", tuple(int(m) for m in self.multiplicity))
         if self.tau < 1:
             raise ValidationError("tau must be positive")
+        if self.graph.vertex_count < 2:
+            # Objectives range over (source, other vertex) pairs.
+            raise ValidationError("instance needs at least two vertices")
         if not self.sources:
             raise ValidationError("instance needs at least one source")
         for s in self.sources:
@@ -396,11 +399,6 @@ class ReachFastInstance:
         _check_times(self.labels.times_by_edge, self.tau, "label")
         if len(self.traversal.defaults) != self.graph.edge_count:
             raise ValidationError("traversal must cover every edge")
-
-
-def full_temporal_graph(instance: Instance) -> FullAvailability:
-    """Availability marker where every edge is usable at every time in 1..tau."""
-    return instance.full_availability()
 
 
 @dataclass(frozen=True)

@@ -474,8 +474,14 @@ def objective(
     earliest arrival reads its values from those searches.
     """
     _check_quota(instance, labeling)
+    return _table_objective(instance, CandidateTable(labeling, instance.traversal), measure)
+
+
+def _table_objective(
+    instance: Instance, table: CandidateTable, measure: Measure
+) -> int | None:
+    """``objective`` over a candidate table that is already built."""
     graph = instance.graph
-    table = CandidateTable(labeling, instance.traversal)
     arrivals = {}
     for s in sorted(instance.sources):
         arrivals[s], _ = earliest_arrival(graph, table, s)

@@ -11,9 +11,17 @@ Tractable regimes (earliest-arrival and latest-departure objectives only):
 * trees with every multiplicity at least two: per-source solutions merged
   edge by edge, keeping the latest label per traversal direction.
 
-The brute-force oracle enumerates, per edge, every subset of the horizon of
+The brute-force oracle searches, per edge, the subsets of the horizon of
 size exactly ``min(mu, tau)``: extra labels only ever help, so maximal label
-sets dominate and nothing smaller needs to be tried.
+sets dominate and nothing smaller needs to be tried.  It is a depth-first
+branch and bound over the edges in id order, with an explicit stack.  A
+node's undecided edges carry every time in ``1..tau``; since feasibility
+and every pair optimum are monotone under added labels, the node's
+objective bounds every labeling below it.  Infeasible nodes and nodes whose
+bound is not strictly better than the best labeling so far are pruned.
+Leaves come in lexicographic order and only a strict improvement replaces
+the best, so the answer and its tie-break are those of the full
+enumeration.
 """
 
 from __future__ import annotations
@@ -36,7 +44,6 @@ from tmbcast.core import (
     Unreachable,
     ValidationError,
     WrongSourceCount,
-    _reaches_all,
     reaches_all,
 )
 from tmbcast.distances import (
@@ -44,6 +51,7 @@ from tmbcast.distances import (
     DistanceResult,
     Measure,
     _pair_values,
+    _table_objective,
     _worst,
     ft_mw_bounds,
 )
@@ -324,13 +332,24 @@ def brute_force(
     measure: Measure,
     limits: OracleLimits | None = None,
 ) -> SolveResult:
-    """Exhaustive exact solve over maximal label sets.
+    """Exact solve over maximal label sets by branch and bound.
 
-    Enumerates, per edge, all subsets of the horizon of size exactly
-    ``min(mu, tau)`` in lexicographic order, keeps feasible labelings, and
-    returns the objective-optimal one (the lexicographically smallest among
-    ties).  Raises SearchSpaceTooLarge before enumerating anything when the
-    cross product exceeds the limits.
+    The labelings tried are those of the cross product, over the edges in
+    id order, of every subset of the horizon of size exactly
+    ``min(mu, tau)`` in lexicographic order.  The search fixes the edges
+    with a single such subset, then assigns the others depth first in that
+    order, the undecided edges carrying every time in ``1..tau``.  Each node
+    evaluates its partial labeling once: feasibility and the objective.
+    Every completion's labels are a subset of the node's, and feasibility
+    and every pair optimum only improve when labels are added, so the
+    node's value bounds every completion's and equals it at a leaf.  A node
+    is pruned when it is infeasible or its value is not strictly better
+    than the best labeling found so far; the search ends once that best
+    equals the root's value, which nothing can beat.  Leaves are visited in
+    cross-product order and the best changes only on a strict improvement,
+    so the result is the lexicographically first optimal labeling, the one
+    the plain enumeration returns.  Raises SearchSpaceTooLarge before
+    searching anything when the cross product exceeds the limits.
     """
     limits = limits or OracleLimits()
     cardinality = search_space_size(instance)
@@ -341,31 +360,50 @@ def brute_force(
     ):
         raise SearchSpaceTooLarge(cardinality, limits.max_labelings)
 
-    graph = instance.graph
     trav = instance.traversal
-    sources = sorted(instance.sources)
-    horizon = range(1, instance.tau + 1)
+    horizon = tuple(range(1, instance.tau + 1))
     per_edge = [
-        [tuple(c) for c in itertools.combinations(horizon, min(mu, instance.tau))]
+        list(itertools.combinations(horizon, min(mu, instance.tau)))
         for mu in instance.multiplicity
     ]
+    table = [choices[0] if len(choices) == 1 else horizon for choices in per_edge]
+    free = [e for e, choices in enumerate(per_edge) if len(choices) > 1]
+
+    def value() -> int | None:
+        return _table_objective(instance, CandidateTable(table, trav), measure)
 
     best_value: int | None = None
     best_table: tuple | None = None
-    for table in itertools.product(*per_edge):
-        candidates = CandidateTable(table, trav)
-        if not all(_reaches_all(graph, candidates, s) for s in sources):
+    ceiling = value()
+    if ceiling is not None and not free:
+        best_value, best_table = ceiling, tuple(table)
+    # nxt[d] is the index of the next subset to try on edge free[d].
+    nxt = [0] if ceiling is not None and free else []
+    while nxt:
+        depth = len(nxt) - 1
+        e = free[depth]
+        i = nxt[depth]
+        if i == len(per_edge[e]):
+            table[e] = horizon
+            nxt.pop()
             continue
-        value = _worst(measure, _pair_values(instance, candidates, measure).values())
-        if value is None:
+        nxt[depth] = i + 1
+        table[e] = per_edge[e][i]
+        bound = value()
+        if bound is None or (
+            best_value is not None and not measure.better(bound, best_value)
+        ):
             continue
-        if best_value is None or measure.better(value, best_value):
-            best_value = value
-            best_table = table
+        if depth + 1 < len(free):
+            nxt.append(0)
+            continue
+        best_value, best_table = bound, tuple(table)
+        if best_value == ceiling:
+            break
 
     if best_value is None:
         return SolveResult(
-            labeling=Labeling.empty(graph.edge_count),
+            labeling=Labeling.empty(instance.graph.edge_count),
             objective=None,
             per_source_distances={},
             status=SolveStatus.INFEASIBLE,

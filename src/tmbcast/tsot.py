@@ -29,7 +29,7 @@ from tmbcast.core import (
     ValidationError,
     earliest_arrival,
 )
-from tmbcast.distances import _chain_path, _latest_departures
+from tmbcast.distances import _latest_departures
 
 
 @dataclass(frozen=True)
@@ -170,31 +170,48 @@ def build_ld_tsot(
         return candidate == root
 
     # Vertices are admitted in nondecreasing latest-departure order, each
-    # merging the witness recorded by the probe that first reached it.
+    # merging the witness recorded by the probe that first reached it.  A
+    # link (edge, time, previous) is merged once, after its step, the
+    # head's parent arrives no later than the link, and so did every link
+    # before it in that walk.  Parent arrivals only ever decrease, so
+    # walking such a prefix again changes nothing: a walk stops at the
+    # first merged link.  Links are keyed by id, which the chains keep
+    # alive, because hashing a chain would walk it.
     tree_edges: set[int] = set()
+    merged: dict[int, int] = {}  # id of a merged link -> its head
     for u in sorted(others, key=lambda v: (latest[v], v)):
         if u in parent:
             continue
-        path = _chain_path(graph, root, chains[u])
-        for (e, t), tail, head in zip(path.steps, path.vertices, path.vertices[1:]):
+        pending = []
+        link = chains[u]
+        while link is not None and id(link) not in merged:
+            pending.append(link)
+            link = link[2]
+        tail = root if link is None else merged[id(link)]
+        settled = True
+        for link in reversed(pending):
+            e, t, _ = link
+            head = graph.other_endpoint(e, tail)
             if head not in parent:
                 parent[head] = (e, t, tail)
                 tree_edges.add(e)
-                continue
-            if head == root:
-                continue
-            f, tf, _ = parent[head]
-            if t + trav.weight(e, t) >= tf + trav.weight(f, tf):
-                continue
-            # Swapping in an edge already in the tree, or hanging a vertex
-            # below its own descendant, would break the tree; the witness
-            # paths produced by the latest-departure search never ask for
-            # either, but guard anyway.
-            if e in tree_edges or is_ancestor(head, tail):
-                continue
-            tree_edges.discard(f)
-            tree_edges.add(e)
-            parent[head] = (e, t, tail)
+            elif head != root:
+                f, tf, _ = parent[head]
+                if t + trav.weight(e, t) < tf + trav.weight(f, tf):
+                    # Swapping in an edge already in the tree, or hanging a
+                    # vertex below its own descendant, would break the tree;
+                    # the witness paths produced by the latest-departure
+                    # search never ask for either, but guard anyway, and
+                    # walk a skipped link again next time.
+                    if e in tree_edges or is_ancestor(head, tail):
+                        settled = False
+                    else:
+                        tree_edges.discard(f)
+                        tree_edges.add(e)
+                        parent[head] = (e, t, tail)
+            if settled:
+                merged[id(link)] = head
+            tail = head
     return Tsot(
         root,
         tuple(parent.get(v) for v in range(graph.vertex_count)),

@@ -11,7 +11,9 @@ differential tests can compare old and new.
   winning probe of every vertex it admitted, by the one-pass
   ``tsot.build_ld_tsot``;
 * the recursive generator ``nonseparating_paths`` by the iterative
-  ``reductions.find_nonseparating_path``.
+  ``reductions.find_nonseparating_path``;
+* ``brute_force``, which evaluated every labeling of the cross product, by
+  the branch-and-bound ``solvers.brute_force``.
 
 The recursive searches' depth grows with the path length and the depth-first
 ones take exponential time, so only small instances may be given to them.
@@ -20,6 +22,7 @@ ones take exponential time, so only small instances may be given to them.
 from __future__ import annotations
 
 import heapq
+import itertools
 from bisect import bisect_left
 from typing import Iterable, Iterator, Union
 
@@ -28,13 +31,29 @@ from tmbcast.core import (
     CandidateTable,
     FullAvailability,
     Instance,
+    Labeling,
     ReachFastInstance,
+    SearchSpaceTooLarge,
     StaticGraph,
     TraversalSpec,
     Unreachable,
+    _reaches_all,
     earliest_arrival,
 )
-from tmbcast.distances import _first_departure_times, _path_from_parents
+from tmbcast.distances import (
+    Measure,
+    _first_departure_times,
+    _pair_values,
+    _path_from_parents,
+    _worst,
+)
+from tmbcast.solvers import (
+    OracleLimits,
+    SolveResult,
+    SolveStatus,
+    _finish,
+    search_space_size,
+)
 from tmbcast.reductions import connected_after_removal
 from tmbcast.tsot import Tsot, _resolve
 
@@ -341,3 +360,58 @@ def nonseparating_paths(graph: StaticGraph, s1: int, s2: int):
             edges.pop()
 
     yield from extend([s1], [])
+
+
+def brute_force(
+    instance: Instance,
+    measure: Measure,
+    limits: OracleLimits | None = None,
+) -> SolveResult:
+    """Exhaustive exact solve over maximal label sets.
+
+    Enumerates, per edge, all subsets of the horizon of size exactly
+    ``min(mu, tau)`` in lexicographic order, keeps feasible labelings, and
+    returns the objective-optimal one (the lexicographically smallest among
+    ties).  Raises SearchSpaceTooLarge before enumerating anything when the
+    cross product exceeds the limits.
+    """
+    limits = limits or OracleLimits()
+    cardinality = search_space_size(instance)
+    if (
+        cardinality > limits.max_labelings
+        or instance.graph.edge_count > limits.max_edges
+        or instance.tau > limits.max_tau
+    ):
+        raise SearchSpaceTooLarge(cardinality, limits.max_labelings)
+
+    graph = instance.graph
+    trav = instance.traversal
+    sources = sorted(instance.sources)
+    horizon = range(1, instance.tau + 1)
+    per_edge = [
+        [tuple(c) for c in itertools.combinations(horizon, min(mu, instance.tau))]
+        for mu in instance.multiplicity
+    ]
+
+    best_value: int | None = None
+    best_table: tuple | None = None
+    for table in itertools.product(*per_edge):
+        candidates = CandidateTable(table, trav)
+        if not all(_reaches_all(graph, candidates, s) for s in sources):
+            continue
+        value = _worst(measure, _pair_values(instance, candidates, measure).values())
+        if value is None:
+            continue
+        if best_value is None or measure.better(value, best_value):
+            best_value = value
+            best_table = table
+
+    if best_value is None:
+        return SolveResult(
+            labeling=Labeling.empty(graph.edge_count),
+            objective=None,
+            per_source_distances={},
+            status=SolveStatus.INFEASIBLE,
+            regime="oracle",
+        )
+    return _finish(instance, Labeling(best_table), measure, regime="oracle")

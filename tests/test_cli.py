@@ -316,6 +316,26 @@ def test_oracle_infeasible_exit(capsys, tmp_path):
     assert payload["status"] == "infeasible"
 
 
+@pytest.mark.parametrize("command", [
+    ["verify", "--labeling", "{labeling}", "--measure", "ea"],
+    ["oracle", "--measure", "mw"],
+    ["solve", "--measure", "ld"],
+])
+def test_one_vertex_instance_is_rejected(capsys, tmp_path, command):
+    instance = tmp_path / "one.json"
+    instance.write_text(json.dumps({
+        "format": "tmbcast/instance", "version": 1, "kind": "tmb", "vertices": 1,
+        "edges": [], "sources": [0], "tau": 3, "default_weights": [],
+        "overrides": [], "multiplicity": [],
+    }))
+    labeling = tmp_path / "empty.json"
+    labeling.write_text(json.dumps({"format": "tmbcast/labeling", "version": 1, "labels": []}))
+    argv = [arg.format(labeling=labeling) for arg in command]
+    code, payload, err = run(capsys, *argv, "--in", str(instance))
+    assert (code, payload) == (3, None)
+    assert "needs at least two vertices" in err
+
+
 def test_parse_error_exit(capsys, tmp_path):
     f = tmp_path / "junk.json"
     f.write_text("{ not json")

@@ -17,7 +17,6 @@ from tmbcast.core import (
     TemporalPath,
     TraversalSpec,
     ValidationError,
-    full_temporal_graph,
     is_feasible,
     path_stats,
     reaches_all,
@@ -71,6 +70,11 @@ def test_tree_detection():
 def test_labeling_rejects_nonpositive_times():
     with pytest.raises(ValidationError):
         Labeling(((0,),))
+
+
+def test_instance_rejects_a_single_vertex():
+    with pytest.raises(ValidationError, match="two vertices"):
+        Instance(StaticGraph(1, ()), frozenset({0}), TraversalSpec.uniform(0, 1), (), 3)
 
 
 def test_instance_rejects_multiplicity_above_tau():
@@ -209,7 +213,7 @@ def test_full_availability_membership():
 
 def test_full_temporal_graph_marker():
     inst = make_path_instance(2, tau=3)
-    avail = full_temporal_graph(inst)
+    avail = inst.full_availability()
     assert isinstance(avail, FullAvailability)
     assert avail.tau == 3
 

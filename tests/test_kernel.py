@@ -1,11 +1,13 @@
 """Differential tests of the earliest-arrival kernel, the minimum-waiting
-search, the certificate maxima, the latest-departure tree and the
-nonseparating-path search against the code they replaced
-(``reference_search``), and of reachability against exhaustive enumeration."""
+search, the certificate maxima, the latest-departure tree, the
+nonseparating-path search and the branch-and-bound oracle against the code
+they replaced (``reference_search``), and of reachability against
+exhaustive enumeration."""
 
 from __future__ import annotations
 
 import itertools
+import math
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -21,8 +23,9 @@ from tmbcast.core import (
     earliest_arrival,
     reaches_all,
 )
-from tmbcast.distances import _chain_path, _max_stats, _min_wait_run
+from tmbcast.distances import Measure, _chain_path, _max_stats, _min_wait_run
 from tmbcast.reductions import find_nonseparating_path
+from tmbcast.solvers import brute_force
 from tmbcast.tsot import build_ld_tsot
 
 import oracles
@@ -30,13 +33,13 @@ import reference_search as reference
 
 
 @st.composite
-def networks(draw, max_vertices=6, max_edges=8):
+def networks(draw, max_vertices=6, max_edges=8, min_vertices=1):
     """(graph, traversal, tau) on small graphs.
 
     Weights start at zero and run past the horizon, so zero-weight edges and
     arrivals after tau both occur; every edge may have override times.
     """
-    n = draw(st.integers(1, max_vertices))
+    n = draw(st.integers(min_vertices, max_vertices))
     pairs = list(itertools.combinations(range(n), 2))
     edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=max_edges)) if pairs else []
     tau = draw(st.integers(1, 6))
@@ -138,7 +141,7 @@ def test_max_stats_match_reference(case):
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_ld_tree_matches_reference(data):
-    graph, traversal, tau = data.draw(networks())
+    graph, traversal, tau = data.draw(networks(min_vertices=2))  # an Instance has two or more
     root = data.draw(st.integers(0, graph.vertex_count - 1))
     instance = Instance(graph, frozenset({root}), traversal, (1,) * graph.edge_count, tau)
     availability = data.draw(st.none() | labelings(graph, tau))
@@ -161,3 +164,51 @@ def test_nonseparating_path_matches_reference(data):
     want = next(reference.nonseparating_paths(graph, s1, s2), None)
     assert find_nonseparating_path(graph, s1, s2) == want
 
+
+
+@st.composite
+def oracle_instances(draw, max_labelings=400):
+    """Instances with one or two sources whose cross product of maximal
+    label sets stays small: an edge whose subsets would push it past
+    ``max_labelings`` gets multiplicity tau, a single choice.  Graphs may
+    be disconnected and quotas tight, so infeasible instances occur."""
+    graph, traversal, tau = draw(networks(max_vertices=5, max_edges=6, min_vertices=2))
+    sources = draw(st.sets(st.integers(0, graph.vertex_count - 1), min_size=1, max_size=2))
+    multiplicity = []
+    space = 1
+    for _ in graph.edges:
+        mu = draw(st.integers(1, tau))
+        if space * math.comb(tau, mu) > max_labelings:
+            mu = tau
+        space *= math.comb(tau, mu)
+        multiplicity.append(mu)
+    return Instance(graph, frozenset(sources), traversal, tuple(multiplicity), tau)
+
+
+# A single-choice edge (mu = tau) between two branching ones; two sources
+# that no labeling serves (one label per edge on a path); and two sources
+# on zero-weight edges with optimal labelings after the first one, which a
+# search replacing its best on a tie would return.
+@example(
+    Instance(StaticGraph(4, ((0, 1), (1, 2), (2, 3))), frozenset({0}),
+             TraversalSpec.from_maps([1, 0, 2], {1: {2: 3}}), (1, 3, 2), 3),
+    Measure.MIN_WAIT,
+)
+@example(
+    Instance(StaticGraph(3, ((0, 1), (1, 2))), frozenset({0, 2}),
+             TraversalSpec.uniform(2, 1), (1, 1), 3),
+    Measure.EARLIEST_ARRIVAL,
+)
+@example(
+    Instance(StaticGraph(4, ((0, 2), (0, 3), (2, 3), (1, 2))), frozenset({0, 1}),
+             TraversalSpec.from_maps([0, 0, 0, 1], {2: {4: 1}}), (1, 1, 1, 1), 4),
+    Measure.LATEST_DEPARTURE,
+)
+@settings(max_examples=300, deadline=None)
+@given(oracle_instances(), st.sampled_from(list(Measure)))
+def test_brute_force_matches_reference(instance, measure):
+    got = brute_force(instance, measure)
+    want = reference.brute_force(instance, measure)
+    assert (got.status, got.objective, got.labeling.times_by_edge) == (
+        want.status, want.objective, want.labeling.times_by_edge
+    )

@@ -403,6 +403,33 @@ def test_brute_force_space_guard():
     assert err.value.cardinality == 5
 
 
+def test_brute_force_stops_at_the_first_leaf_that_meets_the_full_graph_value(monkeypatch):
+    import tmbcast.core as core
+    import tmbcast.distances as distances
+
+    # A star with unit weights: the first label, 1, on every spoke already
+    # gives the full temporal graph's earliest arrival, 2.
+    spokes = 4
+    graph = StaticGraph(spokes + 1, tuple((0, v) for v in range(1, spokes + 1)))
+    inst = Instance(graph, frozenset({0}), TraversalSpec.uniform(spokes, 1), (1,) * spokes, 3)
+    searched = []
+    kernel = core.earliest_arrival
+
+    def counting(graph, table, source, first_time=None):
+        searched.append(source)
+        return kernel(graph, table, source, first_time)
+
+    for module in (core, distances):
+        monkeypatch.setattr(module, "earliest_arrival", counting)
+    result = brute_force(inst, EA)
+    assert result.objective == 2
+    assert result.labeling.times_by_edge == ((1,),) * spokes
+    # The root and one node per edge down to the first leaf; _finish then
+    # reads the winner's distances once.  The plain enumeration took
+    # two searches for each of the 3**4 labelings.
+    assert len(searched) == 1 + spokes + 1
+
+
 def test_maximal_enumeration_matches_full_subsets():
     rng = random.Random(909)
     done = 0

@@ -152,3 +152,22 @@ def test_tsot_outputs_single_label_per_edge():
             lab = tree.to_labeling(inst.graph.edge_count)
             assert all(len(ts) <= 1 for ts in lab.times_by_edge)
             assert lab.respects_multiplicity(inst)
+
+
+def test_ld_tsot_walks_each_witness_link_once_on_a_long_path(monkeypatch):
+    # On a zero-weight path one probe reaches every vertex, and admitting the
+    # vertices one by one used to walk each one's whole witness path again.
+    n = 1100
+    graph = StaticGraph(n, tuple((v, v + 1) for v in range(n - 1)))
+    inst = Instance(graph, frozenset({0}), TraversalSpec.uniform(n - 1, 0), (1,) * (n - 1), 3)
+    walked = []
+    other_endpoint = StaticGraph.other_endpoint
+
+    def counting(self, e, v):
+        walked.append(e)
+        return other_endpoint(self, e, v)
+
+    monkeypatch.setattr(StaticGraph, "other_endpoint", counting)
+    tree = build_ld_tsot(0, inst)
+    assert tree.tree_edges() == {e: 3 for e in range(n - 1)}
+    assert len(walked) == n - 1
