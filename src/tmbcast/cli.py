@@ -17,6 +17,7 @@ Exit codes are part of the contract:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -399,7 +400,10 @@ def cmd_export_dot(args) -> None:
 # Parser
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: building it costs more
+    than many a command it parses."""
     parser = argparse.ArgumentParser(
         prog="tmbcast",
         description="Temporal multi-broadcast scheduling toolkit",

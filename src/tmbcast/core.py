@@ -19,7 +19,8 @@ import heapq
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import itemgetter
+from itertools import chain
+from operator import gt, itemgetter, lt, ne
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 
@@ -96,6 +97,76 @@ Vertex = int
 Time = int
 
 
+# Model constructors validate in bulk: C-level passes (``map``, ``set``,
+# ``min``/``max``, slicing) over flat columns of exact ints.  When a bulk
+# pass finds a fault, or the input holds other values, the per-item loop
+# runs instead; it raises the first fault with its message, or normalizes
+# the input the way it always did.
+
+
+def _columns(rows: Sequence, width: int) -> tuple | None:
+    """The columns of ``rows`` (``width`` empty ones when there are none),
+    or None when some row is not a sized sequence of ``width`` items."""
+    try:
+        if set(map(len, rows)) <= {width}:
+            flat = tuple(chain.from_iterable(rows))
+            return tuple(flat[i::width] for i in range(width))
+    except TypeError:
+        pass
+    return None
+
+
+def _within(values: Sequence, lo=None, hi=None) -> bool:
+    """True when every value lies in ``lo..hi`` (None: unbounded), or there
+    are none; False also when the values do not compare."""
+    if not values:
+        return True
+    try:
+        return (lo is None or lo <= min(values)) and (hi is None or max(values) <= hi)
+    except TypeError:
+        return False
+
+
+def _edge_keys(edges, vertex_count):
+    """Bulk form of ``_edge_keys_one_by_one`` for pairs of ints; None for
+    other pairs or on any fault."""
+    ends = _columns(edges, 2)
+    if ends is None:
+        return None
+    us, vs = ends
+    if not set(map(type, us)) | set(map(type, vs)) <= {int}:
+        return None
+    if not (set(map(type, edges)) <= {tuple} and all(map(lt, us, vs))):
+        if not all(map(ne, us, vs)):
+            return None
+        us, vs = tuple(map(min, us, vs)), tuple(map(max, us, vs))
+        edges = tuple(zip(us, vs))
+    if (
+        _within(us, 0)
+        and _within(vs, None, vertex_count - 1)
+        and len(set(edges)) == len(edges)
+    ):
+        return edges
+    return None
+
+
+def _edge_keys_one_by_one(edges, vertex_count):
+    normalized = []
+    seen = set()
+    for e, pair in enumerate(edges):
+        u, v = pair
+        if u == v:
+            raise ValidationError(f"edge {e} is a self-loop at {u}")
+        if not (0 <= u < vertex_count and 0 <= v < vertex_count):
+            raise ValidationError(f"edge {e} endpoint out of range: {pair}")
+        key = (min(u, v), max(u, v))
+        if key in seen:
+            raise ValidationError(f"duplicate edge {key}")
+        seen.add(key)
+        normalized.append(key)
+    return tuple(normalized)
+
+
 @dataclass(frozen=True)
 class StaticGraph:
     """Finite, loopless, simple undirected graph with dense integer edge ids.
@@ -112,20 +183,14 @@ class StaticGraph:
     def __post_init__(self):
         if self.vertex_count < 1:
             raise ValidationError("graph needs at least one vertex")
-        normalized = []
-        seen = set()
-        for e, pair in enumerate(self.edges):
-            u, v = pair
-            if u == v:
-                raise ValidationError(f"edge {e} is a self-loop at {u}")
-            if not (0 <= u < self.vertex_count and 0 <= v < self.vertex_count):
-                raise ValidationError(f"edge {e} endpoint out of range: {pair}")
-            key = (min(u, v), max(u, v))
-            if key in seen:
-                raise ValidationError(f"duplicate edge {key}")
-            seen.add(key)
-            normalized.append(key)
-        object.__setattr__(self, "edges", tuple(normalized))
+        edges = tuple(self.edges)
+        try:
+            keys = _edge_keys(edges, self.vertex_count)
+        except TypeError:
+            keys = None
+        if keys is None:
+            keys = _edge_keys_one_by_one(edges, self.vertex_count)
+        object.__setattr__(self, "edges", keys)
 
     @property
     def edge_count(self) -> int:
@@ -179,6 +244,45 @@ class StaticGraph:
         return self.edge_count == self.vertex_count - 1 and self.is_connected()
 
 
+def _override_rows(defaults, rows):
+    """Bulk form of ``_override_rows_one_by_one`` for rows of int pairs;
+    None for other rows or on any fault."""
+    flat = tuple(chain.from_iterable(rows))
+    columns = _columns(flat, 2)
+    if columns is None or not set(map(type, flat)) <= {tuple}:
+        return None
+    times, weights = columns
+    if not set(map(type, times)) | set(map(type, weights)) <= {int}:
+        return None
+    norm = tuple(map(tuple, map(sorted, rows)))
+    if (
+        tuple(map(len, map(dict, norm))) == tuple(map(len, rows))  # no time twice
+        and _within(defaults, 0)
+        and _within(times, 1)
+        and _within(weights, 0)
+    ):
+        return norm
+    return None
+
+
+def _override_rows_one_by_one(defaults, rows):
+    norm = []
+    for e, (default, items) in enumerate(zip(defaults, rows)):
+        if default < 0:
+            raise ValidationError(f"edge {e} default weight is negative")
+        pairs = sorted((int(t), int(w)) for t, w in items)
+        times = [t for t, _ in pairs]
+        if len(set(times)) != len(times):
+            raise ValidationError(f"edge {e} has duplicate override times")
+        for t, w in pairs:
+            if t < 1:
+                raise ValidationError(f"edge {e} override at time {t} < 1")
+            if w < 0:
+                raise ValidationError(f"edge {e} override weight negative at {t}")
+        norm.append(tuple(pairs))
+    return tuple(norm)
+
+
 @dataclass(frozen=True)
 class TraversalSpec:
     """Sparse encoding of the traversal function ``tr: E x [tau] -> N0``.
@@ -196,22 +300,16 @@ class TraversalSpec:
     def __post_init__(self):
         if len(self.defaults) != len(self.overrides):
             raise ValidationError("defaults and overrides must cover the same edges")
-        norm = []
-        for e, (default, items) in enumerate(zip(self.defaults, self.overrides)):
-            if default < 0:
-                raise ValidationError(f"edge {e} default weight is negative")
-            pairs = sorted((int(t), int(w)) for t, w in items)
-            times = [t for t, _ in pairs]
-            if len(set(times)) != len(times):
-                raise ValidationError(f"edge {e} has duplicate override times")
-            for t, w in pairs:
-                if t < 1:
-                    raise ValidationError(f"edge {e} override at time {t} < 1")
-                if w < 0:
-                    raise ValidationError(f"edge {e} override weight negative at {t}")
-            norm.append(tuple(pairs))
-        object.__setattr__(self, "overrides", tuple(norm))
-        object.__setattr__(self, "defaults", tuple(int(d) for d in self.defaults))
+        rows = self.overrides
+        try:
+            rows = tuple(map(tuple, rows))
+            norm = _override_rows(self.defaults, rows)
+        except TypeError:
+            norm = None
+        if norm is None:
+            norm = _override_rows_one_by_one(self.defaults, rows)
+        object.__setattr__(self, "overrides", norm)
+        object.__setattr__(self, "defaults", tuple(map(int, self.defaults)))
 
     @classmethod
     def uniform(cls, edge_count: int, weight: int) -> "TraversalSpec":
@@ -242,11 +340,38 @@ class TraversalSpec:
         return self._override_index[e].get(t, self.defaults[e])
 
 
-def _check_times(label_sets: Iterable[Iterable[Time]], tau: int, what: str) -> None:
+def _check_times(label_sets: Sequence[Sequence[Time]], tau: int, what: str) -> None:
+    if _within(tuple(chain.from_iterable(label_sets)), 1, tau):
+        return
     for e, times in enumerate(label_sets):
         for t in times:
             if not (1 <= t <= tau):
                 raise ValidationError(f"{what} on edge {e}: time {t} outside 1..{tau}")
+
+
+def _label_rows(rows):
+    """Bulk form of ``_label_rows_one_by_one`` for rows of ints; None for
+    other rows or on any fault."""
+    counts = tuple(map(len, rows))
+    flat = tuple(chain.from_iterable(rows))
+    if not set(map(type, flat)) <= {int}:
+        return None
+    norm = tuple(map(tuple, map(sorted, rows)))
+    if tuple(map(len, map(set, norm))) == counts and _within(flat, 1):
+        return norm
+    return None
+
+
+def _label_rows_one_by_one(rows):
+    norm = []
+    for e, times in enumerate(rows):
+        ts = tuple(sorted(set(int(t) for t in times)))
+        if len(ts) != len(tuple(times)):
+            raise ValidationError(f"edge {e} labels not sorted/duplicate-free")
+        if any(t < 1 for t in ts):
+            raise ValidationError(f"edge {e} has a label < 1")
+        norm.append(ts)
+    return tuple(norm)
 
 
 @dataclass(frozen=True)
@@ -259,15 +384,14 @@ class Labeling:
     times_by_edge: tuple[tuple[Time, ...], ...]
 
     def __post_init__(self):
-        norm = []
-        for e, times in enumerate(self.times_by_edge):
-            ts = tuple(sorted(set(int(t) for t in times)))
-            if len(ts) != len(tuple(times)):
-                raise ValidationError(f"edge {e} labels not sorted/duplicate-free")
-            if any(t < 1 for t in ts):
-                raise ValidationError(f"edge {e} has a label < 1")
-            norm.append(ts)
-        object.__setattr__(self, "times_by_edge", tuple(norm))
+        rows = tuple(self.times_by_edge)
+        try:
+            norm = _label_rows(rows)
+        except TypeError:
+            norm = None
+        if norm is None:
+            norm = _label_rows_one_by_one(rows)
+        object.__setattr__(self, "times_by_edge", norm)
 
     @classmethod
     def empty(cls, edge_count: int) -> "Labeling":
@@ -332,6 +456,14 @@ class FullAvailability:
 Availability = Union[Labeling, FullAvailability]
 
 
+def _check_sources(sources: frozenset[Vertex], vertex_count: int) -> None:
+    if set(map(type, sources)) <= {int} and _within(sources, 0, vertex_count - 1):
+        return
+    for s in sources:
+        if not (0 <= s < vertex_count):
+            raise ValidationError(f"source {s} out of range")
+
+
 @dataclass(frozen=True)
 class Instance:
     """A broadcast-scheduling instance: graph, sources, traversal, bounds.
@@ -348,7 +480,7 @@ class Instance:
 
     def __post_init__(self):
         object.__setattr__(self, "sources", frozenset(self.sources))
-        object.__setattr__(self, "multiplicity", tuple(int(m) for m in self.multiplicity))
+        object.__setattr__(self, "multiplicity", tuple(map(int, self.multiplicity)))
         if self.tau < 1:
             raise ValidationError("tau must be positive")
         if self.graph.vertex_count < 2:
@@ -356,20 +488,22 @@ class Instance:
             raise ValidationError("instance needs at least two vertices")
         if not self.sources:
             raise ValidationError("instance needs at least one source")
-        for s in self.sources:
-            if not (0 <= s < self.graph.vertex_count):
-                raise ValidationError(f"source {s} out of range")
+        _check_sources(self.sources, self.graph.vertex_count)
         if len(self.multiplicity) != self.graph.edge_count:
             raise ValidationError("multiplicity must cover every edge")
-        for e, mu in enumerate(self.multiplicity):
-            if not (1 <= mu <= self.tau):
-                raise ValidationError(f"multiplicity of edge {e} outside 1..tau")
+        if not _within(self.multiplicity, 1, self.tau):
+            for e, mu in enumerate(self.multiplicity):
+                if not (1 <= mu <= self.tau):
+                    raise ValidationError(f"multiplicity of edge {e} outside 1..tau")
         if len(self.traversal.defaults) != self.graph.edge_count:
             raise ValidationError("traversal must cover every edge")
-        for e, items in enumerate(self.traversal.overrides):
-            for t, _ in items:
-                if t > self.tau:
-                    raise ValidationError(f"override time {t} on edge {e} beyond tau")
+        # Override rows are sorted by time: a row's last pair has its latest.
+        last = tuple(map(itemgetter(-1), filter(None, self.traversal.overrides)))
+        if not _within(tuple(map(itemgetter(0), last)), None, self.tau):
+            for e, items in enumerate(self.traversal.overrides):
+                for t, _ in items:
+                    if t > self.tau:
+                        raise ValidationError(f"override time {t} on edge {e} beyond tau")
 
     def full_availability(self) -> FullAvailability:
         return FullAvailability(self.tau)
@@ -391,9 +525,7 @@ class ReachFastInstance:
             raise ValidationError("tau must be positive")
         if not self.sources:
             raise ValidationError("instance needs at least one source")
-        for s in self.sources:
-            if not (0 <= s < self.graph.vertex_count):
-                raise ValidationError(f"source {s} out of range")
+        _check_sources(self.sources, self.graph.vertex_count)
         if self.labels.edge_count != self.graph.edge_count:
             raise ValidationError("labels must cover every edge")
         _check_times(self.labels.times_by_edge, self.tau, "label")
@@ -669,7 +801,11 @@ def earliest_arrival(
 
 
 def _check_quota(instance: Instance, labeling: Labeling) -> None:
-    for e in range(instance.graph.edge_count):
+    counts = tuple(map(len, labeling.times_by_edge))
+    m = instance.graph.edge_count
+    if len(counts) >= m and not any(map(gt, counts, instance.multiplicity)):
+        return
+    for e in range(m):
         if len(labeling.times(e)) > instance.multiplicity[e]:
             raise MultiplicityViolation(
                 f"edge {e} has {len(labeling.times(e))} labels, "

@@ -481,17 +481,37 @@ def _table_objective(
     instance: Instance, table: CandidateTable, measure: Measure
 ) -> int | None:
     """``objective`` over a candidate table that is already built."""
-    graph = instance.graph
-    arrivals = {}
-    for s in sorted(instance.sources):
-        arrivals[s], _ = earliest_arrival(graph, table, s)
-        if arrivals[s].count(None) > 1:
-            return None
+    arrivals = _feasible_arrivals(instance, table)
+    if arrivals is None:
+        return None
     if measure is Measure.EARLIEST_ARRIVAL:
         values = [a for s, row in arrivals.items() for v, a in enumerate(row) if v != s]
     else:
         values = _pair_values(instance, table, measure).values()
     return _worst(measure, values)
+
+
+def _table_pairs(
+    instance: Instance, table: CandidateTable, measure: Measure
+) -> dict[tuple[int, int], int | None] | None:
+    """The pair values ``_table_objective`` takes the worst of, or None."""
+    arrivals = _feasible_arrivals(instance, table)
+    if arrivals is None:
+        return None
+    if measure is Measure.EARLIEST_ARRIVAL:
+        return {(s, v): a for s, row in arrivals.items() for v, a in enumerate(row) if v != s}
+    return _pair_values(instance, table, measure)
+
+
+def _feasible_arrivals(instance: Instance, table: CandidateTable) -> dict | None:
+    """Earliest arrivals from each source in order, or None at the first
+    source that misses a vertex."""
+    arrivals = {}
+    for s in sorted(instance.sources):
+        arrivals[s], _ = earliest_arrival(instance.graph, table, s)
+        if arrivals[s].count(None) > 1:
+            return None
+    return arrivals
 
 
 # ---------------------------------------------------------------------------

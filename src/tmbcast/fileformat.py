@@ -2,14 +2,17 @@
 
 Documents are JSON with a fixed key order (sorted), two-space indentation,
 sorted override/label lists, and a trailing newline, so serializing a parsed
-document reproduces it byte for byte.  Parsing performs structural
-validation only; reachability is a solver concern.
+document reproduces it byte for byte.  Parsing checks the JSON shape and
+converts values with int(); the model constructors in ``tmbcast.core``
+validate the structure, once per document, and the parsed document keeps
+the validated model.  Reachability is a solver concern.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import Any
 
 from tmbcast.core import (
@@ -20,6 +23,8 @@ from tmbcast.core import (
     StaticGraph,
     TraversalSpec,
     ValidationError,
+    _columns,
+    _within,
 )
 from tmbcast.reductions import CnfFormula, GadgetInstance
 
@@ -30,35 +35,54 @@ FORMAT_VERSION = 1
 
 @dataclass(frozen=True)
 class InstanceDocument:
-    """Full-fidelity view of an instance file: model plus annotations."""
+    """Full-fidelity view of an instance file: the validated model plus
+    annotations."""
 
-    kind: str  # "tmb" | "reachfast"
-    graph: StaticGraph
-    sources: frozenset[int]
-    traversal: TraversalSpec
-    tau: int
-    multiplicity: tuple[int, ...] | None = None
-    labels: Labeling | None = None
+    instance: Instance | ReachFastInstance
     names: tuple[str, ...] | None = None
     roles: tuple[str, ...] | None = None
     meta: dict | None = None
 
+    @property
+    def kind(self) -> str:
+        return "tmb" if isinstance(self.instance, Instance) else "reachfast"
+
+    @property
+    def graph(self) -> StaticGraph:
+        return self.instance.graph
+
+    @property
+    def sources(self) -> frozenset[int]:
+        return self.instance.sources
+
+    @property
+    def traversal(self) -> TraversalSpec:
+        return self.instance.traversal
+
+    @property
+    def tau(self) -> int:
+        return self.instance.tau
+
+    @property
+    def multiplicity(self) -> tuple[int, ...] | None:
+        return self.instance.multiplicity if self.kind == "tmb" else None
+
+    @property
+    def labels(self) -> Labeling | None:
+        return self.instance.labels if self.kind == "reachfast" else None
+
     def to_instance(self) -> Instance:
         if self.kind != "tmb":
             raise ValidationError("document holds a reachfast instance")
-        return Instance(
-            self.graph, self.sources, self.traversal, self.multiplicity, self.tau
-        )
+        return self.instance
 
     def to_reachfast(self) -> ReachFastInstance:
         if self.kind != "reachfast":
             raise ValidationError("document holds a tmb instance")
-        return ReachFastInstance(
-            self.graph, self.sources, self.traversal, self.labels, self.tau
-        )
+        return self.instance
 
     def model(self) -> Instance | ReachFastInstance:
-        return self.to_instance() if self.kind == "tmb" else self.to_reachfast()
+        return self.instance
 
     def vertex_name(self, v: int) -> str:
         if self.names is not None:
@@ -84,18 +108,12 @@ class InstanceDocument:
         roles=None,
         meta=None,
     ) -> "InstanceDocument":
-        common = dict(
-            graph=model.graph,
-            sources=model.sources,
-            traversal=model.traversal,
-            tau=model.tau,
+        return cls(
+            model,
             names=tuple(names) if names is not None else None,
             roles=tuple(roles) if roles is not None else None,
             meta=meta,
         )
-        if isinstance(model, Instance):
-            return cls(kind="tmb", multiplicity=model.multiplicity, **common)
-        return cls(kind="reachfast", labels=model.labels, **common)
 
     @classmethod
     def from_gadget(cls, gadget: GadgetInstance) -> "InstanceDocument":
@@ -172,6 +190,57 @@ def _load_json(text: str, what: str) -> dict:
     return payload
 
 
+def _ints(values: tuple) -> tuple[int, ...]:
+    """``values`` through int(), skipped when every value already is one."""
+    return values if set(map(type, values)) <= {int} else tuple(map(int, values))
+
+
+def _int_columns(rows: list, width: int) -> tuple[tuple[int, ...], ...] | None:
+    """The columns of ``rows`` as ints, or None when some row is not
+    ``width`` values that int() accepts."""
+    columns = _columns(rows, width)
+    if columns is None:
+        return None
+    try:
+        return tuple(map(_ints, columns))
+    except (TypeError, ValueError, OverflowError):
+        return None
+
+
+def _override_table(items: list, edge_count: int, what: str) -> tuple:
+    """Per-edge (time, weight) rows of ``[edge, time, weight]`` entries;
+    the last entry for an (edge, time) wins."""
+    columns = _int_columns(items, 3)
+    if columns is None or not _within(columns[0], 0, edge_count - 1):
+        # Name the first bad entry; for JSON values one always is.
+        for item in items:
+            try:
+                e, t, w = (int(x) for x in item)
+            except (TypeError, ValueError):
+                raise ParseError(f"{what}: overrides must be [edge, time, weight]") from None
+            if not (0 <= e < edge_count):
+                raise ParseError(f"{what}: override for unknown edge {e}")
+    edges, times, weights = columns
+    rows = [[] for _ in range(edge_count)]
+    for e, pair in zip(edges, zip(times, weights)):
+        rows[e].append(pair)
+    latest = tuple(map(dict, rows))
+    if sum(map(len, latest)) < len(edges):  # the last entry for a time wins
+        return tuple(map(tuple, map(dict.items, latest)))
+    return tuple(map(tuple, rows))
+
+
+def _labeling(rows: list, what: str) -> Labeling:
+    try:
+        exact = set(map(type, chain.from_iterable(rows))) <= {int}
+    except TypeError:  # some entry is not a list
+        exact = False
+    try:
+        return Labeling(rows if exact else tuple(map(tuple, map(map, repeat(int), rows))))
+    except (TypeError, ValueError) as err:
+        raise ParseError(f"{what}: {err}") from None
+
+
 def parse_instance_document(text: str) -> InstanceDocument:
     what = "instance document"
     payload = _load_json(text, what)
@@ -189,24 +258,18 @@ def parse_instance_document(text: str) -> InstanceDocument:
     defaults = _need(payload, "default_weights", list, what)
     overrides_raw = _need(payload, "overrides", list, what)
     try:
-        edges = tuple((int(u), int(v)) for u, v in edges_raw)
+        columns = _int_columns(edges_raw, 2)
+        edges = (
+            tuple(zip(*columns))
+            if columns is not None
+            else tuple((int(u), int(v)) for u, v in edges_raw)
+        )
     except (TypeError, ValueError):
         raise ParseError(f"{what}: edges must be pairs of integers") from None
-    table: list[dict[int, int]] = [dict() for _ in edges]
-    for item in overrides_raw:
-        try:
-            e, t, w = (int(x) for x in item)
-        except (TypeError, ValueError):
-            raise ParseError(f"{what}: overrides must be [edge, time, weight]") from None
-        if not (0 <= e < len(edges)):
-            raise ParseError(f"{what}: override for unknown edge {e}")
-        table[e][t] = w
+    table = _override_table(overrides_raw, len(edges), what)
     try:
         graph = StaticGraph(n, edges)
-        traversal = TraversalSpec(
-            tuple(int(d) for d in defaults),
-            tuple(tuple(sorted(per.items())) for per in table),
-        )
+        traversal = TraversalSpec(tuple(map(int, defaults)), table)
     except (TypeError, ValueError) as err:
         raise ParseError(f"{what}: {err}") from None
 
@@ -220,36 +283,26 @@ def parse_instance_document(text: str) -> InstanceDocument:
     if meta is not None and not isinstance(meta, dict):
         raise ParseError(f"{what}: meta must be an object")
 
-    common = dict(
-        graph=graph,
-        sources=frozenset(int(s) for s in sources),
-        traversal=traversal,
-        tau=tau,
-        names=tuple(names) if names is not None else None,
-        roles=tuple(roles) if roles is not None else None,
-        meta=meta,
-    )
+    sources = frozenset(map(int, sources))
     if kind == "tmb":
         mult = _need(payload, "multiplicity", list, what)
         if "labels" in payload:
             raise ParseError(f"{what}: tmb documents do not carry labels")
-        doc = InstanceDocument(
-            kind="tmb", multiplicity=tuple(int(m) for m in mult), **common
-        )
-        doc.to_instance()  # validates
+        instance = Instance(graph, sources, traversal, tuple(map(int, mult)), tau)
     else:
         labels_raw = _need(payload, "labels", list, what)
         if "multiplicity" in payload:
             raise ParseError(f"{what}: reachfast documents do not carry multiplicity")
         if len(labels_raw) != len(edges):
             raise ParseError(f"{what}: labels must list one entry per edge")
-        try:
-            labels = Labeling(tuple(tuple(int(t) for t in ts) for ts in labels_raw))
-        except (TypeError, ValueError) as err:
-            raise ParseError(f"{what}: {err}") from None
-        doc = InstanceDocument(kind="reachfast", labels=labels, **common)
-        doc.to_reachfast()  # validates
-    return doc
+        labels = _labeling(labels_raw, what)
+        instance = ReachFastInstance(graph, sources, traversal, labels, tau)
+    return InstanceDocument(
+        instance,
+        names=tuple(names) if names is not None else None,
+        roles=tuple(roles) if roles is not None else None,
+        meta=meta,
+    )
 
 
 def parse_instance(text: str) -> Instance | ReachFastInstance:
@@ -289,11 +342,7 @@ def parse_labeling(text: str) -> LabelingDocument:
         raise ParseError(f"{what}: format must be {LABELING_FORMAT!r}")
     if payload.get("version") != FORMAT_VERSION:
         raise ParseError(f"{what}: unsupported version {payload.get('version')!r}")
-    labels_raw = _need(payload, "labels", list, what)
-    try:
-        labels = Labeling(tuple(tuple(int(t) for t in ts) for ts in labels_raw))
-    except (TypeError, ValueError) as err:
-        raise ParseError(f"{what}: {err}") from None
+    labels = _labeling(_need(payload, "labels", list, what), what)
     provenance = payload.get("provenance")
     if provenance is not None and not isinstance(provenance, dict):
         raise ParseError(f"{what}: provenance must be an object")

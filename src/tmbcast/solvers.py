@@ -52,10 +52,11 @@ from tmbcast.distances import (
     Measure,
     _pair_values,
     _table_objective,
+    _table_pairs,
     _worst,
     ft_mw_bounds,
 )
-from tmbcast.tsot import build_ea_tsot, build_ld_tsot
+from tmbcast.tsot import Tsot, build_ea_tsot, build_ld_tsot
 
 
 class NoTractableRegime(TmbError):
@@ -101,17 +102,36 @@ def _require_measure(measure: Measure, allowed, what: str) -> None:
         raise ValidationError(f"{what} supports only {codes}, not {measure.code}")
 
 
-def _check_full_reachability(instance: Instance) -> None:
+_UNREACHABLE = "source {} cannot reach every vertex even in the full graph"
+
+
+def _full_graph_trees(instance: Instance, measure: Measure) -> list[Tsot]:
+    """The measure's spanning out-tree of the full temporal graph for every
+    source, in source order.  Raises Unreachable naming the first source
+    that misses a vertex; under earliest arrival the tree's own search
+    decides that, so each source is searched once."""
+    sources = sorted(instance.sources)
+    if measure is Measure.EARLIEST_ARRIVAL:
+        trees = []
+        for s in sources:
+            try:
+                trees.append(build_ea_tsot(s, instance))
+            except Unreachable:
+                raise Unreachable(_UNREACHABLE.format(s)) from None
+        return trees
     avail = instance.full_availability()
-    for s in sorted(instance.sources):
+    for s in sources:
         if not reaches_all(instance.graph, avail, instance.traversal, s):
-            raise Unreachable(
-                f"source {s} cannot reach every vertex even in the full graph"
-            )
+            raise Unreachable(_UNREACHABLE.format(s))
+    return [build_ld_tsot(s, instance) for s in sources]
 
 
-def _finish(instance, labeling, measure, regime, status=SolveStatus.OPTIMAL, bounds=None):
-    pairs = _pair_values(instance, CandidateTable(labeling, instance.traversal), measure)
+def _finish(instance, labeling, measure, regime, status=SolveStatus.OPTIMAL,
+            bounds=None, pairs=None):
+    """The result for ``labeling``; ``pairs`` are its pair values when the
+    caller already has them."""
+    if pairs is None:
+        pairs = _pair_values(instance, CandidateTable(labeling, instance.traversal), measure)
     return SolveResult(
         labeling=labeling,
         objective=_worst(measure, pairs.values()),
@@ -131,12 +151,7 @@ def solve_single_source(instance: Instance, measure: Measure) -> SolveResult:
         raise WrongSourceCount(
             f"single-source solver got {len(instance.sources)} sources"
         )
-    (s,) = instance.sources
-    _check_full_reachability(instance)
-    if measure is Measure.EARLIEST_ARRIVAL:
-        tree = build_ea_tsot(s, instance)
-    else:
-        tree = build_ld_tsot(s, instance)
+    (tree,) = _full_graph_trees(instance, measure)
     labeling = tree.to_labeling(instance.graph.edge_count)
     return _finish(instance, labeling, measure, regime="single-source")
 
@@ -150,13 +165,8 @@ def solve_multi_full_mu(instance: Instance, measure: Measure) -> SolveResult:
             raise MultiplicityTooSmall(
                 f"edge {e} has multiplicity {mu} < source count {k}"
             )
-    _check_full_reachability(instance)
-    build = (
-        build_ea_tsot if measure is Measure.EARLIEST_ARRIVAL else build_ld_tsot
-    )
     labeling = Labeling.empty(instance.graph.edge_count)
-    for s in sorted(instance.sources):
-        tree = build(s, instance)
+    for tree in _full_graph_trees(instance, measure):
         labeling = labeling.union(tree.to_labeling(instance.graph.edge_count))
     return _finish(instance, labeling, measure, regime="multi-source-full-mu")
 
@@ -212,16 +222,11 @@ def solve_tree(instance: Instance, measure: Measure) -> SolveResult:
     for e, mu in enumerate(instance.multiplicity):
         if mu < 2:
             raise MultiplicityTooSmall(f"edge {e} has multiplicity {mu} < 2")
-    _check_full_reachability(instance)
-
-    build = (
-        build_ea_tsot if measure is Measure.EARLIEST_ARRIVAL else build_ld_tsot
-    )
     sources = sorted(instance.sources)
-    per_source_label: dict[int, Labeling] = {}
-    for s in sources:
-        tree = build(s, instance)
-        per_source_label[s] = tree.to_labeling(graph.edge_count)
+    per_source_label = {
+        s: tree.to_labeling(graph.edge_count)
+        for s, tree in zip(sources, _full_graph_trees(instance, measure))
+    }
 
     # A source traverses edge {u, v} in direction u -> v exactly when it
     # lies on the u side of the split T - e.  Comparing the source's
@@ -369,14 +374,20 @@ def brute_force(
     table = [choices[0] if len(choices) == 1 else horizon for choices in per_edge]
     free = [e for e, choices in enumerate(per_edge) if len(choices) > 1]
 
-    def value() -> int | None:
-        return _table_objective(instance, CandidateTable(table, trav), measure)
+    def evaluate(leaf: bool) -> tuple[int | None, dict | None]:
+        """The table's value and, at a leaf, its pair values."""
+        candidates = CandidateTable(table, trav)
+        if not leaf:
+            return _table_objective(instance, candidates, measure), None
+        pairs = _table_pairs(instance, candidates, measure)
+        return (None if pairs is None else _worst(measure, pairs.values())), pairs
 
     best_value: int | None = None
     best_table: tuple | None = None
-    ceiling = value()
+    best_pairs: dict | None = None
+    ceiling, pairs = evaluate(not free)
     if ceiling is not None and not free:
-        best_value, best_table = ceiling, tuple(table)
+        best_value, best_table, best_pairs = ceiling, tuple(table), pairs
     # nxt[d] is the index of the next subset to try on edge free[d].
     nxt = [0] if ceiling is not None and free else []
     while nxt:
@@ -389,15 +400,16 @@ def brute_force(
             continue
         nxt[depth] = i + 1
         table[e] = per_edge[e][i]
-        bound = value()
+        leaf = depth + 1 == len(free)
+        bound, pairs = evaluate(leaf)
         if bound is None or (
             best_value is not None and not measure.better(bound, best_value)
         ):
             continue
-        if depth + 1 < len(free):
+        if not leaf:
             nxt.append(0)
             continue
-        best_value, best_table = bound, tuple(table)
+        best_value, best_table, best_pairs = bound, tuple(table), pairs
         if best_value == ceiling:
             break
 
@@ -409,7 +421,9 @@ def brute_force(
             status=SolveStatus.INFEASIBLE,
             regime="oracle",
         )
-    return _finish(instance, Labeling(best_table), measure, regime="oracle")
+    return _finish(
+        instance, Labeling(best_table), measure, regime="oracle", pairs=best_pairs
+    )
 
 
 def pick_regime(instance: Instance, measure: Measure) -> str:

@@ -84,6 +84,25 @@ def test_verify_ea_runs_one_search_per_source(capsys, network, monkeypatch):
     assert sorted(searched) == [fig.E, fig.M]
 
 
+def test_main_builds_the_argument_parser_once(monkeypatch, capsys):
+    import argparse
+
+    parsers = []
+    parse = argparse.ArgumentParser.parse_args
+
+    def recording(self, *args, **kwargs):
+        parsers.append(self)
+        return parse(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", recording)
+    for _ in range(2):
+        code = main(["verify", "--in", "missing.json",
+                     "--labeling", "missing.json", "--measure", "ea"])
+        assert code == 3
+    capsys.readouterr()
+    assert len(parsers) == 2 and parsers[0] is parsers[1]
+
+
 def test_verify_infeasible_runs_no_measure_search(capsys, network, tmp_path, monkeypatch):
     import tmbcast.distances as distances
     from tmbcast.core import Labeling

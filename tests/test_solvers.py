@@ -92,6 +92,48 @@ def test_single_source_unreachable():
         solve_single_source(inst, EA)
 
 
+def test_ea_solve_searches_each_source_once(monkeypatch):
+    import tmbcast.core as core
+    import tmbcast.distances as distances
+    import tmbcast.tsot as tsot
+
+    # A 3x3 grid with unit weights, one source in a corner.
+    edges = [(r * 3 + c, r * 3 + c + 1) for r in range(3) for c in range(2)]
+    edges += [(r * 3 + c, r * 3 + c + 3) for r in range(2) for c in range(3)]
+    graph = StaticGraph(9, tuple(edges))
+    inst = Instance(graph, frozenset({0}), TraversalSpec.uniform(12, 1), (1,) * 12, 8)
+    searched = []
+    kernel = core.earliest_arrival
+
+    def counting(graph, table, source, first_time=None):
+        searched.append(source)
+        return kernel(graph, table, source, first_time)
+
+    for module in (core, distances, tsot):
+        monkeypatch.setattr(module, "earliest_arrival", counting)
+    assert solve_single_source(inst, EA).objective == 5
+    # The tree's search, which also decides reachability, and one for the
+    # schedule's distances.
+    assert searched == [0, 0]
+
+
+@pytest.mark.parametrize("measure", [EA, LD])
+def test_unreachable_solves_name_the_first_source_that_misses_a_vertex(measure):
+    graph = StaticGraph(4, ((0, 1), (2, 3)))
+    traversal = TraversalSpec.uniform(2, 1)
+    cases = (
+        (solve_single_source, Instance(graph, frozenset({0}), traversal, (1, 1), 3)),
+        (solve_multi_full_mu, Instance(graph, frozenset({3, 1}), traversal, (2, 2), 3)),
+    )
+    for solve, inst in cases:
+        first = min(inst.sources)
+        with pytest.raises(Unreachable) as err:
+            solve(inst, measure)
+        assert str(err.value) == (
+            f"source {first} cannot reach every vertex even in the full graph"
+        )
+
+
 def test_single_source_matches_oracle():
     rng = random.Random(900)
     for trial in range(30):
@@ -424,10 +466,10 @@ def test_brute_force_stops_at_the_first_leaf_that_meets_the_full_graph_value(mon
     result = brute_force(inst, EA)
     assert result.objective == 2
     assert result.labeling.times_by_edge == ((1,),) * spokes
-    # The root and one node per edge down to the first leaf; _finish then
-    # reads the winner's distances once.  The plain enumeration took
-    # two searches for each of the 3**4 labelings.
-    assert len(searched) == 1 + spokes + 1
+    # The root and one node per edge down to the first leaf, whose searches
+    # also give the winner's distances.  The plain enumeration took two
+    # searches for each of the 3**4 labelings.
+    assert len(searched) == 1 + spokes
 
 
 def test_maximal_enumeration_matches_full_subsets():
