@@ -18,10 +18,10 @@ from __future__ import annotations
 import heapq
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import chain
 from operator import gt, itemgetter, lt, ne
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 
 class TmbError(Exception):
@@ -245,8 +245,9 @@ class StaticGraph:
 
 
 def _override_rows(defaults, rows):
-    """Bulk form of ``_override_rows_one_by_one`` for rows of int pairs;
-    None for other rows or on any fault."""
+    """Bulk form of ``_override_rows_one_by_one`` for rows of int pairs,
+    with each row's time -> weight dict; None for other rows or on any
+    fault."""
     flat = tuple(chain.from_iterable(rows))
     columns = _columns(flat, 2)
     if columns is None or not set(map(type, flat)) <= {tuple}:
@@ -255,13 +256,14 @@ def _override_rows(defaults, rows):
     if not set(map(type, times)) | set(map(type, weights)) <= {int}:
         return None
     norm = tuple(map(tuple, map(sorted, rows)))
+    index = tuple(map(dict, norm))
     if (
-        tuple(map(len, map(dict, norm))) == tuple(map(len, rows))  # no time twice
+        tuple(map(len, index)) == tuple(map(len, rows))  # no time twice
         and _within(defaults, 0)
         and _within(times, 1)
         and _within(weights, 0)
     ):
-        return norm
+        return norm, index
     return None
 
 
@@ -303,11 +305,15 @@ class TraversalSpec:
         rows = self.overrides
         try:
             rows = tuple(map(tuple, rows))
-            norm = _override_rows(self.defaults, rows)
+            bulk = _override_rows(self.defaults, rows)
         except TypeError:
-            norm = None
-        if norm is None:
+            bulk = None
+        if bulk is None:
             norm = _override_rows_one_by_one(self.defaults, rows)
+        else:
+            # The duplicate-time check built the dicts ``_override_index`` holds.
+            norm, index = bulk
+            object.__setattr__(self, "_override_index", index)
         object.__setattr__(self, "overrides", norm)
         object.__setattr__(self, "defaults", tuple(map(int, self.defaults)))
 
@@ -328,6 +334,8 @@ class TraversalSpec:
 
     @cached_property
     def _override_index(self) -> tuple[dict[Time, int], ...]:
+        """Per edge, override time -> weight; ``__post_init__`` sets it from
+        the dicts of its duplicate-time check when the bulk check ran."""
         return tuple(dict(items) for items in self.overrides)
 
     @cached_property
@@ -464,6 +472,43 @@ def _check_sources(sources: frozenset[Vertex], vertex_count: int) -> None:
             raise ValidationError(f"source {s} out of range")
 
 
+def _check_multiplicity(multiplicity: tuple[int, ...], tau: int) -> None:
+    if not _within(multiplicity, 1, tau):
+        for e, mu in enumerate(multiplicity):
+            if not (1 <= mu <= tau):
+                raise ValidationError(f"multiplicity of edge {e} outside 1..tau")
+
+
+def _check_model(model: Instance | ReachFastInstance, rows: Sequence, what: str,
+                 check_rows: Callable[[Sequence, int], None]) -> None:
+    """The checks both formulations share, in the order both report them:
+    the horizon, at least two vertices, the sources, ``rows`` (the
+    multiplicities or the label sets, named ``what``) covering every edge
+    and passing ``check_rows(rows, tau)``, then the traversal, whose
+    override times lie within the horizon."""
+    graph, tau = model.graph, model.tau
+    if tau < 1:
+        raise ValidationError("tau must be positive")
+    if graph.vertex_count < 2:
+        # Objectives range over (source, other vertex) pairs.
+        raise ValidationError("instance needs at least two vertices")
+    if not model.sources:
+        raise ValidationError("instance needs at least one source")
+    _check_sources(model.sources, graph.vertex_count)
+    if len(rows) != graph.edge_count:
+        raise ValidationError(f"{what} must cover every edge")
+    check_rows(rows, tau)
+    if len(model.traversal.defaults) != graph.edge_count:
+        raise ValidationError("traversal must cover every edge")
+    # Override rows are sorted by time: a row's last pair has its latest.
+    last = tuple(map(itemgetter(-1), filter(None, model.traversal.overrides)))
+    if not _within(tuple(map(itemgetter(0), last)), None, tau):
+        for e, items in enumerate(model.traversal.overrides):
+            for t, _ in items:
+                if t > tau:
+                    raise ValidationError(f"override time {t} on edge {e} beyond tau")
+
+
 @dataclass(frozen=True)
 class Instance:
     """A broadcast-scheduling instance: graph, sources, traversal, bounds.
@@ -481,29 +526,7 @@ class Instance:
     def __post_init__(self):
         object.__setattr__(self, "sources", frozenset(self.sources))
         object.__setattr__(self, "multiplicity", tuple(map(int, self.multiplicity)))
-        if self.tau < 1:
-            raise ValidationError("tau must be positive")
-        if self.graph.vertex_count < 2:
-            # Objectives range over (source, other vertex) pairs.
-            raise ValidationError("instance needs at least two vertices")
-        if not self.sources:
-            raise ValidationError("instance needs at least one source")
-        _check_sources(self.sources, self.graph.vertex_count)
-        if len(self.multiplicity) != self.graph.edge_count:
-            raise ValidationError("multiplicity must cover every edge")
-        if not _within(self.multiplicity, 1, self.tau):
-            for e, mu in enumerate(self.multiplicity):
-                if not (1 <= mu <= self.tau):
-                    raise ValidationError(f"multiplicity of edge {e} outside 1..tau")
-        if len(self.traversal.defaults) != self.graph.edge_count:
-            raise ValidationError("traversal must cover every edge")
-        # Override rows are sorted by time: a row's last pair has its latest.
-        last = tuple(map(itemgetter(-1), filter(None, self.traversal.overrides)))
-        if not _within(tuple(map(itemgetter(0), last)), None, self.tau):
-            for e, items in enumerate(self.traversal.overrides):
-                for t, _ in items:
-                    if t > self.tau:
-                        raise ValidationError(f"override time {t} on edge {e} beyond tau")
+        _check_model(self, self.multiplicity, "multiplicity", _check_multiplicity)
 
     def full_availability(self) -> FullAvailability:
         return FullAvailability(self.tau)
@@ -521,16 +544,9 @@ class ReachFastInstance:
 
     def __post_init__(self):
         object.__setattr__(self, "sources", frozenset(self.sources))
-        if self.tau < 1:
-            raise ValidationError("tau must be positive")
-        if not self.sources:
-            raise ValidationError("instance needs at least one source")
-        _check_sources(self.sources, self.graph.vertex_count)
-        if self.labels.edge_count != self.graph.edge_count:
-            raise ValidationError("labels must cover every edge")
-        _check_times(self.labels.times_by_edge, self.tau, "label")
-        if len(self.traversal.defaults) != self.graph.edge_count:
-            raise ValidationError("traversal must cover every edge")
+        _check_model(
+            self, self.labels.times_by_edge, "labels", partial(_check_times, what="label")
+        )
 
 
 @dataclass(frozen=True)

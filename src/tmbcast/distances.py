@@ -9,35 +9,38 @@ and shared by every source and probe:
   vertex is reached;
 * fastest (min duration): the same probes over every candidate first
   departure, minimizing arrival minus departure;
-* shortest travel / minimum hop: label-correcting search over Pareto sets of
-  (arrival, cost) per vertex;
+* shortest travel / minimum hop: the front search ``_fronts`` keyed by the
+  cost (travel or hops), whose first kept state at a vertex has the least
+  cost and then the earliest arrival;
 * minimum waiting: depth-first enumeration of simple paths with an explicit
   stack (waiting is the one statistic where revisiting a vertex could pay
   off, and the definitions range over simple paths only).
 
 The certificate's maxima (the longest duration and the longest waiting of a
-simple temporal path to each vertex) take one pair of searches per target
-``v``: a simple path to ``v`` is a prefix to a neighbour ``u`` that avoids
-``v``, then the edge ``(u, v)``.  On the full temporal graph waiting is free,
-so a prefix's cycle through a vertex other than the source can be replaced
-by waiting there; each search therefore runs over walks in ``G - v`` that
-never re-enter the source, keeping per vertex the Pareto front of (first
-departure, arrival) for duration and of (first departure + travel, arrival)
-for waiting.  Both are polynomial in the graph size and the number of
-override times.
+simple temporal path to each vertex) take one pair of front searches per
+target ``v``: a simple path to ``v`` is a prefix to a neighbour ``u`` that
+avoids ``v``, then the edge ``(u, v)``.  On the full temporal graph waiting
+is free, so a prefix's cycle through a vertex other than the source can be
+replaced by waiting there; each search therefore runs over walks in
+``G - v`` that never re-enter the source, keeping per vertex the Pareto
+front of (first departure, arrival) for duration and of (first departure +
+travel, arrival) for waiting.  Both are polynomial in the graph size and the
+number of override times.
 
 Values come first, witnesses on demand: a search returns per-vertex values
-and a function that builds the paths of the vertices asked for.  A
-latest-departure witness comes from the probe that found its vertex, as a
-linked step list; a fastest witness re-runs the probe that attained the
-value (the kernel is deterministic), so no probe's parents outlive it.
+and a function that builds the paths of the vertices asked for.  Every
+witness is a linked step list ``(edge, time, previous)`` (see
+``_chain_path``): the front search links the states it keeps, a
+latest-departure witness comes from the probe that found its vertex, and an
+earliest-arrival or fastest witness from the parent forest of its kernel
+run (a fastest witness re-runs the probe that attained the value; the
+kernel is deterministic), so no probe's parents outlive it.
 """
 
 from __future__ import annotations
 
 import heapq
 from bisect import bisect_left
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
@@ -147,14 +150,6 @@ def _first_departure_times(
     return sorted(out)
 
 
-def _path_from_parents(graph: StaticGraph, parents: list, source: int, v: int) -> TemporalPath:
-    steps = []
-    while v != source:
-        v, e, t = parents[v]
-        steps.append((e, t))
-    return TemporalPath.from_steps(graph, source, steps[::-1])
-
-
 def _latest_departures(
     graph: StaticGraph, table: CandidateTable, source: int, targets: Iterable[int]
 ) -> tuple[list[int | None], list[tuple | None]]:
@@ -221,68 +216,91 @@ def _probe_paths(graph, table, source, start, vertices) -> dict[int, TemporalPat
     paths: dict[int, TemporalPath] = {}
     for t0, group in by_start.items():
         _, parents = earliest_arrival(graph, table, source, t0)
-        for v in group:
-            paths[v] = _path_from_parents(graph, parents, source, v)
+        paths.update(_parent_paths(graph, parents, source, group))
     return paths
 
 
+def _parent_paths(graph, parents, source, vertices) -> dict[int, TemporalPath]:
+    """Paths of ``vertices`` in one kernel run's parent forest."""
+    links = {source: None}
+    return {v: _chain_path(graph, source, _parent_chain(parents, links, v)) for v in vertices}
+
+
 # ---------------------------------------------------------------------------
-# Pareto search for shortest-travel and minimum-hop
+# Front search: shortest travel, minimum hop and the certificate maxima
+
+_KEEP, _TRAVEL, _HOP = range(3)  # key steps of _fronts
 
 
-class _State:
-    __slots__ = ("vertex", "arrival", "cost", "steps")
+def _fronts(graph: StaticGraph, table: CandidateTable, closed: Iterable[int],
+            seeds: list[tuple], step: int, until: set[int] | None = None,
+            cap: float = _NEVER) -> list[list]:
+    """Per-vertex Pareto fronts of (key, arrival), both minimized, over the
+    temporal walks that start with one of ``seeds`` and never enter a
+    vertex of ``closed``.
 
-    def __init__(self, vertex, arrival, cost, steps):
-        self.vertex = vertex
-        self.arrival = arrival
-        self.cost = cost
-        self.steps = steps  # linked (edge, time, previous steps), see _chain_path
-
-
-def _pareto_run(
-    graph: StaticGraph,
-    table: CandidateTable,
-    source: int,
-    hop_cost: bool,
-):
-    """Label-correcting search keeping per-vertex Pareto sets of (arrival, cost).
-
-    A new state is kept only if no recorded state has both a weakly earlier
-    arrival and a weakly lower cost; revisiting a vertex along a walk is
-    therefore always rejected, so reconstructed witnesses are simple paths.
+    ``seeds`` are the first steps as ``(key, arrival, vertex, edge, time,
+    0)``.  A later step keeps the key (``_KEEP``), adds its traversal time
+    (``_TRAVEL``) or adds one (``_HOP``), and is taken only when it arrives
+    by ``cap``; a state that arrives past tau has no departures.  Keys and
+    arrivals never decrease along a walk, so states pop in (key, arrival)
+    order: a vertex's front grows by ascending key and strictly descending
+    arrival, and a state is kept and expanded only when it arrives before
+    every earlier one there.  A walk back to a vertex is never kept, so the
+    front entries ``(key, arrival, chain)`` carry simple paths as linked
+    step lists (see ``_chain_path``).  With ``until`` the search stops once
+    each of those vertices has its least-key state (the set is consumed).
     """
-    root = _State(source, 1, 0, None)
-    frontier: dict[int, list[_State]] = {source: [root]}
-    queue: deque[_State] = deque()
-    queue.append(root)
-
-    def try_add(state: _State) -> bool:
-        states = frontier.setdefault(state.vertex, [])
-        for s in states:
-            if s.arrival <= state.arrival and s.cost <= state.cost:
-                return False
-        states[:] = [
-            s for s in states if not (state.arrival <= s.arrival and state.cost <= s.cost)
-        ]
-        states.append(state)
-        return True
-
-    while queue:
-        cur = queue.popleft()
-        if cur not in frontier.get(cur.vertex, []):
+    adjacency = graph.adjacency
+    best = [_NEVER] * graph.vertex_count
+    for v in closed:
+        best[v] = -1  # every arrival is dominated: never entered
+    fronts: list[list] = [[] for _ in range(graph.vertex_count)]
+    # Chains of the kept states; a heap entry names its parent's chain by index,
+    # so the heap never compares two chains.
+    chains: list[tuple | None] = [None]
+    travel = step == _TRAVEL
+    hop = 1 if step == _HOP else 0
+    heap = list(seeds)
+    heapq.heapify(heap)
+    pop = heapq.heappop
+    push = heapq.heappush
+    while heap:
+        key, arrival, x, e, t, parent = pop(heap)
+        if arrival >= best[x]:
             continue
-        for e, w_v in graph.incident(cur.vertex):
-            for t, arrival in table.candidates(e, cur.arrival):
-                nxt = _State(
-                    w_v,
-                    arrival,
-                    cur.cost + (1 if hop_cost else arrival - t),
-                    (e, t, cur.steps),
-                )
-                if try_add(nxt):
-                    queue.append(nxt)
-    return frontier
+        best[x] = arrival
+        chain = (e, t, chains[parent])
+        fronts[x].append((key, arrival, chain))
+        if until is not None:
+            until.discard(x)
+            if not until:
+                break
+        here = len(chains)
+        chains.append(chain)
+        base = key + hop
+        for e, y in adjacency[x]:
+            if best[y] <= arrival:
+                continue  # no step from here can arrive earlier
+            for t, reach in table.candidates(e, arrival):
+                if reach < best[y] and reach <= cap:
+                    push(heap, (base + reach - t if travel else base, reach, y, e, t, here))
+    return fronts
+
+
+def _cost_fronts(graph: StaticGraph, table: CandidateTable, source: int,
+                 measure: Measure, until: set[int] | None = None) -> list[list]:
+    """``_fronts`` keyed by travel (shortest travel) or by hops (minimum
+    hop) over the walks from ``source``, starting at time 1, that never
+    re-enter it.  A vertex's first entry has its least cost and, among the
+    paths of that cost, the earliest arrival."""
+    travel = measure is Measure.SHORTEST_TRAVEL
+    seeds = [
+        (reach - t if travel else 1, reach, w, e, t, 0)
+        for e, w in graph.adjacency[source]
+        for t, reach in table.candidates(e, 1)
+    ]
+    return _fronts(graph, table, (source,), seeds, _TRAVEL if travel else _HOP, until)
 
 
 # ---------------------------------------------------------------------------
@@ -367,13 +385,12 @@ def _search(graph, table, source, measure: Measure, targets=None):
     ``values[v]`` is measure(source, v), None for the source and for
     unreached vertices; ``witnesses(vertices)`` maps each given reached
     vertex to a realizing path.  ``targets`` (default: every vertex) only
-    lets the latest-departure probes stop early.
+    lets the latest-departure probes and the shortest-travel and
+    minimum-hop front searches stop early.
     """
     if measure is Measure.EARLIEST_ARRIVAL:
         arrivals, parents = earliest_arrival(graph, table, source)
-        return arrivals, lambda vs: {
-            v: _path_from_parents(graph, parents, source, v) for v in vs
-        }
+        return arrivals, lambda vs: _parent_paths(graph, parents, source, vs)
     if measure is Measure.LATEST_DEPARTURE:
         if targets is None:
             targets = range(graph.vertex_count)
@@ -385,14 +402,9 @@ def _search(graph, table, source, measure: Measure, targets=None):
     if measure is Measure.MIN_WAIT:
         best = _min_wait_run(graph, table, source)
     elif measure in (Measure.SHORTEST_TRAVEL, Measure.MIN_HOP):
-        frontier = _pareto_run(
-            graph, table, source, hop_cost=measure is Measure.MIN_HOP
-        )
-        best = {}
-        for v, states in frontier.items():
-            if v != source and states:
-                winner = min(states, key=lambda s: (s.cost, s.arrival))
-                best[v] = (winner.cost, winner.steps)
+        until = None if targets is None else set(targets)
+        fronts = _cost_fronts(graph, table, source, measure, until)
+        best = {v: (front[0][0], front[0][2]) for v, front in enumerate(fronts) if front}
     else:
         raise ValidationError(f"unhandled measure {measure}")
     values = [None] * graph.vertex_count
@@ -474,27 +486,15 @@ def objective(
     earliest arrival reads its values from those searches.
     """
     _check_quota(instance, labeling)
-    return _table_objective(instance, CandidateTable(labeling, instance.traversal), measure)
-
-
-def _table_objective(
-    instance: Instance, table: CandidateTable, measure: Measure
-) -> int | None:
-    """``objective`` over a candidate table that is already built."""
-    arrivals = _feasible_arrivals(instance, table)
-    if arrivals is None:
-        return None
-    if measure is Measure.EARLIEST_ARRIVAL:
-        values = [a for s, row in arrivals.items() for v, a in enumerate(row) if v != s]
-    else:
-        values = _pair_values(instance, table, measure).values()
-    return _worst(measure, values)
+    pairs = _table_pairs(instance, CandidateTable(labeling, instance.traversal), measure)
+    return None if pairs is None else _worst(measure, pairs.values())
 
 
 def _table_pairs(
     instance: Instance, table: CandidateTable, measure: Measure
 ) -> dict[tuple[int, int], int | None] | None:
-    """The pair values ``_table_objective`` takes the worst of, or None."""
+    """The pair values ``objective`` takes the worst of over a candidate
+    table that is already built, or None when the schedule is infeasible."""
     arrivals = _feasible_arrivals(instance, table)
     if arrivals is None:
         return None
@@ -516,50 +516,6 @@ def _feasible_arrivals(instance: Instance, table: CandidateTable) -> dict | None
 
 # ---------------------------------------------------------------------------
 # FT/MW bound quantities on the full temporal graph
-
-
-def _fronts(graph: StaticGraph, table: CandidateTable, source: int, target: int,
-            seeds: list[tuple[int, int, int]], add_travel: bool,
-            until: set[int] | None = None) -> list[list]:
-    """Per-vertex Pareto fronts of (key, arrival), both minimized, over the
-    temporal walks from ``source`` that avoid ``target``, never re-enter
-    ``source`` and arrive everywhere by tau (full temporal graph).
-
-    ``seeds`` are the first steps as (key, arrival, vertex).  A later step
-    keeps the key (the first departure) or, with ``add_travel``, adds its
-    traversal time (first departure + travel).  Keys and arrivals never
-    decrease along a walk, so states pop in (key, arrival) order: a vertex's
-    front grows by ascending key and strictly descending arrival, and a
-    state is expanded only when it arrives before every earlier one there.
-    With ``until`` the search stops once each of those vertices has its
-    least-key state (the set is consumed).
-    """
-    adjacency = graph.adjacency
-    tau = table.tau
-    best = [_NEVER] * graph.vertex_count
-    best[source] = best[target] = -1  # every arrival is dominated: never entered
-    fronts: list[list] = [[] for _ in range(graph.vertex_count)]
-    heap = list(seeds)
-    heapq.heapify(heap)
-    pop = heapq.heappop
-    push = heapq.heappush
-    while heap:
-        key, arrival, x = pop(heap)
-        if arrival >= best[x]:
-            continue
-        best[x] = arrival
-        fronts[x].append((key, arrival))
-        if until is not None:
-            until.discard(x)
-            if not until:
-                break
-        for e, y in adjacency[x]:
-            if best[y] <= arrival:
-                continue  # no step from here can arrive earlier
-            for t, reach in table.candidates(e, arrival):
-                if reach < best[y] and reach <= tau:
-                    push(heap, (key + reach - t if add_travel else key, reach, y))
-    return fronts
 
 
 def _max_stats(graph: StaticGraph, table: CandidateTable, source: int):
@@ -585,12 +541,13 @@ def _max_stats(graph: StaticGraph, table: CandidateTable, source: int):
         for t, _ in departures[e]:
             starts.update((t, t + 1))
     seeds = [
-        (t0, reach, w)
+        (t0, reach, w, e, t0, 0)
         for e, w in adjacency[source]
         for t0 in sorted(starts)
         if t0 <= tau and (reach := t0 + overrides[e].get(t0, defaults[e])) <= tau
     ]
-    cost_seeds = [(reach, reach, w) for _, reach, w in seeds]  # t0 + travel = arrival
+    # t0 + travel = arrival
+    cost_seeds = [(reach, reach, w, e, t0, 0) for t0, reach, w, e, _, _ in seeds]
     last_default = []  # per edge, the latest default-weight time (0 if none)
     for per_edge in overrides:
         t = tau
@@ -611,9 +568,9 @@ def _max_stats(graph: StaticGraph, table: CandidateTable, source: int):
     for v in range(graph.vertex_count):
         if v == source:
             continue
-        by_start = _fronts(graph, table, source, v, seeds, False)
-        by_cost = _fronts(graph, table, source, v, cost_seeds, True,
-                          until={u for _, u in adjacency[v] if u != source})
+        by_start = _fronts(graph, table, (source, v), seeds, _KEEP, cap=tau)
+        by_cost = _fronts(graph, table, (source, v), cost_seeds, _TRAVEL,
+                          until={u for _, u in adjacency[v] if u != source}, cap=tau)
         durations, waits = [], []
         for e, u in adjacency[v]:
             if u == source:
@@ -623,7 +580,7 @@ def _max_stats(graph: StaticGraph, table: CandidateTable, source: int):
                 durations.append(max(weights))
                 waits.append(0)
             elif by_start[u]:
-                durations.extend(last_arrival(e, a) - t0 for t0, a in by_start[u])
+                durations.extend(last_arrival(e, a) - t0 for t0, a, _ in by_start[u])
                 waits.append(tau - by_cost[u][0][0])
         if durations:
             max_dur[v] = max(durations)

@@ -51,7 +51,6 @@ from tmbcast.distances import (
     DistanceResult,
     Measure,
     _pair_values,
-    _table_objective,
     _table_pairs,
     _worst,
     ft_mw_bounds,
@@ -374,18 +373,15 @@ def brute_force(
     table = [choices[0] if len(choices) == 1 else horizon for choices in per_edge]
     free = [e for e, choices in enumerate(per_edge) if len(choices) > 1]
 
-    def evaluate(leaf: bool) -> tuple[int | None, dict | None]:
-        """The table's value and, at a leaf, its pair values."""
-        candidates = CandidateTable(table, trav)
-        if not leaf:
-            return _table_objective(instance, candidates, measure), None
-        pairs = _table_pairs(instance, candidates, measure)
+    def evaluate() -> tuple[int | None, dict | None]:
+        """The table's value and its pair values."""
+        pairs = _table_pairs(instance, CandidateTable(table, trav), measure)
         return (None if pairs is None else _worst(measure, pairs.values())), pairs
 
     best_value: int | None = None
     best_table: tuple | None = None
     best_pairs: dict | None = None
-    ceiling, pairs = evaluate(not free)
+    ceiling, pairs = evaluate()
     if ceiling is not None and not free:
         best_value, best_table, best_pairs = ceiling, tuple(table), pairs
     # nxt[d] is the index of the next subset to try on edge free[d].
@@ -401,7 +397,7 @@ def brute_force(
         nxt[depth] = i + 1
         table[e] = per_edge[e][i]
         leaf = depth + 1 == len(free)
-        bound, pairs = evaluate(leaf)
+        bound, pairs = evaluate()
         if bound is None or (
             best_value is not None and not measure.better(bound, best_value)
         ):

@@ -4,6 +4,9 @@ constructors validated in bulk and the parsed document kept its model:
 they build, and the ``__post_init__`` bodies of ``StaticGraph``,
 ``TraversalSpec``, ``Labeling``, ``Instance`` and ``ReachFastInstance``
 (with ``_check_times``), on subclasses of the library's model classes.
+``ReachFastInstance`` also makes the two checks of ``Instance`` it lacked
+(at least two vertices, override times within tau), at the same places in
+its order, because both formulations now share those checks.
 
 ``test_loader.py`` holds the library to it: the same models for every
 document or constructor input it accepts, and the same exception class and
@@ -123,6 +126,9 @@ class ReachFastInstance(core.ReachFastInstance):
         object.__setattr__(self, "sources", frozenset(self.sources))
         if self.tau < 1:
             raise ValidationError("tau must be positive")
+        if self.graph.vertex_count < 2:
+            # Objectives range over (source, other vertex) pairs.
+            raise ValidationError("instance needs at least two vertices")
         if not self.sources:
             raise ValidationError("instance needs at least one source")
         for s in self.sources:
@@ -133,6 +139,10 @@ class ReachFastInstance(core.ReachFastInstance):
         _check_times(self.labels.times_by_edge, self.tau, "label")
         if len(self.traversal.defaults) != self.graph.edge_count:
             raise ValidationError("traversal must cover every edge")
+        for e, items in enumerate(self.traversal.overrides):
+            for t, _ in items:
+                if t > self.tau:
+                    raise ValidationError(f"override time {t} on edge {e} beyond tau")
 
 
 @dataclass(frozen=True)

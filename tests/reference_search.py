@@ -7,6 +7,12 @@ differential tests can compare old and new.
   the iterative ``distances._min_wait_run``;
 * ``_max_stats_run``, a depth-first search over every simple static path, by
   the per-target Pareto searches of ``distances._max_stats``;
+* ``_pareto_run``, a FIFO label-correcting search over per-vertex Pareto
+  sets of ``_State`` objects, and ``st_mh_search``, the shortest-travel and
+  minimum-hop branch of ``distances._search`` that read it, by the front
+  search ``distances._fronts``;
+* ``_path_from_parents``, which walked a parent forest into a path, by
+  ``distances._parent_chain`` and ``distances._chain_path``;
 * ``build_ld_tsot`` (with its ``_latest_departures``), which re-ran the
   winning probe of every vertex it admitted, by the one-pass
   ``tsot.build_ld_tsot``;
@@ -24,6 +30,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from bisect import bisect_left
+from collections import deque
 from typing import Iterable, Iterator, Union
 
 from tmbcast.core import (
@@ -35,6 +42,7 @@ from tmbcast.core import (
     ReachFastInstance,
     SearchSpaceTooLarge,
     StaticGraph,
+    TemporalPath,
     TraversalSpec,
     Unreachable,
     _reaches_all,
@@ -44,7 +52,6 @@ from tmbcast.distances import (
     Measure,
     _first_departure_times,
     _pair_values,
-    _path_from_parents,
     _worst,
 )
 from tmbcast.solvers import (
@@ -250,6 +257,83 @@ def _max_stats_run(graph: StaticGraph, avail: FullAvailability, trav: TraversalS
     # departure 0 / arrival 0 mark "no step taken yet"
     visit(source, [(0, 0)], [(0, 0)])
     return max_dur, max_wait
+
+
+def _path_from_parents(graph: StaticGraph, parents: list, source: int, v: int) -> TemporalPath:
+    steps = []
+    while v != source:
+        v, e, t = parents[v]
+        steps.append((e, t))
+    return TemporalPath.from_steps(graph, source, steps[::-1])
+
+
+class _State:
+    __slots__ = ("vertex", "arrival", "cost", "steps")
+
+    def __init__(self, vertex, arrival, cost, steps):
+        self.vertex = vertex
+        self.arrival = arrival
+        self.cost = cost
+        self.steps = steps  # linked (edge, time, previous steps), see _chain_path
+
+
+def _pareto_run(
+    graph: StaticGraph,
+    table: CandidateTable,
+    source: int,
+    hop_cost: bool,
+):
+    """Label-correcting search keeping per-vertex Pareto sets of (arrival, cost).
+
+    A new state is kept only if no recorded state has both a weakly earlier
+    arrival and a weakly lower cost; revisiting a vertex along a walk is
+    therefore always rejected, so reconstructed witnesses are simple paths.
+    """
+    root = _State(source, 1, 0, None)
+    frontier: dict[int, list[_State]] = {source: [root]}
+    queue: deque[_State] = deque()
+    queue.append(root)
+
+    def try_add(state: _State) -> bool:
+        states = frontier.setdefault(state.vertex, [])
+        for s in states:
+            if s.arrival <= state.arrival and s.cost <= state.cost:
+                return False
+        states[:] = [
+            s for s in states if not (state.arrival <= s.arrival and state.cost <= s.cost)
+        ]
+        states.append(state)
+        return True
+
+    while queue:
+        cur = queue.popleft()
+        if cur not in frontier.get(cur.vertex, []):
+            continue
+        for e, w_v in graph.incident(cur.vertex):
+            for t, arrival in table.candidates(e, cur.arrival):
+                nxt = _State(
+                    w_v,
+                    arrival,
+                    cur.cost + (1 if hop_cost else arrival - t),
+                    (e, t, cur.steps),
+                )
+                if try_add(nxt):
+                    queue.append(nxt)
+    return frontier
+
+
+def st_mh_search(graph: StaticGraph, table: CandidateTable, source: int, measure: Measure):
+    """{vertex: (cost, steps)} of the shortest-travel or minimum-hop search,
+    the branch of ``distances._search`` over ``_pareto_run``."""
+    frontier = _pareto_run(
+        graph, table, source, hop_cost=measure is Measure.MIN_HOP
+    )
+    best = {}
+    for v, states in frontier.items():
+        if v != source and states:
+            winner = min(states, key=lambda s: (s.cost, s.arrival))
+            best[v] = (winner.cost, winner.steps)
+    return best
 
 
 def _latest_departures(

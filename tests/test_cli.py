@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from tmbcast.cli import main
+from tmbcast.core import ValidationError
 from tmbcast.fileformat import (
     parse_instance,
     parse_instance_document,
@@ -268,6 +269,26 @@ def test_convert_round_trip(capsys, tmp_path, network):
     assert parse_instance(back_file.read_text()) == parse_instance(
         network.read_text()
     )
+
+
+def test_reachfast_override_past_tau_is_rejected_at_load(capsys, tmp_path, network):
+    rf_file = tmp_path / "rf.json"
+    code, _, _ = run(
+        capsys, "convert", "--to", "reachfast",
+        "--in", str(network), "--out", str(rf_file),
+    )
+    assert code == 0
+    payload = json.loads(rf_file.read_text())
+    payload["overrides"].append([0, 19, 1])  # tau is 14
+    rf_file.write_text(json.dumps(payload))
+    with pytest.raises(ValidationError, match="override time 19 on edge 0 beyond tau"):
+        parse_instance_document(rf_file.read_text())
+    for command in (["convert", "--to", "tmb"], ["export-dot"]):
+        out = tmp_path / "out"
+        code, payload, err = run(capsys, *command, "--in", str(rf_file), "--out", str(out))
+        assert (code, payload) == (3, None)
+        assert "override time 19 on edge 0 beyond tau" in err
+        assert not out.exists()
 
 
 def test_distance_with_witness(capsys, network):

@@ -1,8 +1,9 @@
 """Differential tests of the earliest-arrival kernel, the minimum-waiting
-search, the certificate maxima, the latest-departure tree, the
-nonseparating-path search and the branch-and-bound oracle against the code
-they replaced (``reference_search``), and of reachability against
-exhaustive enumeration."""
+search, the shortest-travel and minimum-hop front search, the certificate
+maxima, the latest-departure tree, the nonseparating-path search and the
+branch-and-bound oracle against the code they replaced
+(``reference_search``), and of reachability against exhaustive
+enumeration."""
 
 from __future__ import annotations
 
@@ -21,9 +22,18 @@ from tmbcast.core import (
     TraversalSpec,
     Unreachable,
     earliest_arrival,
+    path_stats,
     reaches_all,
+    validate_path,
 )
-from tmbcast.distances import Measure, _chain_path, _max_stats, _min_wait_run
+from tmbcast.distances import (
+    Measure,
+    _chain_path,
+    _cost_fronts,
+    _max_stats,
+    _min_wait_run,
+    _search,
+)
 from tmbcast.reductions import find_nonseparating_path
 from tmbcast.solvers import brute_force
 from tmbcast.tsot import build_ld_tsot
@@ -101,6 +111,39 @@ def test_min_wait_matches_reference(case):
         for v, (waiting, steps) in best.items()
     }
     assert got == reference._min_wait_run(graph, availability, traversal, source)
+
+
+# A zero-weight triangle, an arrival past tau on the full temporal graph,
+# and a labeling that leaves an edge without labels.
+@example((StaticGraph(3, ((0, 1), (0, 2), (1, 2))), TraversalSpec.uniform(3, 0),
+          FullAvailability(2), 0, None))
+@example((StaticGraph(3, ((0, 1), (1, 2))), TraversalSpec.from_maps([1, 4], {0: {2: 0}}),
+          FullAvailability(3), 0, None))
+@example((StaticGraph(3, ((0, 1), (1, 2))), TraversalSpec.uniform(2, 1),
+          Labeling(((1,), ())), 0, None))
+@settings(max_examples=300, deadline=None)
+@given(searches())
+def test_st_mh_match_reference(case):
+    graph, traversal, availability, source, _ = case
+    table = CandidateTable(availability, traversal)
+    for measure in (Measure.SHORTEST_TRAVEL, Measure.MIN_HOP):
+        fronts = _cost_fronts(graph, table, source, measure)
+        frontier = reference._pareto_run(graph, table, source, measure is Measure.MIN_HOP)
+        assert {v: [(k, a) for k, a, _ in front] for v, front in enumerate(fronts) if front} == {
+            v: sorted((s.cost, s.arrival) for s in states)
+            for v, states in frontier.items() if v != source and states
+        }
+        values, witnesses = _search(graph, table, source, measure)
+        want = reference.st_mh_search(graph, table, source, measure)
+        assert {v: x for v, x in enumerate(values) if x is not None} == {
+            v: cost for v, (cost, _) in want.items()
+        }
+        for v, path in witnesses(list(want)).items():
+            assert path.endpoints == (source, v)
+            # Simple, on available times, and time-respecting.
+            assert validate_path(path, availability, traversal, graph)
+            assert measure.statistic(path_stats(path, traversal)) == values[v]
+            assert _search(graph, table, source, measure, targets=(v,))[0][v] == values[v]
 
 
 @settings(max_examples=200, deadline=None)

@@ -278,11 +278,9 @@ FAULTS = {
     "multiplicity 0": _fault("multiplicity", 3, 0),
     "override past tau": _fault("overrides", 7, 1, 999),
 }
-# Checks of the tmb formulation; a reachfast instance has no multiplicity,
-# may have one vertex, and does not bound its override times by tau.
+# Checks of the tmb formulation; a reachfast instance has no multiplicity.
 TMB_ONLY = {
     "multiplicity not a number", "multiplicity of nine edges", "multiplicity 0",
-    "one vertex", "override past tau",
 }
 REACHFAST_FAULTS = {
     "labels of nine edges": lambda d: d["labels"].pop(),
