@@ -736,16 +736,21 @@ def earliest_arrival(
     table: CandidateTable,
     source: Vertex,
     first_time: Time | None = None,
+    start: Time = 1,
+    stop: Vertex | None = None,
 ) -> tuple[list[Time | None], list[tuple[Vertex, Edge, Time] | None]]:
     """Earliest arrival at every vertex from ``source``: (arrivals, parents).
 
     Dijkstra over (arrival, vertex), relaxing edges in adjacency order.  The
-    walk starts at time 1; with ``first_time`` its first step departs
-    exactly then.  ``arrivals[v]`` is None for the source and for unreached
-    vertices; ``parents[v]`` is ``(previous vertex, edge, departure)``, and
-    the parent forest realizes the arrivals.  Within an edge the departure
-    is the first of ``table.candidates`` with the least arrival; the scan
-    stops once a departure time reaches the best arrival so far.
+    walk starts at time ``start`` (1 by default), so its first step departs
+    then or later; with ``first_time`` its first step departs exactly then.
+    No walk re-enters the source.  ``arrivals[v]`` is None for the source
+    and for unreached vertices; ``parents[v]`` is ``(previous vertex, edge,
+    departure)``, and the parent forest realizes the arrivals.  Within an
+    edge the departure is the first of ``table.candidates`` with the least
+    arrival; the scan stops once a departure time reaches the best arrival
+    so far.  With ``stop`` the run ends once that vertex is settled: its
+    arrival and its path in the forest are final, other entries may not be.
     """
     n = graph.vertex_count
     adjacency = graph.adjacency
@@ -759,7 +764,7 @@ def earliest_arrival(
     done = [False] * n
     heap: list[tuple[Time, Vertex]] = []
     if first_time is None:
-        heap.append((1, source))
+        heap.append((start, source))
     else:
         done[source] = True
         if not full or 1 <= first_time <= tau:
@@ -784,8 +789,8 @@ def earliest_arrival(
             continue
         done[u] = True
         unsettled -= 1
-        if not unsettled:
-            break  # nothing left to improve
+        if not unsettled or u == stop:
+            break  # nothing left to improve, or nothing more wanted
         if full and now > tau:
             continue
         for e, w in adjacency[u]:

@@ -3,12 +3,20 @@
 Every search reads one ``core.CandidateTable``, built once per availability
 and shared by every source and probe:
 
-* earliest arrival: one run of the kernel ``core.earliest_arrival``;
-* latest departure: kernel runs whose first step departs at an exact time,
-  probing candidate first departures latest first until every wanted
-  vertex is reached;
-* fastest (min duration): the same probes over every candidate first
-  departure, minimizing arrival minus departure;
+* earliest arrival: one run of the kernel ``core.earliest_arrival``,
+  stopped at the target when there is one;
+* latest departure: for every vertex, kernel runs whose first step departs
+  at an exact time, probing candidate first departures latest first until
+  every wanted vertex is reached;
+* fastest (min duration): for every vertex, the same probes over every
+  candidate first departure, minimizing arrival minus departure;
+* latest departure and fastest for one target: a few kernel runs whose
+  walks may start at any candidate from a given time on, stopped at the
+  target.  Waiting is allowed, so their arrival F(t0) never decreases as
+  the start t0 grows (FIFO; Dean, "Shortest paths in FIFO time-dependent
+  networks", 2004).  Latest departure bisects for the last finite F, and
+  fastest sweeps the candidates, skipping those that F bounds out (see
+  ``_fastest_to``);
 * shortest travel / minimum hop: the front search ``_fronts`` keyed by the
   cost (travel or hops), whose first kept state at a vertex has the least
   cost and then the earliest arrival;
@@ -33,17 +41,18 @@ witness is a linked step list ``(edge, time, previous)`` (see
 ``_chain_path``): the front search links the states it keeps, a
 latest-departure witness comes from the probe that found its vertex, and an
 earliest-arrival or fastest witness from the parent forest of its kernel
-run (a fastest witness re-runs the probe that attained the value; the
-kernel is deterministic), so no probe's parents outlive it.
+run (a fastest witness, or a one-target latest-departure one, re-runs the
+probe that attained the value; the kernel is deterministic), so no probe's
+parents outlive it.
 """
 
 from __future__ import annotations
 
 import heapq
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from tmbcast.core import (
     Availability,
@@ -140,10 +149,11 @@ class Bounds:
 
 def _first_departure_times(
     graph: StaticGraph, table: CandidateTable, source: int
-) -> list[int]:
-    """Distinct times at which some edge incident to ``source`` is available."""
+) -> Sequence[int]:
+    """Distinct times at which some edge incident to ``source`` is available,
+    ascending."""
     if table.tau is not None:
-        return list(range(1, table.tau + 1)) if graph.incident(source) else []
+        return range(1, table.tau + 1) if graph.incident(source) else []
     out: set[int] = set()
     for e, _ in graph.incident(source):
         out.update(t for t, _ in table.departures[e])
@@ -218,6 +228,75 @@ def _probe_paths(graph, table, source, start, vertices) -> dict[int, TemporalPat
         _, parents = earliest_arrival(graph, table, source, t0)
         paths.update(_parent_paths(graph, parents, source, group))
     return paths
+
+
+def _free_run(graph, table, source: int, target: int, start: int):
+    """(arrival, first departure): the earliest arrival at ``target`` over
+    the walks from ``source`` whose first step departs at ``start`` or
+    later, F(start), and the first departure of the run's path there;
+    (None, None) when there is no such walk.
+
+    F never decreases as ``start`` grows, and the path's first departure
+    ``t'`` attains it: ``t' >= start`` and F(t') = F(start), so the exact
+    probe at ``t'`` arrives at F(start) too.
+    """
+    arrivals, parents = earliest_arrival(graph, table, source, start=start, stop=target)
+    if arrivals[target] is None:
+        return None, None
+    v = target
+    while parents[v][0] != source:
+        v = parents[v][0]
+    return arrivals[target], parents[v][2]
+
+
+def _latest_departure_to(graph, table, source: int, target: int) -> int | None:
+    """ld(source, target): the latest candidate first departure whose probe
+    reaches ``target``, or None.
+
+    That is the latest candidate ``t0`` with F(t0) finite (see
+    ``_free_run``), found by bisection: a finite run's first departure is a
+    candidate that reaches the target, so it becomes the lower end.
+    """
+    times = _first_departure_times(graph, table, source)
+    if not times:
+        return None
+    arrival, first = _free_run(graph, table, source, target, times[0])
+    if arrival is None:
+        return None
+    lo, hi = bisect_left(times, first), len(times) - 1
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        arrival, first = _free_run(graph, table, source, target, times[mid])
+        if arrival is None:
+            hi = mid - 1
+        else:
+            lo = bisect_left(times, first)
+    return times[lo]
+
+
+def _fastest_to(graph, table, source: int, target: int):
+    """(duration, first departure) of ft(source, target) with ``_fastest``'s
+    tie-break, the earliest first departure attaining the least duration;
+    (None, None) when the target is unreached.
+
+    A sweep over the candidate first departures, pruned by bounds: the run
+    from ``t`` gives the exact duration F(t) - t' of its path's first
+    departure ``t'`` (see ``_free_run``), and every departure ``t''`` after
+    ``t`` takes at least F(t) - t''.  So every candidate up to F(t) - best
+    is slower than the best so far, or ties it later, and the sweep skips
+    to the first candidate past that; an unreached target ends it.
+    """
+    times = _first_departure_times(graph, table, source)
+    best = start = None
+    i = 0
+    while i < len(times):
+        arrival, first = _free_run(graph, table, source, target, times[i])
+        if arrival is None:
+            break  # no later first departure reaches the target either
+        if best is None or arrival - first < best:
+            best, start = arrival - first, first
+        i = bisect_right(times, arrival - best)  # arrival - best >= first >= times[i]
+    return best, start
 
 
 def _parent_paths(graph, parents, source, vertices) -> dict[int, TemporalPath]:
@@ -379,21 +458,28 @@ def _chain_path(graph: StaticGraph, source: int, chain: tuple) -> TemporalPath:
 # Public distance operations
 
 
+_ONE_TARGET = (Measure.EARLIEST_ARRIVAL, Measure.LATEST_DEPARTURE, Measure.FASTEST)
+
+
 def _search(graph, table, source, measure: Measure, targets=None):
     """(values, witnesses) of one source.
 
     ``values[v]`` is measure(source, v), None for the source and for
     unreached vertices; ``witnesses(vertices)`` maps each given reached
-    vertex to a realizing path.  ``targets`` (default: every vertex) only
+    vertex to a realizing path.  ``targets`` (default: every other vertex)
     lets the latest-departure probes and the shortest-travel and
-    minimum-hop front searches stop early.
+    minimum-hop front searches stop early.  With a single target, earliest
+    arrival, latest departure and fastest answer for that vertex alone
+    (``_search_one``).
     """
+    if targets is not None and len(targets) == 1 and measure in _ONE_TARGET:
+        return _search_one(graph, table, source, measure, *targets)
     if measure is Measure.EARLIEST_ARRIVAL:
         arrivals, parents = earliest_arrival(graph, table, source)
         return arrivals, lambda vs: _parent_paths(graph, parents, source, vs)
     if measure is Measure.LATEST_DEPARTURE:
         if targets is None:
-            targets = range(graph.vertex_count)
+            targets = [v for v in range(graph.vertex_count) if v != source]
         value, chains = _latest_departures(graph, table, source, targets)
         return value, lambda vs: {v: _chain_path(graph, source, chains[v]) for v in vs}
     if measure is Measure.FASTEST:
@@ -411,6 +497,36 @@ def _search(graph, table, source, measure: Measure, targets=None):
     for v, (value, _) in best.items():
         values[v] = value
     return values, lambda vs: {v: _chain_path(graph, source, best[v][1]) for v in vs}
+
+
+def _search_one(graph, table, source, measure: Measure, target: int):
+    """``_search`` for the one target of an earliest-arrival,
+    latest-departure or fastest query; every other value is None.
+
+    Earliest arrival is one kernel run stopped at the target.  Latest
+    departure and fastest take a few runs whose walks may start at any
+    candidate first departure from some time on (``_latest_departure_to``,
+    ``_fastest_to``) in place of one probe per candidate, and the witness
+    comes from the exact probe at the answer's first departure, stopped at
+    the target, which yields the same path as the full probe.
+    """
+    start = parents = None
+    if measure is Measure.EARLIEST_ARRIVAL:
+        arrivals, parents = earliest_arrival(graph, table, source, stop=target)
+        value = arrivals[target]
+    elif measure is Measure.LATEST_DEPARTURE:
+        value = start = _latest_departure_to(graph, table, source, target)
+    else:
+        value, start = _fastest_to(graph, table, source, target)
+    values: list[int | None] = [None] * graph.vertex_count
+    values[target] = value
+
+    def witnesses(vs):
+        probe = parents if start is None else earliest_arrival(
+            graph, table, source, start, stop=target)[1]
+        return _parent_paths(graph, probe, source, vs)
+
+    return values, witnesses
 
 
 def sssp(

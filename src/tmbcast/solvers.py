@@ -231,32 +231,42 @@ def solve_tree(instance: Instance, measure: Measure) -> SolveResult:
     # lies on the u side of the split T - e.  Comparing the source's
     # distances to u and to v classifies the same way, except that
     # zero-weight edges can tie the two distances and mis-bucket the
-    # source, so the split itself is used.
-    def side_of(e: int) -> set[int]:
-        u, _v = graph.endpoints(e)
-        seen = {u}
-        stack = [u]
-        while stack:
-            x = stack.pop()
-            for f, y in graph.incident(x):
-                if f == e or y in seen:
-                    continue
-                seen.add(y)
+    # source, so the split itself is used.  Rooted at vertex 0, the split
+    # is the subtree below the edge and the rest; preorder numbers each
+    # subtree's vertices contiguously, so a source lies in the subtree of
+    # ``c`` exactly when its number falls in ``c``'s range.
+    n = graph.vertex_count
+    lower = [0] * graph.edge_count  # the endpoint farther from vertex 0
+    up = [0] * n  # each vertex's parent; the only neighbour met before it
+    order: list[int] = []
+    number = [0] * n
+    stack = [0]
+    while stack:
+        x = stack.pop()
+        number[x] = len(order)
+        order.append(x)
+        for e, y in graph.incident(x):
+            if y != up[x]:
+                up[y] = x
+                lower[e] = y
                 stack.append(y)
-        return seen
+    size = [1] * n
+    for x in reversed(order[1:]):
+        size[up[x]] += size[x]
 
     table: list[tuple[int, ...]] = []
     for e in range(graph.edge_count):
-        u_side = side_of(e)
-        t1 = 0
-        t2 = 0
+        c = lower[e]
+        first, end = number[c], number[c] + size[c]
+        below = 0
+        above = 0
         for s in sources:
             label = per_source_label[s].times(e)[0]
-            if s in u_side:
-                t1 = max(t1, label)
+            if first <= number[s] < end:
+                below = max(below, label)
             else:
-                t2 = max(t2, label)
-        table.append(tuple(sorted({t for t in (t1, t2) if t > 0})))
+                above = max(above, label)
+        table.append(tuple(sorted({t for t in (below, above) if t > 0})))
     labeling = Labeling(tuple(table))
     return _finish(instance, labeling, measure, regime="tree")
 

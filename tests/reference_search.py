@@ -19,7 +19,13 @@ differential tests can compare old and new.
 * the recursive generator ``nonseparating_paths`` by the iterative
   ``reductions.find_nonseparating_path``;
 * ``brute_force``, which evaluated every labeling of the cross product, by
-  the branch-and-bound ``solvers.brute_force``.
+  the branch-and-bound ``solvers.brute_force``;
+* ``_fastest`` with ``_probe_paths``, and ``_latest_departures_with_chains``
+  (the ``distances._latest_departures`` that records witness chains), which
+  probe every candidate first departure, for one target by the one-target
+  searches ``distances._fastest_to`` and ``distances._latest_departure_to``;
+* ``solve_tree``, which flooded the tree once per edge to find the sources
+  on each side of it, by the ``solvers.solve_tree`` that roots the tree once.
 
 The recursive searches' depth grows with the path length and the depth-first
 ones take exponential time, so only small instances may be given to them.
@@ -39,6 +45,8 @@ from tmbcast.core import (
     FullAvailability,
     Instance,
     Labeling,
+    MultiplicityTooSmall,
+    NotATree,
     ReachFastInstance,
     SearchSpaceTooLarge,
     StaticGraph,
@@ -52,13 +60,18 @@ from tmbcast.distances import (
     Measure,
     _first_departure_times,
     _pair_values,
+    _parent_chain,
+    _parent_paths,
     _worst,
 )
 from tmbcast.solvers import (
+    _EXACT_MEASURES,
     OracleLimits,
     SolveResult,
     SolveStatus,
     _finish,
+    _full_graph_trees,
+    _require_measure,
     search_space_size,
 )
 from tmbcast.reductions import connected_after_removal
@@ -499,3 +512,112 @@ def brute_force(
             regime="oracle",
         )
     return _finish(instance, Labeling(best_table), measure, regime="oracle")
+
+
+def _latest_departures_with_chains(
+    graph: StaticGraph, table: CandidateTable, source: int, targets: Iterable[int]
+) -> tuple[list[int | None], list[tuple | None]]:
+    """(values, chains): the latest first departure from which each target is
+    reachable, and its witness from that probe as a linked step list (see
+    ``_chain_path``).
+
+    Probes candidate first departures latest first until every target is
+    reached; the chains built in one probe share their prefixes, and no
+    probe's parents outlive it.  Entries of unreached vertices and of
+    non-targets stay None.
+    """
+    value: list[int | None] = [None] * graph.vertex_count
+    chains: list[tuple | None] = [None] * graph.vertex_count
+    remaining = set(targets)
+    for t0 in reversed(_first_departure_times(graph, table, source)):
+        if not remaining:
+            break
+        arrivals, parents = earliest_arrival(graph, table, source, t0)
+        found = [v for v in remaining if arrivals[v] is not None]
+        links = {source: None}
+        for v in found:
+            value[v] = t0
+            chains[v] = _parent_chain(parents, links, v)
+        remaining.difference_update(found)
+    return value, chains
+
+
+def _fastest(graph: StaticGraph, table: CandidateTable, source: int):
+    """(durations, first departures): least arrival minus departure per
+    vertex over every candidate first departure, and the earliest first
+    departure attaining it."""
+    duration: list[int | None] = [None] * graph.vertex_count
+    start: list[int | None] = [None] * graph.vertex_count
+    for t0 in _first_departure_times(graph, table, source):
+        arrivals, _ = earliest_arrival(graph, table, source, t0)
+        for v, arrival in enumerate(arrivals):
+            if arrival is not None and (duration[v] is None or arrival - t0 < duration[v]):
+                duration[v] = arrival - t0
+                start[v] = t0
+    return duration, start
+
+
+def _probe_paths(graph, table, source, start, vertices) -> dict[int, TemporalPath]:
+    """Witness paths of ``vertices`` from re-runs of their probes, one run
+    per distinct first departure ``start[v]``."""
+    by_start: dict[int, list[int]] = {}
+    for v in vertices:
+        by_start.setdefault(start[v], []).append(v)
+    paths: dict[int, TemporalPath] = {}
+    for t0, group in by_start.items():
+        _, parents = earliest_arrival(graph, table, source, t0)
+        paths.update(_parent_paths(graph, parents, source, group))
+    return paths
+
+
+def solve_tree(instance: Instance, measure: Measure) -> SolveResult:
+    """Optimal multi-source schedule on trees with multiplicities >= 2.
+
+    Per-source optimal schedules are merged per edge: sources on each side
+    of the edge share one slot, and the slot keeps their latest label.
+    """
+    _require_measure(measure, _EXACT_MEASURES, "solve_tree")
+    graph = instance.graph
+    if not graph.is_tree():
+        raise NotATree("solve_tree needs the underlying graph to be a tree")
+    for e, mu in enumerate(instance.multiplicity):
+        if mu < 2:
+            raise MultiplicityTooSmall(f"edge {e} has multiplicity {mu} < 2")
+    sources = sorted(instance.sources)
+    per_source_label = {
+        s: tree.to_labeling(graph.edge_count)
+        for s, tree in zip(sources, _full_graph_trees(instance, measure))
+    }
+
+    # A source traverses edge {u, v} in direction u -> v exactly when it
+    # lies on the u side of the split T - e.  Comparing the source's
+    # distances to u and to v classifies the same way, except that
+    # zero-weight edges can tie the two distances and mis-bucket the
+    # source, so the split itself is used.
+    def side_of(e: int) -> set[int]:
+        u, _v = graph.endpoints(e)
+        seen = {u}
+        stack = [u]
+        while stack:
+            x = stack.pop()
+            for f, y in graph.incident(x):
+                if f == e or y in seen:
+                    continue
+                seen.add(y)
+                stack.append(y)
+        return seen
+
+    table: list[tuple[int, ...]] = []
+    for e in range(graph.edge_count):
+        u_side = side_of(e)
+        t1 = 0
+        t2 = 0
+        for s in sources:
+            label = per_source_label[s].times(e)[0]
+            if s in u_side:
+                t1 = max(t1, label)
+            else:
+                t2 = max(t2, label)
+        table.append(tuple(sorted({t for t in (t1, t2) if t > 0})))
+    labeling = Labeling(tuple(table))
+    return _finish(instance, labeling, measure, regime="tree")

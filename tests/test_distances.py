@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 import time
 
@@ -192,6 +193,77 @@ def test_sssp_agrees_with_pairwise_distance():
                 if v == s:
                     continue
                 assert vec[v].value == distance(s, v, lab, inst, m).value
+
+
+# ---------------------------------------------------------------------------
+# Work counts: kernel runs do not change from machine to machine.
+
+
+def grid_instance(seed, k, tau):
+    """k x k grid from vertex 0, random default weights 1-3 and three
+    random overrides (weight 0-3) per edge, as in the benchmark's plans."""
+    rng = random.Random(seed)
+    edges = [(v, v + 1) for v in range(k * k) if v % k < k - 1]
+    edges += [(v, v + k) for v in range(k * (k - 1))]
+    defaults = tuple(rng.randint(1, 3) for _ in edges)
+    overrides = tuple(
+        tuple(sorted((t, rng.randint(0, 3)) for t in rng.sample(range(1, tau + 1), 3)))
+        for _ in edges
+    )
+    return Instance(StaticGraph(k * k, tuple(edges)), frozenset({0}),
+                    TraversalSpec(defaults, overrides), (1,) * len(edges), tau)
+
+
+@pytest.fixture
+def kernel_runs(monkeypatch):
+    """One entry per earliest-arrival run made by ``distances``."""
+    import tmbcast.distances as distances
+
+    runs = []
+    kernel = distances.earliest_arrival
+
+    def counting(*args, **kwargs):
+        runs.append((args, kwargs))
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(distances, "earliest_arrival", counting)
+    return runs
+
+
+def test_sssp_latest_departure_stops_at_the_least_value(kernel_runs):
+    inst = grid_instance(400, 10, 400)
+    full = inst.full_availability()
+    values = [r.value for r in sssp(0, full, inst, Measure.LATEST_DEPARTURE)]
+    # Probes run from tau down to the least latest departure and no further:
+    # the source, never reached, does not keep them going.
+    assert len(kernel_runs) == inst.tau - min(v for v in values if v is not None) + 1
+
+
+def test_one_target_distance_runs_few_searches(kernel_runs):
+    inst = grid_instance(401, 10, 400)
+    full = inst.full_availability()
+    target = inst.graph.vertex_count - 1
+    results = {}
+    for measure in (Measure.FASTEST, Measure.LATEST_DEPARTURE, Measure.EARLIEST_ARRIVAL):
+        kernel_runs.clear()
+        results[measure] = distance(0, target, full, inst, measure)
+        results[measure, "runs"] = len(kernel_runs)
+    # The sweep ran one probe per first departure in 1..tau and one for
+    # the witness.
+    assert results[Measure.FASTEST, "runs"] < (inst.tau + 1) / 2
+    assert results[Measure.LATEST_DEPARTURE, "runs"] <= 2 * math.ceil(math.log2(inst.tau)) + 2
+    assert results[Measure.EARLIEST_ARRIVAL, "runs"] == 1
+    for measure in (Measure.FASTEST, Measure.LATEST_DEPARTURE):
+        assert results[measure].value == sssp(0, full, inst, measure)[target].value
+
+
+@pytest.mark.parametrize("measure", [Measure.FASTEST, Measure.LATEST_DEPARTURE])
+def test_one_target_distance_answers_an_unreachable_target_in_one_run(kernel_runs, measure):
+    # The first step arrives at 3, past tau = 2, so vertex 2 is never reached.
+    graph = StaticGraph(3, ((0, 1), (1, 2)))
+    inst = Instance(graph, frozenset({0}), TraversalSpec.uniform(2, 2), (1, 1), 2)
+    assert distance(0, 2, inst.full_availability(), inst, measure).value is None
+    assert len(kernel_runs) == 1
 
 
 # ---------------------------------------------------------------------------

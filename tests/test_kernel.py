@@ -1,7 +1,8 @@
 """Differential tests of the earliest-arrival kernel, the minimum-waiting
-search, the shortest-travel and minimum-hop front search, the certificate
-maxima, the latest-departure tree, the nonseparating-path search and the
-branch-and-bound oracle against the code they replaced
+search, the shortest-travel and minimum-hop front search, the one-target
+fastest and latest-departure searches, the certificate maxima, the
+latest-departure tree, the nonseparating-path search, the tree solver and
+the branch-and-bound oracle against the code they replaced
 (``reference_search``), and of reachability against exhaustive
 enumeration."""
 
@@ -19,6 +20,7 @@ from tmbcast.core import (
     Instance,
     Labeling,
     StaticGraph,
+    TmbError,
     TraversalSpec,
     Unreachable,
     earliest_arrival,
@@ -30,12 +32,14 @@ from tmbcast.distances import (
     Measure,
     _chain_path,
     _cost_fronts,
+    _first_departure_times,
+    _free_run,
     _max_stats,
     _min_wait_run,
     _search,
 )
 from tmbcast.reductions import find_nonseparating_path
-from tmbcast.solvers import brute_force
+from tmbcast.solvers import brute_force, solve_tree
 from tmbcast.tsot import build_ld_tsot
 
 import oracles
@@ -99,6 +103,67 @@ def test_earliest_arrival_matches_reference(case):
     if isinstance(availability, Labeling):
         raw = CandidateTable(availability.times_by_edge, traversal)
         assert raw.departures == table.departures
+
+
+@settings(max_examples=300, deadline=None)
+@given(searches())
+def test_free_start_is_the_least_exact_start_at_or_after_it(case):
+    graph, traversal, availability, source, first_time = case
+    start = 1 if first_time is None else max(first_time, 1)  # walks start at 1 or later
+    table = CandidateTable(availability, traversal)
+    arrivals, _ = earliest_arrival(graph, table, source, start=start)
+    later = [t for t in _first_departure_times(graph, table, source) if t >= start]
+    exact = [reference._ea_run(graph, availability, traversal, source, first_time=t)[0]
+             for t in later]
+    for v in range(graph.vertex_count):
+        want = min((run[v] for run in exact if v in run), default=None)
+        assert arrivals[v] == want
+        if v == source:
+            continue
+        # Stopped at v, the run still settles v's arrival; the first
+        # departure of its path attains it as an exact start.
+        arrival, first = _free_run(graph, table, source, v, start)
+        assert arrival == want
+        if arrival is not None:
+            assert first >= start and exact[later.index(first)][v] == arrival
+
+
+# A source with no edges; a target the source cannot reach; zero-weight
+# edges whose first departures tie; an arrival past tau on the full
+# temporal graph; and a labeling that leaves an edge without labels.
+@example((StaticGraph(3, ((1, 2),)), TraversalSpec.uniform(1, 1), FullAvailability(3), 0, None))
+@example((StaticGraph(4, ((0, 1), (2, 3))), TraversalSpec.uniform(2, 1),
+          Labeling(((1, 2), (1,))), 0, None))
+@example((StaticGraph(3, ((0, 1), (0, 2), (1, 2))), TraversalSpec.uniform(3, 0),
+          FullAvailability(3), 0, None))
+@example((StaticGraph(3, ((0, 1), (1, 2))), TraversalSpec.from_maps([1, 4], {0: {2: 0}}),
+          FullAvailability(3), 0, None))
+@example((StaticGraph(3, ((0, 1), (1, 2))), TraversalSpec.uniform(2, 1),
+          Labeling(((1, 3), ())), 0, None))
+@settings(max_examples=400, deadline=None)
+@given(searches())
+def test_one_target_ft_ld_match_reference(case):
+    graph, traversal, availability, source, _ = case
+    table = CandidateTable(availability, traversal)
+    others = [v for v in range(graph.vertex_count) if v != source]
+    duration, start = reference._fastest(graph, table, source)
+    latest, chains = reference._latest_departures_with_chains(graph, table, source, others)
+    arrivals, parents = earliest_arrival(graph, table, source)
+    want = {
+        Measure.FASTEST: (duration, reference._probe_paths(
+            graph, table, source, start, [v for v in others if duration[v] is not None])),
+        Measure.LATEST_DEPARTURE: (latest, {
+            v: _chain_path(graph, source, chains[v]) for v in others if latest[v] is not None}),
+        Measure.EARLIEST_ARRIVAL: (arrivals, {
+            v: reference._path_from_parents(graph, parents, source, v)
+            for v in others if arrivals[v] is not None}),
+    }
+    for measure, (want_values, want_paths) in want.items():
+        for v in others:
+            values, witnesses = _search(graph, table, source, measure, targets=(v,))
+            assert values[v] == want_values[v]
+            if values[v] is not None:
+                assert witnesses([v])[v] == want_paths[v]
 
 
 @settings(max_examples=200, deadline=None)
@@ -207,6 +272,44 @@ def test_nonseparating_path_matches_reference(data):
     want = next(reference.nonseparating_paths(graph, s1, s2), None)
     assert find_nonseparating_path(graph, s1, s2) == want
 
+
+
+@st.composite
+def tree_instances(draw, max_vertices=8):
+    """Instances on random trees with one to three sources and every
+    multiplicity at least two; weights start at zero and run past tau."""
+    n = draw(st.integers(2, max_vertices))
+    names = draw(st.permutations(range(n)))
+    edges = tuple(
+        tuple(sorted((names[draw(st.integers(0, v - 1))], names[v]))) for v in range(1, n)
+    )
+    tau = draw(st.integers(2, 6))
+    weights = st.integers(0, tau + 2)
+    defaults = [draw(weights) for _ in edges]
+    overrides = {e: draw(st.dictionaries(st.integers(1, tau), weights, max_size=2))
+                 for e in range(len(edges))}
+    sources = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=3))
+    multiplicity = tuple(draw(st.integers(2, tau)) for _ in edges)
+    return Instance(StaticGraph(n, edges), frozenset(sources),
+                    TraversalSpec.from_maps(defaults, overrides), multiplicity, tau)
+
+
+# Zero-weight edges, where distances cannot tell the two sides of an edge
+# apart, with sources on both sides of the middle edge.
+@example(Instance(StaticGraph(4, ((0, 1), (1, 2), (2, 3))), frozenset({0, 3}),
+                  TraversalSpec.uniform(3, 0), (2, 2, 2), 3), Measure.EARLIEST_ARRIVAL)
+@settings(max_examples=300, deadline=None)
+@given(tree_instances(), st.sampled_from([Measure.EARLIEST_ARRIVAL, Measure.LATEST_DEPARTURE]))
+def test_solve_tree_matches_reference(instance, measure):
+    try:
+        want = reference.solve_tree(instance, measure)
+    except TmbError as err:
+        want = type(err)
+    try:
+        got = solve_tree(instance, measure)
+    except TmbError as err:
+        got = type(err)
+    assert got == want
 
 
 @st.composite
