@@ -32,7 +32,6 @@ from tmbcast.core import (
     NotATree,
     NotThreeSat,
     ParseError,
-    ReachFastInstance,
     SameVertex,
     SearchSpaceTooLarge,
     TmbError,
@@ -42,7 +41,7 @@ from tmbcast.core import (
     WrongSourceCount,
     _check_times,
 )
-from tmbcast.distances import Measure, distance, objective, path_stats
+from tmbcast.distances import Measure, distance, objective
 from tmbcast.fileformat import (
     InstanceDocument,
     export_dot,
@@ -68,7 +67,6 @@ from tmbcast.solvers import (
     SolveStatus,
     approx_ft_mw,
     brute_force,
-    pick_regime,
     solve_auto,
 )
 
@@ -176,7 +174,6 @@ def cmd_solve(args) -> None:
     result = None
     regime_error = None
     try:
-        pick_regime(instance, measure)
         result = solve_auto(instance, measure)
     except NoTractableRegime as err:
         regime_error = err
@@ -211,14 +208,9 @@ def cmd_solve(args) -> None:
 
 
 def _limits(args) -> OracleLimits:
-    kwargs = {}
-    if getattr(args, "max_labelings", None) is not None:
-        kwargs["max_labelings"] = args.max_labelings
-    if getattr(args, "max_edges", None) is not None:
-        kwargs["max_edges"] = args.max_edges
-    if getattr(args, "max_tau", None) is not None:
-        kwargs["max_tau"] = args.max_tau
-    return OracleLimits(**kwargs)
+    return OracleLimits(
+        max_edges=args.max_edges, max_tau=args.max_tau, max_labelings=args.max_labelings
+    )
 
 
 def cmd_oracle(args) -> None:
@@ -415,6 +407,11 @@ def build_parser() -> argparse.ArgumentParser:
     def add_measure(p, choices=("ea", "ld", "ft", "st", "mh", "mw")):
         p.add_argument("--measure", required=True, choices=choices)
 
+    def add_limits(p):
+        p.add_argument("--max-labelings", type=int, default=OracleLimits.max_labelings)
+        p.add_argument("--max-edges", type=int, default=OracleLimits.max_edges)
+        p.add_argument("--max-tau", type=int, default=OracleLimits.max_tau)
+
     p = sub.add_parser("solve", help="dispatch to the applicable exact solver")
     add_measure(p)
     p.add_argument("--in", dest="input", required=True)
@@ -423,18 +420,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="fall back to the ft/mw approximation (single source)")
     p.add_argument("--oracle", action="store_true",
                    help="fall back to brute force within limits")
-    p.add_argument("--max-labelings", type=int)
-    p.add_argument("--max-edges", type=int)
-    p.add_argument("--max-tau", type=int)
+    add_limits(p)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("oracle", help="brute-force exact solve within limits")
     add_measure(p)
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--out")
-    p.add_argument("--max-labelings", type=int)
-    p.add_argument("--max-edges", type=int)
-    p.add_argument("--max-tau", type=int)
+    add_limits(p)
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("distance", help="single-pair distance with witness")

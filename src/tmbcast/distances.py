@@ -66,10 +66,9 @@ from tmbcast.core import (
     Unreachable,
     ValidationError,
     _NEVER,
-    _check_quota,
+    _check_labeling,
     _time,
     earliest_arrival,
-    path_stats,
 )
 
 
@@ -599,9 +598,10 @@ def objective(
     None when some source fails to reach some vertex.  One earliest-arrival
     search per source decides that first, stopping at the first source that
     misses a vertex, so an infeasible schedule pays for no measure search;
-    earliest arrival reads its values from those searches.
+    earliest arrival reads its values from those searches.  A labeling
+    ``is_feasible`` rejects raises the same error here.
     """
-    _check_quota(instance, labeling)
+    _check_labeling(instance, labeling)
     pairs = _table_pairs(instance, CandidateTable(labeling, instance.traversal), measure)
     return None if pairs is None else _worst(measure, pairs.values())
 

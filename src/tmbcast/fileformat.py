@@ -195,22 +195,14 @@ def _ints(values: tuple) -> tuple[int, ...]:
     return values if set(map(type, values)) <= {int} else tuple(map(int, values))
 
 
-def _int_columns(rows: list, width: int) -> tuple[tuple[int, ...], ...] | None:
-    """The columns of ``rows`` as ints, or None when some row is not
-    ``width`` values that int() accepts."""
-    columns = _columns(rows, width)
-    if columns is None:
-        return None
-    try:
-        return tuple(map(_ints, columns))
-    except (TypeError, ValueError, OverflowError):
-        return None
-
-
 def _override_table(items: list, edge_count: int, what: str) -> tuple:
     """Per-edge (time, weight) rows of ``[edge, time, weight]`` entries;
     the last entry for an (edge, time) wins."""
-    columns = _int_columns(items, 3)
+    columns = _columns(items, 3)
+    try:
+        columns = None if columns is None else tuple(map(_ints, columns))
+    except (TypeError, ValueError, OverflowError):
+        columns = None
     if columns is None or not _within(columns[0], 0, edge_count - 1):
         # Name the first bad entry; for JSON values one always is.
         for item in items:
@@ -258,12 +250,7 @@ def parse_instance_document(text: str) -> InstanceDocument:
     defaults = _need(payload, "default_weights", list, what)
     overrides_raw = _need(payload, "overrides", list, what)
     try:
-        columns = _int_columns(edges_raw, 2)
-        edges = (
-            tuple(zip(*columns))
-            if columns is not None
-            else tuple((int(u), int(v)) for u, v in edges_raw)
-        )
+        edges = tuple((int(u), int(v)) for u, v in edges_raw)
     except (TypeError, ValueError):
         raise ParseError(f"{what}: edges must be pairs of integers") from None
     table = _override_table(overrides_raw, len(edges), what)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tmbcast.core import (
+    CandidateTable,
     FullAvailability,
     Instance,
     InvalidPath,
@@ -25,6 +27,7 @@ from tmbcast.core import (
 
 import worked_example as fig
 import oracles
+import reference_loader as ref
 
 
 def make_path_instance(n=3, tau=5, mu=1, weights=None):
@@ -70,6 +73,81 @@ def test_tree_detection():
 def test_labeling_rejects_nonpositive_times():
     with pytest.raises(ValidationError):
         Labeling(((0,),))
+
+
+# Edges whose endpoints are not exact ints, or that come as lists, a triple
+# or a one-shot iterable; each case is a function making the edges, so that
+# every constructor gets a fresh iterator.
+GRAPH_CASES = [
+    lambda: ((math.nan, 1),),
+    lambda: ((0, math.nan),),
+    lambda: ((math.nan, math.nan),),
+    lambda: ((math.inf, 1),),
+    lambda: ((1, -math.inf),),
+    lambda: ((True, 0), (1.0, 2)),
+    lambda: ((2, False), (True, 2.0)),
+    lambda: ((True, 1),),
+    lambda: ((0, 1.0), (1, 0)),
+    lambda: ((1.5, 0), (0, 2)),
+    lambda: ((0, "1"),),
+    lambda: [[2, 0], [1, 2]],
+    lambda: [[0, 1, 2]],
+    lambda: iter([(2, 0), (1, 2)]),
+    lambda: (pair for pair in ((0, 1), (1, 0))),
+]
+
+
+@pytest.mark.parametrize("make_edges", GRAPH_CASES)
+def test_graph_matches_the_reference_on_other_values(make_edges):
+    def made(cls):
+        try:
+            graph = cls(3, make_edges())
+        except Exception as err:  # the class and the message are compared
+            return type(err), str(err)
+        return [(type(x), x) for pair in graph.edges for x in pair]
+
+    assert made(StaticGraph) == made(ref.StaticGraph)
+
+
+@pytest.mark.parametrize("make_rows", [
+    lambda: [iter([(2, -1)]), 5],
+    lambda: [iter([(3, 1), (2, 1)]), iter([])],
+    lambda: ["ab", ()],
+])
+def test_traversal_with_odd_rows_matches_the_reference(make_rows):
+    def made(cls):
+        try:
+            return cls((1, 1), make_rows()).overrides
+        except Exception as err:  # the class and the message are compared
+            return type(err), str(err)
+
+    assert made(TraversalSpec) == made(ref.TraversalSpec)
+
+
+def test_traversal_from_other_values_matches_the_exact_int_build():
+    # Floats, numeric strings, bools and list pairs miss the bulk accept
+    # test, so the per-row checks build this table.
+    exact = TraversalSpec((2, 1, 0), (((1, 0), (3, 5)), (), ((2, 1),)))
+    loose = TraversalSpec(
+        [2.0, True, False], [[["3", 5.0], (True, False)], [], [[2.0, True]]]
+    )
+    assert loose == exact
+    assert loose._override_index == exact._override_index
+    assert {type(x) for row in loose._override_index for x in (*row, *row.values())} == {int}
+    assert {type(d) for d in loose.defaults} == {int}
+    tau = 6
+    for e in range(3):
+        for t in range(tau + 2):
+            assert loose.weight(e, t) == exact.weight(e, t)
+            assert type(loose.weight(e, t)) is int
+    for availability in (Labeling(((1, 2, 3), (4,), (2, 6))), FullAvailability(tau)):
+        got = CandidateTable(availability, loose)
+        want = CandidateTable(availability, exact)
+        assert got.departures == want.departures
+        for e in range(3):
+            assert got.available(e) == want.available(e)
+            for lo in range(1, tau + 2):
+                assert got.candidates(e, lo) == want.candidates(e, lo)
 
 
 def test_instance_rejects_a_single_vertex():

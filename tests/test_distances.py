@@ -15,6 +15,8 @@ from tmbcast.core import (
     StaticGraph,
     TraversalSpec,
     Unreachable,
+    ValidationError,
+    is_feasible,
     path_stats,
     validate_path,
 )
@@ -89,6 +91,20 @@ def test_objective_checks_multiplicity():
     inst, _ = single_edge_instance()
     with pytest.raises(MultiplicityViolation):
         objective(inst, Labeling(((1, 2),)), Measure.EARLIEST_ARRIVAL)
+
+
+def test_objective_rejects_what_is_feasible_rejects():
+    # Label 9 lies past tau = 3; (2, 9) also exceeds multiplicity 1, which
+    # is reported first.
+    inst, _ = single_edge_instance(tau=3)
+    for lab, error in ((Labeling(((9,),)), ValidationError),
+                       (Labeling(((2, 9),)), MultiplicityViolation)):
+        with pytest.raises(error) as feasible:
+            is_feasible(inst, lab)
+        for m in ALL_MEASURES:
+            with pytest.raises(error) as got:
+                objective(inst, lab, m)
+            assert str(got.value) == str(feasible.value)
 
 
 def test_objective_none_when_unreachable():
