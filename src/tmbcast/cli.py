@@ -44,6 +44,7 @@ from tmbcast.core import (
 from tmbcast.distances import Measure, distance, objective
 from tmbcast.fileformat import (
     InstanceDocument,
+    _need,
     export_dot,
     parse_cnf,
     parse_instance_document,
@@ -106,7 +107,7 @@ def _emit(payload: dict):
 def _read(path: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         _fail(3, f"cannot read {path}: {err}")
 
 
@@ -331,19 +332,22 @@ def cmd_convert(args) -> None:
 def _rebuild_gadget(doc: InstanceDocument):
     meta = doc.meta or {}
     kind = meta.get("kind")
-    formula = CnfFormula(
-        meta["variable_count"], tuple(tuple(c) for c in meta["cnf"])
-    )
-    if kind == "sat-gadget":
-        params = GadgetParams(
-            Measure.from_code(meta["measure"]), meta["a"], meta.get("b")
-        )
-        return formula, gen_single_source_gadget(formula, params)
+    if kind not in ("sat-gadget", "twosource-gadget"):
+        raise ValidationError("instance file does not carry gadget metadata")
+    what = "gadget metadata"
+    variable_count = _need(meta, "variable_count", int, what)
+    clauses = _need(meta, "cnf", list, what)
+    if not all(isinstance(c, list) and all(isinstance(l, int) for l in c) for c in clauses):
+        raise ParseError(f"{what}: cnf must list clauses of integers")
+    formula = CnfFormula(variable_count, tuple(map(tuple, clauses)))
     if kind == "twosource-gadget":
-        return formula, gen_two_source_gadget(
-            formula, source_count=meta["source_count"]
-        )
-    raise ValidationError("instance file does not carry gadget metadata")
+        source_count = _need(meta, "source_count", int, what)
+        return formula, gen_two_source_gadget(formula, source_count=source_count)
+    measure = Measure.from_code(_need(meta, "measure", str, what))
+    params = GadgetParams(
+        measure, _need(meta, "a", int, what), _need(meta, "b", (int, type(None)), what)
+    )
+    return formula, gen_single_source_gadget(formula, params)
 
 
 def cmd_witness(args) -> None:

@@ -6,13 +6,20 @@ document reproduces it byte for byte.  Parsing checks the JSON shape and
 converts values with int(); the model constructors in ``tmbcast.core``
 validate the structure, once per document, and the parsed document keeps
 the validated model.  Reachability is a solver concern.
+
+Every fault of a document's text raises ``ParseError``: text that is not
+JSON or nests too deeply for the decoder (``RecursionError``), a missing or
+mistyped field, and every value int() rejects with ``TypeError``,
+``ValueError`` or ``OverflowError`` (a string, null, a list, NaN, an
+infinity).  Values that convert but break a model rule raise
+``ValidationError`` from the constructors.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain
 from typing import Any
 
 from tmbcast.core import (
@@ -27,6 +34,9 @@ from tmbcast.core import (
     _within,
 )
 from tmbcast.reductions import CnfFormula, GadgetInstance
+
+# What int() raises on a JSON value it cannot convert.
+_INT_ERRORS = (TypeError, ValueError, OverflowError)
 
 INSTANCE_FORMAT = "tmbcast/instance"
 LABELING_FORMAT = "tmbcast/labeling"
@@ -185,6 +195,8 @@ def _load_json(text: str, what: str) -> dict:
         payload = json.loads(text)
     except json.JSONDecodeError as err:
         raise ParseError(f"{what}: not valid JSON ({err})") from None
+    except RecursionError:
+        raise ParseError(f"{what}: nested too deeply to decode") from None
     if not isinstance(payload, dict):
         raise ParseError(f"{what}: top level must be an object")
     return payload
@@ -195,20 +207,28 @@ def _ints(values: tuple) -> tuple[int, ...]:
     return values if set(map(type, values)) <= {int} else tuple(map(int, values))
 
 
+def _int_values(values: list, what: str) -> tuple[int, ...]:
+    """``values`` through int(); ParseError when one does not convert."""
+    try:
+        return tuple(map(int, values))
+    except _INT_ERRORS as err:
+        raise ParseError(f"{what}: {err}") from None
+
+
 def _override_table(items: list, edge_count: int, what: str) -> tuple:
     """Per-edge (time, weight) rows of ``[edge, time, weight]`` entries;
     the last entry for an (edge, time) wins."""
     columns = _columns(items, 3)
     try:
         columns = None if columns is None else tuple(map(_ints, columns))
-    except (TypeError, ValueError, OverflowError):
+    except _INT_ERRORS:
         columns = None
     if columns is None or not _within(columns[0], 0, edge_count - 1):
         # Name the first bad entry; for JSON values one always is.
         for item in items:
             try:
                 e, t, w = (int(x) for x in item)
-            except (TypeError, ValueError):
+            except _INT_ERRORS:
                 raise ParseError(f"{what}: overrides must be [edge, time, weight]") from None
             if not (0 <= e < edge_count):
                 raise ParseError(f"{what}: override for unknown edge {e}")
@@ -227,10 +247,7 @@ def _labeling(rows: list, what: str) -> Labeling:
         exact = set(map(type, chain.from_iterable(rows))) <= {int}
     except TypeError:  # some entry is not a list
         exact = False
-    try:
-        return Labeling(rows if exact else tuple(map(tuple, map(map, repeat(int), rows))))
-    except (TypeError, ValueError) as err:
-        raise ParseError(f"{what}: {err}") from None
+    return Labeling(rows if exact else tuple(_int_values(row, what) for row in rows))
 
 
 def parse_instance_document(text: str) -> InstanceDocument:
@@ -251,14 +268,11 @@ def parse_instance_document(text: str) -> InstanceDocument:
     overrides_raw = _need(payload, "overrides", list, what)
     try:
         edges = tuple((int(u), int(v)) for u, v in edges_raw)
-    except (TypeError, ValueError):
+    except _INT_ERRORS:
         raise ParseError(f"{what}: edges must be pairs of integers") from None
     table = _override_table(overrides_raw, len(edges), what)
-    try:
-        graph = StaticGraph(n, edges)
-        traversal = TraversalSpec(tuple(map(int, defaults)), table)
-    except (TypeError, ValueError) as err:
-        raise ParseError(f"{what}: {err}") from None
+    graph = StaticGraph(n, edges)
+    traversal = TraversalSpec(_int_values(defaults, what), table)
 
     names = payload.get("names")
     roles = payload.get("roles")
@@ -270,12 +284,12 @@ def parse_instance_document(text: str) -> InstanceDocument:
     if meta is not None and not isinstance(meta, dict):
         raise ParseError(f"{what}: meta must be an object")
 
-    sources = frozenset(map(int, sources))
+    sources = frozenset(_int_values(sources, what))
     if kind == "tmb":
         mult = _need(payload, "multiplicity", list, what)
         if "labels" in payload:
             raise ParseError(f"{what}: tmb documents do not carry labels")
-        instance = Instance(graph, sources, traversal, tuple(map(int, mult)), tau)
+        instance = Instance(graph, sources, traversal, _int_values(mult, what), tau)
     else:
         labels_raw = _need(payload, "labels", list, what)
         if "multiplicity" in payload:

@@ -170,6 +170,33 @@ def solve_multi_full_mu(instance: Instance, measure: Measure) -> SolveResult:
     return _finish(instance, labeling, measure, regime="multi-source-full-mu")
 
 
+def _rooted(graph: StaticGraph) -> tuple[list[int], list[int], list[int]]:
+    """The tree rooted at vertex 0: each edge's lower endpoint (the one
+    farther from vertex 0), each vertex's preorder number and its subtree
+    size.  Preorder numbers each subtree's vertices contiguously, so ``x``
+    lies in the subtree of ``c`` exactly when its number falls in
+    ``number[c] .. number[c] + size[c] - 1``."""
+    n = graph.vertex_count
+    lower = [0] * graph.edge_count
+    up = [0] * n  # each vertex's parent; the only neighbour met before it
+    order: list[int] = []
+    number = [0] * n
+    stack = [0]
+    while stack:
+        x = stack.pop()
+        number[x] = len(order)
+        order.append(x)
+        for e, y in graph.incident(x):
+            if y != up[x]:
+                up[y] = x
+                lower[e] = y
+                stack.append(y)
+    size = [1] * n
+    for x in reversed(order[1:]):
+        size[up[x]] += size[x]
+    return lower, number, size
+
+
 def tree_mu_diagnostic(instance: Instance) -> bool:
     """Weaker tree condition: multiplicity >= 2 on every source-to-source path.
 
@@ -178,33 +205,18 @@ def tree_mu_diagnostic(instance: Instance) -> bool:
     graph = instance.graph
     if not graph.is_tree():
         raise NotATree("diagnostic applies to trees only")
-    # Root the tree at 0; an edge lies on a source-to-source path iff both
-    # sides of the split contain a source.
-    parent: dict[int, tuple[int, int]] = {0: (-1, -1)}
-    order = [0]
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        for e, w in graph.incident(v):
-            if w not in parent:
-                parent[w] = (v, e)
-                order.append(w)
-                stack.append(w)
-    below = [0] * graph.vertex_count
-    for v in reversed(order):
-        if v in instance.sources:
-            below[v] += 1
-        p, _ = parent[v]
-        if p >= 0:
-            below[p] += below[v]
+    # An edge lies on a source-to-source path iff both sides of the split
+    # contain a source: some, but not all, lie in the subtree below it.
+    lower, number, size = _rooted(graph)
+    is_source = [0] * graph.vertex_count
+    for s in instance.sources:
+        is_source[number[s]] = 1
+    sources_before = list(itertools.accumulate(is_source, initial=0))  # by preorder number
     total = len(instance.sources)
-    for v in order:
-        p, e = parent[v]
-        if p < 0:
-            continue
-        if below[v] >= 1 and total - below[v] >= 1:
-            if instance.multiplicity[e] < 2:
-                return False
+    for e, c in enumerate(lower):
+        below = sources_before[number[c] + size[c]] - sources_before[number[c]]
+        if 0 < below < total and instance.multiplicity[e] < 2:
+            return False
     return True
 
 
@@ -231,29 +243,9 @@ def solve_tree(instance: Instance, measure: Measure) -> SolveResult:
     # lies on the u side of the split T - e.  Comparing the source's
     # distances to u and to v classifies the same way, except that
     # zero-weight edges can tie the two distances and mis-bucket the
-    # source, so the split itself is used.  Rooted at vertex 0, the split
-    # is the subtree below the edge and the rest; preorder numbers each
-    # subtree's vertices contiguously, so a source lies in the subtree of
-    # ``c`` exactly when its number falls in ``c``'s range.
-    n = graph.vertex_count
-    lower = [0] * graph.edge_count  # the endpoint farther from vertex 0
-    up = [0] * n  # each vertex's parent; the only neighbour met before it
-    order: list[int] = []
-    number = [0] * n
-    stack = [0]
-    while stack:
-        x = stack.pop()
-        number[x] = len(order)
-        order.append(x)
-        for e, y in graph.incident(x):
-            if y != up[x]:
-                up[y] = x
-                lower[e] = y
-                stack.append(y)
-    size = [1] * n
-    for x in reversed(order[1:]):
-        size[up[x]] += size[x]
-
+    # source, so the split itself is used: the subtree below the edge,
+    # rooted at vertex 0, and the rest.
+    lower, number, size = _rooted(graph)
     table: list[tuple[int, ...]] = []
     for e in range(graph.edge_count):
         c = lower[e]

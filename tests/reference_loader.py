@@ -8,6 +8,12 @@ they build, and the ``__post_init__`` bodies of ``StaticGraph``,
 (at least two vertices, override times within tau), at the same places in
 its order, because both formulations now share those checks.
 
+The document loaders differ from the copied code in two places, because
+every value int() rejects is now a ``ParseError``: each of their except
+tuples also names ``OverflowError`` (an infinity or a number like 1e400),
+and the sources and multiplicity conversions, which had no handler, have
+that handler too, at the same places in the loader's order.
+
 ``test_loader.py`` holds the library to it: the same models for every
 document or constructor input it accepts, and the same exception class and
 message for every one it rejects.  Instances of these subclasses do not
@@ -193,13 +199,13 @@ def parse_instance_document(text: str) -> InstanceDocument:
     overrides_raw = _need(payload, "overrides", list, what)
     try:
         edges = tuple((int(u), int(v)) for u, v in edges_raw)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ParseError(f"{what}: edges must be pairs of integers") from None
     table: list[dict[int, int]] = [dict() for _ in edges]
     for item in overrides_raw:
         try:
             e, t, w = (int(x) for x in item)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise ParseError(f"{what}: overrides must be [edge, time, weight]") from None
         if not (0 <= e < len(edges)):
             raise ParseError(f"{what}: override for unknown edge {e}")
@@ -210,7 +216,7 @@ def parse_instance_document(text: str) -> InstanceDocument:
             tuple(int(d) for d in defaults),
             tuple(tuple(sorted(per.items())) for per in table),
         )
-    except (TypeError, ValueError) as err:
+    except (TypeError, ValueError, OverflowError) as err:
         raise ParseError(f"{what}: {err}") from None
 
     names = payload.get("names")
@@ -223,9 +229,13 @@ def parse_instance_document(text: str) -> InstanceDocument:
     if meta is not None and not isinstance(meta, dict):
         raise ParseError(f"{what}: meta must be an object")
 
+    try:
+        sources = frozenset(int(s) for s in sources)
+    except (TypeError, ValueError, OverflowError) as err:
+        raise ParseError(f"{what}: {err}") from None
     common = dict(
         graph=graph,
-        sources=frozenset(int(s) for s in sources),
+        sources=sources,
         traversal=traversal,
         tau=tau,
         names=tuple(names) if names is not None else None,
@@ -236,9 +246,11 @@ def parse_instance_document(text: str) -> InstanceDocument:
         mult = _need(payload, "multiplicity", list, what)
         if "labels" in payload:
             raise ParseError(f"{what}: tmb documents do not carry labels")
-        doc = InstanceDocument(
-            kind="tmb", multiplicity=tuple(int(m) for m in mult), **common
-        )
+        try:
+            mult = tuple(int(m) for m in mult)
+        except (TypeError, ValueError, OverflowError) as err:
+            raise ParseError(f"{what}: {err}") from None
+        doc = InstanceDocument(kind="tmb", multiplicity=mult, **common)
         doc.to_instance()  # validates
     else:
         labels_raw = _need(payload, "labels", list, what)
@@ -248,7 +260,7 @@ def parse_instance_document(text: str) -> InstanceDocument:
             raise ParseError(f"{what}: labels must list one entry per edge")
         try:
             labels = Labeling(tuple(tuple(int(t) for t in ts) for ts in labels_raw))
-        except (TypeError, ValueError) as err:
+        except (TypeError, ValueError, OverflowError) as err:
             raise ParseError(f"{what}: {err}") from None
         doc = InstanceDocument(kind="reachfast", labels=labels, **common)
         doc.to_reachfast()  # validates
@@ -265,7 +277,7 @@ def parse_labeling(text: str) -> LabelingDocument:
     labels_raw = _need(payload, "labels", list, what)
     try:
         labels = Labeling(tuple(tuple(int(t) for t in ts) for ts in labels_raw))
-    except (TypeError, ValueError) as err:
+    except (TypeError, ValueError, OverflowError) as err:
         raise ParseError(f"{what}: {err}") from None
     provenance = payload.get("provenance")
     if provenance is not None and not isinstance(provenance, dict):

@@ -26,6 +26,9 @@ differential tests can compare old and new.
   searches ``distances._fastest_to`` and ``distances._latest_departure_to``;
 * ``solve_tree``, which flooded the tree once per edge to find the sources
   on each side of it, by the ``solvers.solve_tree`` that roots the tree once.
+* ``tree_mu_diagnostic``, which rooted the tree with its own search, parent
+  map and per-vertex source counts, by the ``solvers.tree_mu_diagnostic``
+  that counts sources in preorder ranges of the rooting ``solve_tree`` uses.
 
 The recursive searches' depth grows with the path length and the depth-first
 ones take exponential time, so only small instances may be given to them.
@@ -621,3 +624,41 @@ def solve_tree(instance: Instance, measure: Measure) -> SolveResult:
         table.append(tuple(sorted({t for t in (t1, t2) if t > 0})))
     labeling = Labeling(tuple(table))
     return _finish(instance, labeling, measure, regime="tree")
+
+
+def tree_mu_diagnostic(instance: Instance) -> bool:
+    """Weaker tree condition: multiplicity >= 2 on every source-to-source path.
+
+    Advisory only; the tree solver itself insists on >= 2 everywhere.
+    """
+    graph = instance.graph
+    if not graph.is_tree():
+        raise NotATree("diagnostic applies to trees only")
+    # Root the tree at 0; an edge lies on a source-to-source path iff both
+    # sides of the split contain a source.
+    parent: dict[int, tuple[int, int]] = {0: (-1, -1)}
+    order = [0]
+    stack = [0]
+    while stack:
+        v = stack.pop()
+        for e, w in graph.incident(v):
+            if w not in parent:
+                parent[w] = (v, e)
+                order.append(w)
+                stack.append(w)
+    below = [0] * graph.vertex_count
+    for v in reversed(order):
+        if v in instance.sources:
+            below[v] += 1
+        p, _ = parent[v]
+        if p >= 0:
+            below[p] += below[v]
+    total = len(instance.sources)
+    for v in order:
+        p, e = parent[v]
+        if p < 0:
+            continue
+        if below[v] >= 1 and total - below[v] >= 1:
+            if instance.multiplicity[e] < 2:
+                return False
+    return True

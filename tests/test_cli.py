@@ -253,6 +253,33 @@ def test_witness_rejects_unsatisfying_assignment(capsys, tmp_path):
     assert "UnsatisfiedClause" in err
 
 
+@pytest.mark.parametrize("meta, error", [
+    (None, "ValidationError: instance file does not carry gadget metadata"),
+    ({"kind": "sat-gadget", "variable_count": "x", "cnf": 5},
+     "ParseError: gadget metadata: field 'variable_count' has the wrong type"),
+    ({"kind": "sat-gadget", "variable_count": 3, "cnf": [[1, "x"]]},
+     "ParseError: gadget metadata: cnf must list clauses of integers"),
+    ({"kind": "sat-gadget", "variable_count": 3, "cnf": [[1, 2, 3]], "measure": "ft",
+      "a": "x", "b": None},
+     "ParseError: gadget metadata: field 'a' has the wrong type"),
+    ({"kind": "twosource-gadget", "variable_count": 3, "cnf": [[1, 2, 3]],
+      "source_count": "2"},
+     "ParseError: gadget metadata: field 'source_count' has the wrong type"),
+])
+def test_witness_rejects_files_without_gadget_metadata(capsys, tmp_path, network, meta, error):
+    doc = json.loads(network.read_text())
+    if meta is not None:
+        network.write_text(json.dumps(dict(doc, meta=meta)))
+    cnf = tmp_path / "toy.cnf"
+    cnf.write_text(serialize_cnf(CnfFormula(3, ((1, 2, 3),))))
+    code, payload, err = run(
+        capsys, "witness", "--cnf", str(cnf), "--assignment", "111",
+        "--in", str(network), "--out", str(tmp_path / "nope.json"),
+    )
+    assert (code, payload) == (3, None)
+    assert err.strip() == error
+
+
 def test_convert_round_trip(capsys, tmp_path, network):
     rf_file = tmp_path / "rf.json"
     code, _, _ = run(
@@ -382,6 +409,52 @@ def test_parse_error_exit(capsys, tmp_path):
     code, _, err = run(capsys, "verify", "--in", str(f),
                        "--labeling", str(f), "--measure", "ea")
     assert code == 3
+
+
+# A value int() cannot convert, at (key, index, ...) in the network or, for
+# "labels", in the schedule; JSON text, since 1e400 loads as an infinity.
+@pytest.mark.parametrize("key, at, value", [
+    ("sources", (0,), '"x"'),
+    ("sources", (0,), "null"),
+    ("sources", (0,), "1e400"),
+    ("multiplicity", (3,), '"x"'),
+    ("multiplicity", (3,), "[1]"),
+    ("multiplicity", (3,), "Infinity"),
+    ("edges", (3, 1), "Infinity"),
+    ("default_weights", (2,), "Infinity"),
+    ("overrides", (1, 2), "Infinity"),
+    ("labels", (2, 0), "Infinity"),
+])
+def test_malformed_values_are_parse_errors(capsys, tmp_path, network, key, at, value):
+    files = {"network": network, "labels": FIXTURES / "delivery-schedule-ea.json"}
+    name = "labels" if key == "labels" else "network"
+    doc = json.loads(files[name].read_text())
+    holder = doc[key]
+    for step in at[:-1]:
+        holder = holder[step]
+    holder[at[-1]] = "@"
+    files[name] = tmp_path / "malformed.json"
+    files[name].write_text(json.dumps(doc).replace('"@"', value))
+    code, payload, err = run(
+        capsys, "verify", "--in", str(files["network"]),
+        "--labeling", str(files["labels"]), "--measure", "ea",
+    )
+    assert (code, payload) == (3, None)
+    assert err.startswith("ParseError: ")
+
+
+@pytest.mark.parametrize("content, error", [
+    ('{"names": ["K\u00f6ln"]}'.encode("latin-1"), "cannot read {path}: 'utf-8' codec can't"),
+    (b"[" * 200_000 + b"]" * 200_000, "ParseError: instance document: nested too deeply"),
+], ids=["not-utf-8", "nested-200000-deep"])
+def test_undecodable_files_exit_3(capsys, tmp_path, content, error):
+    path = tmp_path / "undecodable.json"
+    path.write_bytes(content)
+    code, payload, err = run(
+        capsys, "verify", "--in", str(path), "--labeling", str(path), "--measure", "ea"
+    )
+    assert (code, payload) == (3, None)
+    assert err.startswith(error.format(path=path))
 
 
 def test_export_dot_cli(capsys, tmp_path, network):

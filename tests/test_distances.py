@@ -107,6 +107,20 @@ def test_objective_rejects_what_is_feasible_rejects():
             assert str(got.value) == str(feasible.value)
 
 
+def test_labeling_must_cover_the_instance_edges():
+    # One edge short, and one extra row of seven labels past the last edge.
+    inst = fig.build_instance()
+    rows = fig.LABELING_EA.times_by_edge
+    for lab, count in ((Labeling(rows[:-1]), 9), (Labeling(rows + ((1, 2, 3, 4, 5, 6, 7),)), 11)):
+        assert not lab.respects_multiplicity(inst)
+        message = f"labeling covers {count} edges, instance has 10"
+        with pytest.raises(ValidationError, match=message):
+            is_feasible(inst, lab)
+        for m in ALL_MEASURES:
+            with pytest.raises(ValidationError, match=message):
+                objective(inst, lab, m)
+
+
 def test_objective_none_when_unreachable():
     graph = StaticGraph(3, ((0, 1), (1, 2)))
     inst = Instance(graph, frozenset({0}), TraversalSpec.uniform(2, 1), (1, 1), 3)

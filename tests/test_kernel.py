@@ -39,7 +39,7 @@ from tmbcast.distances import (
     _search,
 )
 from tmbcast.reductions import find_nonseparating_path
-from tmbcast.solvers import brute_force, solve_tree
+from tmbcast.solvers import brute_force, solve_tree, tree_mu_diagnostic
 from tmbcast.tsot import build_ld_tsot
 
 import oracles
@@ -275,9 +275,10 @@ def test_nonseparating_path_matches_reference(data):
 
 
 @st.composite
-def tree_instances(draw, max_vertices=8):
+def tree_instances(draw, max_vertices=8, min_multiplicity=2):
     """Instances on random trees with one to three sources and every
-    multiplicity at least two; weights start at zero and run past tau."""
+    multiplicity at least ``min_multiplicity``; weights start at zero and run
+    past tau."""
     n = draw(st.integers(2, max_vertices))
     names = draw(st.permutations(range(n)))
     edges = tuple(
@@ -289,7 +290,7 @@ def tree_instances(draw, max_vertices=8):
     overrides = {e: draw(st.dictionaries(st.integers(1, tau), weights, max_size=2))
                  for e in range(len(edges))}
     sources = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=3))
-    multiplicity = tuple(draw(st.integers(2, tau)) for _ in edges)
+    multiplicity = tuple(draw(st.integers(min_multiplicity, tau)) for _ in edges)
     return Instance(StaticGraph(n, edges), frozenset(sources),
                     TraversalSpec.from_maps(defaults, overrides), multiplicity, tau)
 
@@ -310,6 +311,12 @@ def test_solve_tree_matches_reference(instance, measure):
     except TmbError as err:
         got = type(err)
     assert got == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(tree_instances(max_vertices=10, min_multiplicity=1))
+def test_tree_mu_diagnostic_matches_reference(instance):
+    assert tree_mu_diagnostic(instance) == reference.tree_mu_diagnostic(instance)
 
 
 @st.composite

@@ -31,6 +31,7 @@ from tmbcast.core import (
     Labeling,
     ReachFastInstance,
     StaticGraph,
+    TmbError,
     TraversalSpec,
 )
 from tmbcast.fileformat import (
@@ -224,6 +225,15 @@ def test_loader_builds_the_reference_models(texts):
 @given(instance_texts(min_edges=1).flatmap(mutated))
 def test_loader_rejects_what_the_reference_rejects(text):
     assert outcome(parse_instance_document, text) == outcome(ref.parse_instance_document, text)
+
+
+@settings(max_examples=400, deadline=None)
+@given(instance_texts(min_edges=1).flatmap(mutated))
+def test_loader_raises_only_library_errors(text):
+    try:
+        parse_instance_document(text)
+    except TmbError:  # anything else fails the test
+        pass
 
 
 def _fault(key, *path_and_value):
