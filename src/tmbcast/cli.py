@@ -39,7 +39,6 @@ from tmbcast.core import (
     UnsatisfiedClause,
     ValidationError,
     WrongSourceCount,
-    _check_times,
 )
 from tmbcast.distances import Measure, distance, objective
 from tmbcast.fileformat import (
@@ -55,6 +54,7 @@ from tmbcast.fileformat import (
 from tmbcast.reductions import (
     CnfFormula,
     GadgetParams,
+    _GADGET_MEASURES,
     gadget_labeling_from_assignment,
     gen_single_source_gadget,
     gen_two_source_gadget,
@@ -66,28 +66,31 @@ from tmbcast.solvers import (
     NoTractableRegime,
     OracleLimits,
     SolveStatus,
+    _APPROX_MEASURES,
     approx_ft_mw,
     brute_force,
     solve_auto,
 )
 
-EXIT_CODES = (
-    (ParseError, 3),
-    (NoTractableRegime, 5),
-    (SearchSpaceTooLarge, 6),
-    (Unreachable, 7),
-    (MultiplicityViolation, 4),
-    (SameVertex, 3),
-    (InvalidParams, 8),
-    (NotThreeSat, 8),
-    (ContradictoryClause, 8),
-    (UnsatisfiedClause, 8),
-    (WrongSourceCount, 8),
-    (MultiplicityTooSmall, 8),
-    (NotATree, 8),
-    (ValidationError, 3),
-    (TmbError, 1),
-)
+# Exit code per error class; an error takes the code of the nearest class
+# in its method resolution order.
+EXIT_CODES = {
+    ParseError: 3,
+    NoTractableRegime: 5,
+    SearchSpaceTooLarge: 6,
+    Unreachable: 7,
+    MultiplicityViolation: 4,
+    SameVertex: 3,
+    InvalidParams: 8,
+    NotThreeSat: 8,
+    ContradictoryClause: 8,
+    UnsatisfiedClause: 8,
+    WrongSourceCount: 8,
+    MultiplicityTooSmall: 8,
+    NotATree: 8,
+    ValidationError: 3,
+    TmbError: 1,
+}
 
 
 class _Exit(Exception):
@@ -124,22 +127,11 @@ def _load_document(path: str) -> InstanceDocument:
 
 def _load_tmb(path: str) -> tuple[InstanceDocument, Instance]:
     doc = _load_document(path)
-    if doc.kind != "tmb":
-        _fail(3, f"{path}: expected a tmb instance, found {doc.kind}")
     return doc, doc.to_instance()
 
 
-def _load_labeling(path: str, instance) -> Labeling:
-    doc = parse_labeling(_read(path))
-    if doc.labels.edge_count != instance.graph.edge_count:
-        _fail(3, f"{path}: labeling covers {doc.labels.edge_count} edges, "
-                 f"instance has {instance.graph.edge_count}")
-    _check_times(doc.labels.times_by_edge, instance.tau, f"{path}: label")
-    return doc.labels
-
-
-def _measure(code: str) -> Measure:
-    return Measure.from_code(code)
+def _load_labeling(path: str) -> Labeling:
+    return parse_labeling(_read(path)).labels
 
 
 def _labeling_provenance(result, measure: Measure) -> dict:
@@ -171,16 +163,15 @@ def _steps_json(doc: InstanceDocument, witness) -> list:
 
 def cmd_solve(args) -> None:
     doc, instance = _load_tmb(args.input)
-    measure = _measure(args.measure)
+    measure = Measure(args.measure)
     result = None
     regime_error = None
     try:
         result = solve_auto(instance, measure)
     except NoTractableRegime as err:
         regime_error = err
-    if result is None and args.approx:
-        if measure in (Measure.FASTEST, Measure.MIN_WAIT):
-            result = approx_ft_mw(instance, measure)
+    if result is None and args.approx and measure in _APPROX_MEASURES:
+        result = approx_ft_mw(instance, measure)
     if result is None and args.oracle:
         result = brute_force(instance, measure, _limits(args))
     if result is None:
@@ -216,7 +207,7 @@ def _limits(args) -> OracleLimits:
 
 def cmd_oracle(args) -> None:
     doc, instance = _load_tmb(args.input)
-    measure = _measure(args.measure)
+    measure = Measure(args.measure)
     result = brute_force(instance, measure, _limits(args))
     payload = {
         "command": "oracle",
@@ -237,11 +228,11 @@ def cmd_oracle(args) -> None:
 
 def cmd_distance(args) -> None:
     doc, instance = _load_tmb(args.input)
-    measure = _measure(args.measure)
+    measure = Measure(args.measure)
     u = doc.vertex_id(getattr(args, "from"))
     v = doc.vertex_id(args.to)
     if args.labeling:
-        availability = _load_labeling(args.labeling, instance)
+        availability = _load_labeling(args.labeling)
     else:
         availability = instance.full_availability()
     result = distance(u, v, availability, instance, measure)
@@ -259,8 +250,8 @@ def cmd_distance(args) -> None:
 
 def cmd_verify(args) -> None:
     doc, instance = _load_tmb(args.input)
-    measure = _measure(args.measure)
-    labeling = _load_labeling(args.labeling, instance)
+    measure = Measure(args.measure)
+    labeling = _load_labeling(args.labeling)
     value = objective(instance, labeling, measure)
     feasible = value is not None
     _emit(
@@ -277,7 +268,7 @@ def cmd_verify(args) -> None:
 
 def cmd_gen_sat(args) -> None:
     formula = parse_cnf(_read(args.cnf))
-    params = GadgetParams(_measure(args.measure), args.a, args.b)
+    params = GadgetParams(Measure(args.measure), args.a, args.b)
     gadget = gen_single_source_gadget(formula, params)
     _write(args.out, serialize_instance(InstanceDocument.from_gadget(gadget)))
     _emit(
@@ -315,12 +306,8 @@ def cmd_gen_twosource(args) -> None:
 def cmd_convert(args) -> None:
     doc = _load_document(args.input)
     if args.to == "reachfast":
-        if doc.kind != "tmb":
-            _fail(3, "convert --to reachfast expects a tmb instance")
         model = tmb_to_reachfast(doc.to_instance())
     else:
-        if doc.kind != "reachfast":
-            _fail(3, "convert --to tmb expects a reachfast instance")
         model = reachfast_to_tmb(doc.to_reachfast())
     text = serialize_instance(
         model, names=doc.names, roles=doc.roles, meta=doc.meta
@@ -383,11 +370,7 @@ def cmd_witness(args) -> None:
 
 def cmd_export_dot(args) -> None:
     doc = _load_document(args.input)
-    labeling = None
-    if args.labeling:
-        labeling = parse_labeling(_read(args.labeling)).labels
-        if labeling.edge_count != doc.graph.edge_count:
-            _fail(3, "labeling does not cover the instance's edges")
+    labeling = _load_labeling(args.labeling) if args.labeling else None
     _write(args.out, export_dot(doc, labeling))
     _emit({"command": "export-dot", "dot_file": args.out})
 
@@ -408,8 +391,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_measure(p, choices=("ea", "ld", "ft", "st", "mh", "mw")):
-        p.add_argument("--measure", required=True, choices=choices)
+    def add_measure(p, measures=tuple(Measure)):
+        p.add_argument("--measure", required=True, choices=[m.code for m in measures])
 
     def add_limits(p):
         p.add_argument("--max-labelings", type=int, default=OracleLimits.max_labelings)
@@ -452,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen_sub = gen.add_subparsers(dest="generator", required=True)
 
     p = gen_sub.add_parser("sat", help="single-source value gadget from CNF")
-    add_measure(p, choices=("ft", "st", "mh", "mw"))
+    add_measure(p, _GADGET_MEASURES)
     p.add_argument("--cnf", required=True)
     p.add_argument("-a", type=int, required=True)
     p.add_argument("-b", type=int)
@@ -496,12 +479,8 @@ def main(argv=None) -> int:
     except _Exit as stop:
         return stop.code
     except TmbError as err:
-        for klass, code in EXIT_CODES:
-            if isinstance(err, klass):
-                print(f"{type(err).__name__}: {err}", file=sys.stderr)
-                return code
         print(f"{type(err).__name__}: {err}", file=sys.stderr)
-        return 1
+        return next(EXIT_CODES[k] for k in type(err).__mro__ if k in EXIT_CODES)
     return 0
 
 

@@ -769,16 +769,21 @@ def earliest_arrival(
     return [None if a is _NEVER else a for a in arrival], parents
 
 
-def _check_labeling(instance: Instance, labeling: Labeling) -> None:
-    """Raise ValidationError when the labeling does not cover the instance's
-    edges, MultiplicityViolation for an edge over its multiplicity, then
-    ValidationError for a label outside ``1..tau``."""
-    m = instance.graph.edge_count
+def _check_cover(graph: StaticGraph, labeling: Labeling) -> None:
+    m = graph.edge_count
     if labeling.edge_count != m:
         raise ValidationError(f"labeling covers {labeling.edge_count} edges, instance has {m}")
-    for e, (times, mu) in enumerate(zip(labeling.times_by_edge, instance.multiplicity)):
-        if len(times) > mu:
-            raise MultiplicityViolation(f"edge {e} has {len(times)} labels, multiplicity {mu}")
+
+
+def _check_labeling(instance: Instance, labeling: Labeling, quota: bool = True) -> None:
+    """Raise ValidationError when the labeling does not cover the instance's
+    edges, MultiplicityViolation (when ``quota``) for an edge over its
+    multiplicity, then ValidationError for a label outside ``1..tau``."""
+    _check_cover(instance.graph, labeling)
+    if quota:
+        for e, (times, mu) in enumerate(zip(labeling.times_by_edge, instance.multiplicity)):
+            if len(times) > mu:
+                raise MultiplicityViolation(f"edge {e} has {len(times)} labels, multiplicity {mu}")
     _check_times(labeling.times_by_edge, instance.tau, "label")
 
 
@@ -791,8 +796,18 @@ def is_feasible(instance: Instance, labeling: Labeling) -> bool:
     label outside ``1..tau``.
     """
     _check_labeling(instance, labeling)
-    table = CandidateTable(labeling, instance.traversal)
-    return all(_reaches_all(instance.graph, table, s) for s in instance.sources)
+    return _feasible_arrivals(instance, CandidateTable(labeling, instance.traversal)) is not None
+
+
+def _feasible_arrivals(instance: Instance, table: CandidateTable) -> dict | None:
+    """Earliest arrivals from each source in order, or None at the first
+    source that misses a vertex."""
+    arrivals = {}
+    for s in sorted(instance.sources):
+        arrivals[s], _ = earliest_arrival(instance.graph, table, s)
+        if arrivals[s].count(None) > 1:
+            return None
+    return arrivals
 
 
 def _reaches_all(graph: StaticGraph, table: CandidateTable, source: Vertex) -> bool:

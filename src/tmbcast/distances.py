@@ -67,6 +67,7 @@ from tmbcast.core import (
     ValidationError,
     _NEVER,
     _check_labeling,
+    _feasible_arrivals,
     _time,
     earliest_arrival,
 )
@@ -160,20 +161,20 @@ def _first_departure_times(
 
 
 def _latest_departures(
-    graph: StaticGraph, table: CandidateTable, source: int, targets: Iterable[int]
+    graph: StaticGraph, table: CandidateTable, source: int
 ) -> tuple[list[int | None], list[tuple | None]]:
-    """(values, chains): the latest first departure from which each target is
-    reachable, and its witness from that probe as a linked step list (see
-    ``_chain_path``).
+    """(values, chains): the latest first departure from which each other
+    vertex is reachable, and its witness from that probe as a linked step
+    list (see ``_chain_path``).
 
-    Probes candidate first departures latest first until every target is
+    Probes candidate first departures latest first until every vertex is
     reached; the chains built in one probe share their prefixes, and no
-    probe's parents outlive it.  Entries of unreached vertices and of
-    non-targets stay None.
+    probe's parents outlive it.  Entries of the source and of unreached
+    vertices stay None.
     """
     value: list[int | None] = [None] * graph.vertex_count
     chains: list[tuple | None] = [None] * graph.vertex_count
-    remaining = set(targets)
+    remaining = set(range(graph.vertex_count)) - {source}
     for t0 in reversed(_first_departure_times(graph, table, source)):
         if not remaining:
             break
@@ -466,10 +467,9 @@ def _search(graph, table, source, measure: Measure, targets=None):
     ``values[v]`` is measure(source, v), None for the source and for
     unreached vertices; ``witnesses(vertices)`` maps each given reached
     vertex to a realizing path.  ``targets`` (default: every other vertex)
-    lets the latest-departure probes and the shortest-travel and
-    minimum-hop front searches stop early.  With a single target, earliest
-    arrival, latest departure and fastest answer for that vertex alone
-    (``_search_one``).
+    lets the shortest-travel and minimum-hop front searches stop early.
+    With a single target, earliest arrival, latest departure and fastest
+    answer for that vertex alone (``_search_one``).
     """
     if targets is not None and len(targets) == 1 and measure in _ONE_TARGET:
         return _search_one(graph, table, source, measure, *targets)
@@ -477,9 +477,7 @@ def _search(graph, table, source, measure: Measure, targets=None):
         arrivals, parents = earliest_arrival(graph, table, source)
         return arrivals, lambda vs: _parent_paths(graph, parents, source, vs)
     if measure is Measure.LATEST_DEPARTURE:
-        if targets is None:
-            targets = [v for v in range(graph.vertex_count) if v != source]
-        value, chains = _latest_departures(graph, table, source, targets)
+        value, chains = _latest_departures(graph, table, source)
         return value, lambda vs: {v: _chain_path(graph, source, chains[v]) for v in vs}
     if measure is Measure.FASTEST:
         duration, start = _fastest(graph, table, source)
@@ -534,10 +532,16 @@ def sssp(
     instance: Instance,
     measure: Measure,
 ) -> tuple[DistanceResult, ...]:
-    """Single-source distance vector; entry ``v`` realizes measure(source, v)."""
+    """Single-source distance vector; entry ``v`` realizes measure(source, v).
+
+    A labeling raises ValidationError as ``is_feasible`` does, except that
+    its quota is not checked: a distance is defined on any schedule.
+    """
     graph = instance.graph
     if not (0 <= source < graph.vertex_count):
         raise ValidationError(f"source {source} out of range")
+    if isinstance(availability, Labeling):
+        _check_labeling(instance, availability, quota=False)
     table = CandidateTable(availability, instance.traversal)
     values, witnesses = _search(graph, table, source, measure)
     paths = witnesses([v for v, value in enumerate(values) if value is not None])
@@ -554,12 +558,15 @@ def distance(
     instance: Instance,
     measure: Measure,
 ) -> DistanceResult:
-    """Optimum of the measure over all temporal paths from u to v."""
+    """Optimum of the measure over all temporal paths from u to v.  A
+    labeling is checked as in ``sssp``."""
     graph = instance.graph
     if not (0 <= u < graph.vertex_count and 0 <= v < graph.vertex_count):
         raise ValidationError("vertex out of range")
     if u == v:
         raise SameVertex(f"distance between {u} and itself is undefined")
+    if isinstance(availability, Labeling):
+        _check_labeling(instance, availability, quota=False)
     table = CandidateTable(availability, instance.traversal)
     values, witnesses = _search(graph, table, u, measure, targets=(v,))
     if values[v] is None:
@@ -617,17 +624,6 @@ def _table_pairs(
     if measure is Measure.EARLIEST_ARRIVAL:
         return {(s, v): a for s, row in arrivals.items() for v, a in enumerate(row) if v != s}
     return _pair_values(instance, table, measure)
-
-
-def _feasible_arrivals(instance: Instance, table: CandidateTable) -> dict | None:
-    """Earliest arrivals from each source in order, or None at the first
-    source that misses a vertex."""
-    arrivals = {}
-    for s in sorted(instance.sources):
-        arrivals[s], _ = earliest_arrival(instance.graph, table, s)
-        if arrivals[s].count(None) > 1:
-            return None
-    return arrivals
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,7 @@ from tmbcast.core import (
     StaticGraph,
     TraversalSpec,
     ValidationError,
+    _check_cover,
     _columns,
     _within,
 )
@@ -89,9 +90,6 @@ class InstanceDocument:
     def to_reachfast(self) -> ReachFastInstance:
         if self.kind != "reachfast":
             raise ValidationError("document holds a tmb instance")
-        return self.instance
-
-    def model(self) -> Instance | ReachFastInstance:
         return self.instance
 
     def vertex_name(self, v: int) -> str:
@@ -307,7 +305,7 @@ def parse_instance_document(text: str) -> InstanceDocument:
 
 
 def parse_instance(text: str) -> Instance | ReachFastInstance:
-    return parse_instance_document(text).model()
+    return parse_instance_document(text).instance
 
 
 # ---------------------------------------------------------------------------
@@ -425,20 +423,27 @@ def serialize_cnf(formula: CnfFormula, comment: str | None = None) -> str:
 # DOT export
 
 
+def _dot_string(value) -> str:
+    """``value`` as a quoted DOT string: a quote or backslash is escaped."""
+    return json.dumps(str(value), ensure_ascii=False)
+
+
 def export_dot(
     document: InstanceDocument, labeling: Labeling | None = None
 ) -> str:
-    """Static graph with schedule annotations, for eyeballing only."""
+    """Static graph with schedule annotations, for eyeballing only.  Names
+    and roles are quoted as JSON strings; a labeling must cover the edges."""
     graph = document.graph
     sources = document.sources
+    if labeling is not None:
+        _check_cover(graph, labeling)
     lines = ["graph tmbcast {"]
     for v in range(graph.vertex_count):
-        name = document.vertex_name(v)
-        attrs = [f'label="{name}"']
+        attrs = [f"label={_dot_string(document.vertex_name(v))}"]
         if v in sources:
             attrs.append("shape=doublecircle")
         if document.roles is not None:
-            attrs.append(f'comment="{document.roles[v]}"')
+            attrs.append(f"comment={_dot_string(document.roles[v])}")
         lines.append(f"  {v} [{', '.join(attrs)}];")
     for e, (u, v) in enumerate(graph.edges):
         notes = [

@@ -93,6 +93,7 @@ class OracleLimits:
 
 
 _EXACT_MEASURES = (Measure.EARLIEST_ARRIVAL, Measure.LATEST_DEPARTURE)
+_APPROX_MEASURES = (Measure.FASTEST, Measure.MIN_WAIT)
 
 
 def _require_measure(measure: Measure, allowed, what: str) -> None:
@@ -270,9 +271,7 @@ def approx_ft_mw(instance: Instance, measure: Measure) -> SolveResult:
     objective is at most the reported ft_max (resp. mw_max) while no schedule
     can beat ft_min (resp. mw_min).
     """
-    _require_measure(
-        measure, (Measure.FASTEST, Measure.MIN_WAIT), "approx_ft_mw"
-    )
+    _require_measure(measure, _APPROX_MEASURES, "approx_ft_mw")
     if len(instance.sources) != 1:
         raise WrongSourceCount(
             f"approximation needs one source, got {len(instance.sources)}"

@@ -154,7 +154,7 @@ def build_ld_tsot(
     graph, trav, avail = _resolve(instance, availability)
     table = CandidateTable(avail, trav)
     others = [v for v in range(graph.vertex_count) if v != root]
-    latest, chains = _latest_departures(graph, table, root, others)
+    latest, chains = _latest_departures(graph, table, root)
     for v in others:
         if latest[v] is None:
             raise Unreachable(f"root {root} cannot reach vertex {v}")

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import json
+import re
 import shutil
 from pathlib import Path
 
 import pytest
 
+import tmbcast.cli as cli
 from tmbcast.cli import main
 from tmbcast.core import ValidationError
 from tmbcast.fileformat import (
@@ -348,6 +350,20 @@ def test_labels_outside_horizon_are_rejected(capsys, network, tmp_path):
         assert "time 64 outside 1..14" in err
 
 
+def test_verify_reports_a_quota_violation_before_a_late_label(capsys, network, tmp_path):
+    # Edge 8 holds two labels (multiplicity 1), one of them past tau = 14:
+    # the quota is checked first, as ``objective`` and ``is_feasible`` do.
+    doc = json.loads((FIXTURES / "delivery-schedule-ea.json").read_text())
+    doc["labels"][8] = [2, 64]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, payload, err = run(
+        capsys, "verify", "--measure", "ea", "--in", str(network), "--labeling", str(bad)
+    )
+    assert (code, payload) == (4, None)
+    assert err.startswith("MultiplicityViolation: edge 8 has 2 labels, multiplicity 1")
+
+
 def test_distance_same_vertex_is_error(capsys, network):
     code, _, err = run(
         capsys, "distance", "--measure", "ea", "--from", "M", "--to", "M",
@@ -474,3 +490,12 @@ def test_help_documents_exit_codes(capsys):
     out = capsys.readouterr().out
     assert "exit codes" in out.lower() or "Exit codes" in out
     assert "no tractable regime" in out.lower()
+
+
+def test_every_exit_code_is_documented():
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    sentence = readme[readme.index("Exit codes (also listed in"):]
+    sentence = sentence[:sentence.index(".\n")]
+    for code in sorted(set(cli.EXIT_CODES.values()) | {0, 2}):
+        assert re.search(rf"^  {code}  \S", cli.__doc__, re.M), code
+        assert re.search(rf"[:,] {code} [a-z]", sentence.replace("\n", " ")), code

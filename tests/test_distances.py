@@ -121,6 +121,26 @@ def test_labeling_must_cover_the_instance_edges():
                 objective(inst, lab, m)
 
 
+def test_distance_and_sssp_reject_what_the_core_rejects():
+    # One edge short, one extra row, and a label past tau = 14.  The quota
+    # is not checked: a distance is defined on any schedule.
+    inst = fig.build_instance()
+    rows = fig.LABELING_EA.times_by_edge
+    late = rows[:8] + ((19,),) + rows[9:]
+    for lab, message in (
+        (Labeling(rows[:-1]), "labeling covers 9 edges, instance has 10"),
+        (Labeling(rows + ((1, 2, 3, 4, 5, 6, 7),)), "labeling covers 11 edges, instance has 10"),
+        (Labeling(late), "label on edge 8: time 19 outside 1..14"),
+    ):
+        for m in ALL_MEASURES:
+            with pytest.raises(ValidationError, match=message):
+                distance(fig.E, fig.V4, lab, inst, m)
+            with pytest.raises(ValidationError, match=message):
+                sssp(fig.M, lab, inst, m)
+    over_quota = Labeling(rows[:8] + ((2, 6),) + rows[9:])
+    assert distance(fig.M, fig.V1, over_quota, inst, Measure.EARLIEST_ARRIVAL).value == 10
+
+
 def test_objective_none_when_unreachable():
     graph = StaticGraph(3, ((0, 1), (1, 2)))
     inst = Instance(graph, frozenset({0}), TraversalSpec.uniform(2, 1), (1, 1), 3)

@@ -216,3 +216,24 @@ def test_export_dot():
     assert "doublecircle" in dot
     dot2 = export_dot(doc, fig.LABELING_EA)
     assert "t=1 " in dot2
+
+
+def test_export_dot_quotes_names_and_roles():
+    doc = parse_instance_document((FIXTURES / "delivery-network.json").read_text())
+    names = ('say "hi"', "back\\slash", "日本", *doc.names[3:])
+    roles = ("supplier", 'a "role"', *("x",) * (len(names) - 2))
+    dot = export_dot(InstanceDocument(doc.instance, names=names, roles=roles))
+    assert r'0 [label="say \"hi\"", shape=doublecircle, comment="supplier"];' in dot
+    assert r'1 [label="back\\slash", comment="a \"role\""];' in dot
+    assert '2 [label="日本", comment="x"];' in dot
+    # Plain names are written as before.
+    assert '3 [label="v3", comment="x"];' in export_dot(
+        InstanceDocument(doc.instance, names=doc.names, roles=roles))
+
+
+def test_export_dot_rejects_a_labeling_of_other_edges():
+    doc = parse_instance_document((FIXTURES / "delivery-network.json").read_text())
+    rows = fig.LABELING_EA.times_by_edge
+    for lab, count in ((Labeling(rows[:-1]), 9), (Labeling(rows + ((1,),)), 11)):
+        with pytest.raises(ValidationError, match=f"labeling covers {count} edges, instance has 10"):
+            export_dot(doc, lab)
