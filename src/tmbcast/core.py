@@ -65,12 +65,15 @@ class NotATree(TmbError):
 
 
 class SearchSpaceTooLarge(TmbError):
-    """The brute-force labeling space exceeds the configured limit."""
+    """The brute-force search space exceeds the configured limit of its
+    labelings, edges or tau (``cap``), whose value is ``size``."""
 
-    def __init__(self, cardinality: int, limit: int):
+    def __init__(self, cardinality: int, limit: int, cap: str = "labelings",
+                 size: int | None = None):
+        over = "" if cap == "labelings" else f" and {cap} {size}"
         super().__init__(
-            f"brute-force search space has {cardinality} labelings "
-            f"(limit {limit})"
+            f"brute-force search space has {cardinality} labelings{over} "
+            f"({cap} limit {limit})"
         )
         self.cardinality = cardinality
         self.limit = limit
@@ -101,21 +104,9 @@ Time = int
 # rule, and the first bad item raises; a loop over sorted rows reads each
 # row's last item and looks for the first bad one only when that fails.
 # Only label sets and override rows, most of a document, first meet a bulk
-# accept test over flat columns of exact ints: without those two tests the
+# accept test over all their exact ints at once: without those two tests the
 # benchmark's ``check`` workload loses about 18% ops/s.  For every other
 # rule a bulk pre-test saved nothing that could be measured end to end.
-
-
-def _columns(rows: Sequence, width: int) -> tuple | None:
-    """The columns of ``rows`` (``width`` empty ones when there are none),
-    or None when some row is not a sized sequence of ``width`` items."""
-    try:
-        if set(map(len, rows)) <= {width}:
-            flat = tuple(chain.from_iterable(rows))
-            return tuple(flat[i::width] for i in range(width))
-    except TypeError:
-        pass
-    return None
 
 
 def _within(values: Sequence, lo, hi=None) -> bool:
@@ -215,27 +206,24 @@ class StaticGraph:
 
 def _override_rows(defaults, rows):
     """Bulk accept test of ``_override_row`` over every row: the sorted rows
-    and their time -> weight dicts when every row is a tuple or list of
-    pairs of exact ints and passes; None otherwise."""
-    if not set(map(type, rows)) <= {tuple, list}:
+    and their time -> weight dicts when every row is a tuple, list or dict
+    items view of pairs of exact ints and passes; None otherwise."""
+    if not set(map(type, rows)) <= {tuple, list, type({}.items())}:
         return None  # an iterator row must reach ``_override_row`` unread
-    rows = tuple(map(tuple, rows))
-    flat = tuple(chain.from_iterable(rows))
-    columns = _columns(flat, 2)
-    if columns is None or not set(map(type, flat)) <= {tuple}:
+    try:
+        index = tuple(map(dict, rows))
+    except (TypeError, ValueError):  # some item is not a pair
         return None
-    times, weights = columns
-    if not set(map(type, times)) | set(map(type, weights)) <= {int}:
-        return None
-    norm = tuple(map(tuple, map(sorted, rows)))
-    index = tuple(map(dict, norm))
+    times = tuple(chain.from_iterable(index))
+    weights = tuple(chain.from_iterable(map(dict.values, index)))
     if (
-        tuple(map(len, index)) == tuple(map(len, rows))  # no time twice
+        set(map(type, times)) | set(map(type, weights)) <= {int}
+        and tuple(map(len, index)) == tuple(map(len, rows))  # no time twice
         and _within(defaults, 0)
         and _within(times, 1)
         and _within(weights, 0)
     ):
-        return norm, index
+        return tuple(map(tuple, map(sorted, map(dict.items, index)))), index
     return None
 
 
@@ -683,7 +671,6 @@ def earliest_arrival(
     graph: StaticGraph,
     table: CandidateTable,
     source: Vertex,
-    first_time: Time | None = None,
     start: Time = 1,
     stop: Vertex | None = None,
 ) -> tuple[list[Time | None], list[tuple[Vertex, Edge, Time] | None]]:
@@ -691,14 +678,20 @@ def earliest_arrival(
 
     Dijkstra over (arrival, vertex), relaxing edges in adjacency order.  The
     walk starts at time ``start`` (1 by default), so its first step departs
-    then or later; with ``first_time`` its first step departs exactly then.
-    No walk re-enters the source.  ``arrivals[v]`` is None for the source
-    and for unreached vertices; ``parents[v]`` is ``(previous vertex, edge,
-    departure)``, and the parent forest realizes the arrivals.  Within an
-    edge the departure is the first of ``table.candidates`` with the least
-    arrival; the scan stops once a departure time reaches the best arrival
-    so far.  With ``stop`` the run ends once that vertex is settled: its
-    arrival and its path in the forest are final, other entries may not be.
+    then or later, and no walk re-enters the source.  ``arrivals[v]`` is
+    None for the source and for unreached vertices; ``parents[v]`` is
+    ``(previous vertex, edge, departure)``, and the parent forest realizes
+    the arrivals.  Within an edge the departure is the first of
+    ``table.candidates`` with the least arrival; the scan stops once a
+    departure time reaches the best arrival so far.  With ``stop`` the run
+    ends once that vertex is settled: its arrival and its path in the forest
+    are final, other entries may not be.
+
+    This one mode serves every first-departure search.  Waiting is allowed,
+    so arrivals never fall as ``start`` grows (FIFO; Dean 2004): a vertex's
+    latest departure is the first start, latest first, whose run reaches
+    it, and its least duration is the least arrival minus start, first
+    reached at the earliest optimal departure.
     """
     n = graph.vertex_count
     adjacency = graph.adjacency
@@ -710,27 +703,10 @@ def earliest_arrival(
     arrival: list = [_NEVER] * n
     parents: list = [None] * n
     done = [False] * n
-    heap: list[tuple[Time, Vertex]] = []
-    if first_time is None:
-        heap.append((start, source))
-    else:
-        done[source] = True
-        if not full or 1 <= first_time <= tau:
-            for e, w in adjacency[source]:
-                departures = all_departures[e]
-                i = bisect_left(departures, first_time, key=_time)
-                if i < len(departures) and departures[i][0] == first_time:
-                    arrival[w] = departures[i][1]
-                elif full:
-                    arrival[w] = first_time + defaults[e]
-                else:
-                    continue
-                parents[w] = (source, e, first_time)
-                heap.append((arrival[w], w))
-        heapq.heapify(heap)
+    heap: list[tuple[Time, Vertex]] = [(start, source)]
     pop = heapq.heappop
     push = heapq.heappush
-    unsettled = n if first_time is None else n - 1
+    unsettled = n
     while heap:
         now, u = pop(heap)
         if done[u]:
@@ -801,10 +777,15 @@ def is_feasible(instance: Instance, labeling: Labeling) -> bool:
 
 def _feasible_arrivals(instance: Instance, table: CandidateTable) -> dict | None:
     """Earliest arrivals from each source in order, or None at the first
-    source that misses a vertex."""
+    source that misses a vertex; None before allocating anything per
+    vertex when there are over twice as many vertices as edges, as some
+    vertex then has no edge."""
+    graph = instance.graph
+    if graph.vertex_count > 2 * graph.edge_count:
+        return None
     arrivals = {}
     for s in sorted(instance.sources):
-        arrivals[s], _ = earliest_arrival(instance.graph, table, s)
+        arrivals[s], _ = earliest_arrival(graph, table, s)
         if arrivals[s].count(None) > 1:
             return None
     return arrivals

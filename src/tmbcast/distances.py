@@ -5,18 +5,17 @@ and shared by every source and probe:
 
 * earliest arrival: one run of the kernel ``core.earliest_arrival``,
   stopped at the target when there is one;
-* latest departure: for every vertex, kernel runs whose first step departs
-  at an exact time, probing candidate first departures latest first until
-  every wanted vertex is reached;
-* fastest (min duration): for every vertex, the same probes over every
-  candidate first departure, minimizing arrival minus departure;
-* latest departure and fastest for one target: a few kernel runs whose
-  walks may start at any candidate from a given time on, stopped at the
-  target.  Waiting is allowed, so their arrival F(t0) never decreases as
-  the start t0 grows (FIFO; Dean, "Shortest paths in FIFO time-dependent
-  networks", 2004).  Latest departure bisects for the last finite F, and
-  fastest sweeps the candidates, skipping those that F bounds out (see
-  ``_fastest_to``);
+* latest departure and fastest: kernel runs from a start time t0, whose
+  first step departs at t0 or later.  Waiting is allowed, so the arrival
+  F(t0) never decreases as t0 grows (FIFO; Dean, "Shortest paths in FIFO
+  time-dependent networks", 2004).  A vertex's latest departure is the
+  first start, taken latest first, whose run reaches it; the least F(t0) -
+  t0 over the starts is the least duration, first reached at the earliest
+  optimal departure.  For every vertex, latest departure runs the
+  candidate first departures latest first until every vertex is reached,
+  and fastest runs them all.  For one target the runs stop at the target:
+  latest departure bisects for the last finite F, and fastest sweeps the
+  candidates, skipping those that F bounds out (see ``_fastest_to``);
 * shortest travel / minimum hop: the front search ``_fronts`` keyed by the
   cost (travel or hops), whose first kept state at a vertex has the least
   cost and then the earliest arrival;
@@ -39,10 +38,10 @@ Values come first, witnesses on demand: a search returns per-vertex values
 and a function that builds the paths of the vertices asked for.  Every
 witness is a linked step list ``(edge, time, previous)`` (see
 ``_chain_path``): the front search links the states it keeps, a
-latest-departure witness comes from the probe that found its vertex, and an
+latest-departure witness comes from the run that found its vertex, and an
 earliest-arrival or fastest witness from the parent forest of its kernel
 run (a fastest witness, or a one-target latest-departure one, re-runs the
-probe that attained the value; the kernel is deterministic), so no probe's
+start that attained the value; the kernel is deterministic), so no run's
 parents outlive it.
 """
 
@@ -164,12 +163,13 @@ def _latest_departures(
     graph: StaticGraph, table: CandidateTable, source: int
 ) -> tuple[list[int | None], list[tuple | None]]:
     """(values, chains): the latest first departure from which each other
-    vertex is reachable, and its witness from that probe as a linked step
+    vertex is reachable, and its witness from that run as a linked step
     list (see ``_chain_path``).
 
-    Probes candidate first departures latest first until every vertex is
-    reached; the chains built in one probe share their prefixes, and no
-    probe's parents outlive it.  Entries of the source and of unreached
+    Runs the kernel from each candidate first departure, latest first, until
+    every vertex is reached; a vertex's value is the first start whose run
+    reaches it.  The chains built in one run share their prefixes, and no
+    run's parents outlive it.  Entries of the source and of unreached
     vertices stay None.
     """
     value: list[int | None] = [None] * graph.vertex_count
@@ -178,7 +178,7 @@ def _latest_departures(
     for t0 in reversed(_first_departure_times(graph, table, source)):
         if not remaining:
             break
-        arrivals, parents = earliest_arrival(graph, table, source, t0)
+        arrivals, parents = earliest_arrival(graph, table, source, start=t0)
         found = [v for v in remaining if arrivals[v] is not None]
         links = {source: None}
         for v in found:
@@ -203,13 +203,14 @@ def _parent_chain(parents: list, links: dict, v: int) -> tuple:
 
 
 def _fastest(graph: StaticGraph, table: CandidateTable, source: int):
-    """(durations, first departures): least arrival minus departure per
-    vertex over every candidate first departure, and the earliest first
-    departure attaining it."""
+    """(durations, first departures): per vertex, the least arrival minus
+    start over runs from every candidate first departure, and the earliest
+    start attaining it.  A run's paths depart at its start or later, so that
+    is the least duration, first reached at the earliest optimal departure."""
     duration: list[int | None] = [None] * graph.vertex_count
     start: list[int | None] = [None] * graph.vertex_count
     for t0 in _first_departure_times(graph, table, source):
-        arrivals, _ = earliest_arrival(graph, table, source, t0)
+        arrivals, _ = earliest_arrival(graph, table, source, start=t0)
         for v, arrival in enumerate(arrivals):
             if arrival is not None and (duration[v] is None or arrival - t0 < duration[v]):
                 duration[v] = arrival - t0
@@ -218,14 +219,14 @@ def _fastest(graph: StaticGraph, table: CandidateTable, source: int):
 
 
 def _probe_paths(graph, table, source, start, vertices) -> dict[int, TemporalPath]:
-    """Witness paths of ``vertices`` from re-runs of their probes, one run
-    per distinct first departure ``start[v]``."""
+    """Witness paths of ``vertices`` from re-runs of the kernel, one run
+    from each distinct first departure ``start[v]``."""
     by_start: dict[int, list[int]] = {}
     for v in vertices:
         by_start.setdefault(start[v], []).append(v)
     paths: dict[int, TemporalPath] = {}
     for t0, group in by_start.items():
-        _, parents = earliest_arrival(graph, table, source, t0)
+        _, parents = earliest_arrival(graph, table, source, start=t0)
         paths.update(_parent_paths(graph, parents, source, group))
     return paths
 
@@ -237,8 +238,8 @@ def _free_run(graph, table, source: int, target: int, start: int):
     (None, None) when there is no such walk.
 
     F never decreases as ``start`` grows, and the path's first departure
-    ``t'`` attains it: ``t' >= start`` and F(t') = F(start), so the exact
-    probe at ``t'`` arrives at F(start) too.
+    ``t'`` attains it: ``t' >= start`` and F(t') = F(start), so the run
+    from ``t'`` arrives at F(start) along a path that departs at ``t'``.
     """
     arrivals, parents = earliest_arrival(graph, table, source, start=start, stop=target)
     if arrivals[target] is None:
@@ -250,7 +251,7 @@ def _free_run(graph, table, source: int, target: int, start: int):
 
 
 def _latest_departure_to(graph, table, source: int, target: int) -> int | None:
-    """ld(source, target): the latest candidate first departure whose probe
+    """ld(source, target): the latest candidate first departure whose run
     reaches ``target``, or None.
 
     That is the latest candidate ``t0`` with F(t0) finite (see
@@ -501,11 +502,11 @@ def _search_one(graph, table, source, measure: Measure, target: int):
     latest-departure or fastest query; every other value is None.
 
     Earliest arrival is one kernel run stopped at the target.  Latest
-    departure and fastest take a few runs whose walks may start at any
-    candidate first departure from some time on (``_latest_departure_to``,
-    ``_fastest_to``) in place of one probe per candidate, and the witness
-    comes from the exact probe at the answer's first departure, stopped at
-    the target, which yields the same path as the full probe.
+    departure (the latest start whose run reaches the target) and fastest
+    (the least arrival minus start) take a few runs (``_latest_departure_to``,
+    ``_fastest_to``) in place of one per candidate first departure.  The
+    witness re-runs the answer's first departure, stopped at the target,
+    which yields the same path as the full run from that start.
     """
     start = parents = None
     if measure is Measure.EARLIEST_ARRIVAL:
@@ -520,7 +521,7 @@ def _search_one(graph, table, source, measure: Measure, target: int):
 
     def witnesses(vs):
         probe = parents if start is None else earliest_arrival(
-            graph, table, source, start, stop=target)[1]
+            graph, table, source, start=start, stop=target)[1]
         return _parent_paths(graph, probe, source, vs)
 
     return values, witnesses

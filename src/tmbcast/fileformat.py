@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import chain
-from typing import Any
+from typing import Any, Sequence
 
 from tmbcast.core import (
     Instance,
@@ -31,7 +31,6 @@ from tmbcast.core import (
     TraversalSpec,
     ValidationError,
     _check_cover,
-    _columns,
     _within,
 )
 from tmbcast.reductions import CnfFormula, GadgetInstance
@@ -200,6 +199,18 @@ def _load_json(text: str, what: str) -> dict:
     return payload
 
 
+def _columns(rows: Sequence, width: int) -> tuple | None:
+    """The columns of ``rows`` (``width`` empty ones when there are none),
+    or None when some row is not a sized sequence of ``width`` items."""
+    try:
+        if set(map(len, rows)) <= {width}:
+            flat = tuple(chain.from_iterable(rows))
+            return tuple(flat[i::width] for i in range(width))
+    except TypeError:
+        pass
+    return None
+
+
 def _ints(values: tuple) -> tuple[int, ...]:
     """``values`` through int(), skipped when every value already is one."""
     return values if set(map(type, values)) <= {int} else tuple(map(int, values))
@@ -214,8 +225,8 @@ def _int_values(values: list, what: str) -> tuple[int, ...]:
 
 
 def _override_table(items: list, edge_count: int, what: str) -> tuple:
-    """Per-edge (time, weight) rows of ``[edge, time, weight]`` entries;
-    the last entry for an (edge, time) wins."""
+    """Per-edge (time, weight) rows of ``[edge, time, weight]`` entries, as
+    ``dict.items()`` views; the last entry for an (edge, time) wins."""
     columns = _columns(items, 3)
     try:
         columns = None if columns is None else tuple(map(_ints, columns))
@@ -231,13 +242,10 @@ def _override_table(items: list, edge_count: int, what: str) -> tuple:
             if not (0 <= e < edge_count):
                 raise ParseError(f"{what}: override for unknown edge {e}")
     edges, times, weights = columns
-    rows = [[] for _ in range(edge_count)]
-    for e, pair in zip(edges, zip(times, weights)):
-        rows[e].append(pair)
-    latest = tuple(map(dict, rows))
-    if sum(map(len, latest)) < len(edges):  # the last entry for a time wins
-        return tuple(map(tuple, map(dict.items, latest)))
-    return tuple(map(tuple, rows))
+    rows = [{} for _ in range(edge_count)]
+    for e, t, w in zip(edges, times, weights):
+        rows[e][t] = w
+    return tuple(map(dict.items, rows))
 
 
 def _labeling(rows: list, what: str) -> Labeling:

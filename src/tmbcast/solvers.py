@@ -358,12 +358,13 @@ def brute_force(
     """
     limits = limits or OracleLimits()
     cardinality = search_space_size(instance)
-    if (
-        cardinality > limits.max_labelings
-        or instance.graph.edge_count > limits.max_edges
-        or instance.tau > limits.max_tau
+    for cap, size, limit in (
+        ("labelings", cardinality, limits.max_labelings),
+        ("edges", instance.graph.edge_count, limits.max_edges),
+        ("tau", instance.tau, limits.max_tau),
     ):
-        raise SearchSpaceTooLarge(cardinality, limits.max_labelings)
+        if size > limit:
+            raise SearchSpaceTooLarge(cardinality, limit, cap, size)
 
     trav = instance.traversal
     horizon = tuple(range(1, instance.tau + 1))

@@ -3,6 +3,10 @@ differential tests can compare old and new.
 
 * ``_ea_run`` (relaxing every edge through the candidate generator
   ``_min_candidates``) was replaced by ``core.earliest_arrival``;
+* ``earliest_arrival``, the kernel whose ``first_time`` made the first step
+  depart exactly then, by the ``core.earliest_arrival`` that only starts
+  walks at a time.  Every reference below that probes first departures
+  calls this copy, so differential tests compare against the old probes;
 * ``_min_wait_run``, the recursive depth-first search without pruning, by
   the iterative ``distances._min_wait_run``;
 * ``_max_stats_run``, a depth-first search over every simple static path, by
@@ -45,6 +49,7 @@ from typing import Iterable, Iterator, Union
 from tmbcast.core import (
     Availability,
     CandidateTable,
+    Edge,
     FullAvailability,
     Instance,
     Labeling,
@@ -54,10 +59,13 @@ from tmbcast.core import (
     SearchSpaceTooLarge,
     StaticGraph,
     TemporalPath,
+    Time,
     TraversalSpec,
     Unreachable,
+    Vertex,
+    _NEVER,
     _reaches_all,
-    earliest_arrival,
+    _time,
 )
 from tmbcast.distances import (
     Measure,
@@ -174,6 +182,96 @@ def _ea_run(
         settled.add(v)
         relax(v, arr, None)
     return arrivals, parents
+
+
+def earliest_arrival(
+    graph: StaticGraph,
+    table: CandidateTable,
+    source: Vertex,
+    first_time: Time | None = None,
+    start: Time = 1,
+    stop: Vertex | None = None,
+) -> tuple[list[Time | None], list[tuple[Vertex, Edge, Time] | None]]:
+    """Earliest arrival at every vertex from ``source``: (arrivals, parents).
+
+    Dijkstra over (arrival, vertex), relaxing edges in adjacency order.  The
+    walk starts at time ``start`` (1 by default), so its first step departs
+    then or later; with ``first_time`` its first step departs exactly then.
+    No walk re-enters the source.  ``arrivals[v]`` is None for the source
+    and for unreached vertices; ``parents[v]`` is ``(previous vertex, edge,
+    departure)``, and the parent forest realizes the arrivals.  Within an
+    edge the departure is the first of ``table.candidates`` with the least
+    arrival; the scan stops once a departure time reaches the best arrival
+    so far.  With ``stop`` the run ends once that vertex is settled: its
+    arrival and its path in the forest are final, other entries may not be.
+    """
+    n = graph.vertex_count
+    adjacency = graph.adjacency
+    all_departures = table.departures
+    tau = table.tau
+    full = tau is not None
+    overrides = table.overrides
+    defaults = table.defaults
+    arrival: list = [_NEVER] * n
+    parents: list = [None] * n
+    done = [False] * n
+    heap: list[tuple[Time, Vertex]] = []
+    if first_time is None:
+        heap.append((start, source))
+    else:
+        done[source] = True
+        if not full or 1 <= first_time <= tau:
+            for e, w in adjacency[source]:
+                departures = all_departures[e]
+                i = bisect_left(departures, first_time, key=_time)
+                if i < len(departures) and departures[i][0] == first_time:
+                    arrival[w] = departures[i][1]
+                elif full:
+                    arrival[w] = first_time + defaults[e]
+                else:
+                    continue
+                parents[w] = (source, e, first_time)
+                heap.append((arrival[w], w))
+        heapq.heapify(heap)
+    pop = heapq.heappop
+    push = heapq.heappush
+    unsettled = n if first_time is None else n - 1
+    while heap:
+        now, u = pop(heap)
+        if done[u]:
+            continue
+        done[u] = True
+        unsettled -= 1
+        if not unsettled or u == stop:
+            break  # nothing left to improve, or nothing more wanted
+        if full and now > tau:
+            continue
+        for e, w in adjacency[u]:
+            if done[w]:
+                continue
+            departures = all_departures[e]
+            if departures and departures[0][0] < now:
+                departures = departures[bisect_left(departures, now, key=_time):]
+            best = _NEVER
+            for t, a in departures:
+                if t >= best:
+                    break
+                if a < best:
+                    best = a
+                    best_t = t
+            if full:
+                t = now
+                per_edge = overrides[e]
+                while t in per_edge:
+                    t += 1
+                if t <= tau and t + defaults[e] < best:
+                    best = t + defaults[e]
+                    best_t = t
+            if best < arrival[w]:
+                arrival[w] = best
+                parents[w] = (u, e, best_t)
+                push(heap, (best, w))
+    return [None if a is _NEVER else a for a in arrival], parents
 
 
 def _min_wait_run(

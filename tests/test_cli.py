@@ -73,9 +73,9 @@ def test_verify_ea_runs_one_search_per_source(capsys, network, monkeypatch):
     searched = []
     kernel = core.earliest_arrival
 
-    def counting(graph, table, source, first_time=None):
+    def counting(graph, table, source, **kwargs):
         searched.append(source)
-        return kernel(graph, table, source, first_time)
+        return kernel(graph, table, source, **kwargs)
 
     for module in (core, distances):
         monkeypatch.setattr(module, "earliest_arrival", counting)

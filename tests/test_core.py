@@ -389,3 +389,21 @@ def test_is_feasible_monotone():
         )
         if is_feasible(inst, lab):
             assert is_feasible(inst, bigger)
+
+
+def test_a_vertex_without_edges_fails_before_any_search(monkeypatch):
+    import tmbcast.core as core
+    from tmbcast.distances import Measure, objective
+    from tmbcast.solvers import SolveStatus, brute_force
+
+    # More than twice as many vertices as edges leaves a vertex with no
+    # edge: infeasible with no search and nothing allocated per vertex.
+    monkeypatch.setattr(core, "earliest_arrival", None)
+    graph = StaticGraph(10**6, ((0, 1),))
+    inst = Instance(graph, frozenset({0}), TraversalSpec.uniform(1, 1), (1,), 5)
+    labeling = Labeling(((1,),))
+    assert is_feasible(inst, labeling) is False
+    for measure in Measure:
+        assert objective(inst, labeling, measure) is None
+    assert brute_force(inst, Measure.EARLIEST_ARRIVAL).status is SolveStatus.INFEASIBLE
+    assert "adjacency" not in vars(graph)

@@ -73,11 +73,10 @@ def labelings(graph, tau):
 
 @st.composite
 def searches(draw, max_vertices=6, max_edges=8):
-    """(graph, traversal, availability, source, first_time) on small graphs.
+    """(graph, traversal, availability, source, start) on small graphs.
 
     The availability is a labeling (label sets may be empty) or the full
-    temporal graph; ``first_time`` is None or an exact first departure,
-    possibly outside 1..tau.
+    temporal graph; ``start`` is a start time in 1..tau + 1.
     """
     graph, traversal, tau = draw(networks(max_vertices, max_edges))
     if draw(st.booleans()):
@@ -85,21 +84,21 @@ def searches(draw, max_vertices=6, max_edges=8):
     else:
         availability = draw(labelings(graph, tau))
     source = draw(st.integers(0, graph.vertex_count - 1))
-    first_time = draw(st.none() | st.integers(0, tau + 1))
-    return graph, traversal, availability, source, first_time
+    start = draw(st.integers(1, tau + 1))
+    return graph, traversal, availability, source, start
 
 
 @settings(max_examples=400, deadline=None)
 @given(searches())
 def test_earliest_arrival_matches_reference(case):
-    graph, traversal, availability, source, first_time = case
+    graph, traversal, availability, source, start = case
     table = CandidateTable(availability, traversal)
-    arrivals, parents = earliest_arrival(graph, table, source, first_time)
-    want_arrivals, want_parents = reference._ea_run(
-        graph, availability, traversal, source, first_time
-    )
+    arrivals, parents = earliest_arrival(graph, table, source)
+    want_arrivals, want_parents = reference._ea_run(graph, availability, traversal, source)
     assert {v: a for v, a in enumerate(arrivals) if a is not None} == want_arrivals
     assert {v: p for v, p in enumerate(parents) if p is not None} == want_parents
+    assert earliest_arrival(graph, table, source, start) == reference.earliest_arrival(
+        graph, table, source, start=start)
     if isinstance(availability, Labeling):
         raw = CandidateTable(availability.times_by_edge, traversal)
         assert raw.departures == table.departures
@@ -108,8 +107,7 @@ def test_earliest_arrival_matches_reference(case):
 @settings(max_examples=300, deadline=None)
 @given(searches())
 def test_free_start_is_the_least_exact_start_at_or_after_it(case):
-    graph, traversal, availability, source, first_time = case
-    start = 1 if first_time is None else max(first_time, 1)  # walks start at 1 or later
+    graph, traversal, availability, source, start = case
     table = CandidateTable(availability, traversal)
     arrivals, _ = earliest_arrival(graph, table, source, start=start)
     later = [t for t in _first_departure_times(graph, table, source) if t >= start]
@@ -131,15 +129,15 @@ def test_free_start_is_the_least_exact_start_at_or_after_it(case):
 # A source with no edges; a target the source cannot reach; zero-weight
 # edges whose first departures tie; an arrival past tau on the full
 # temporal graph; and a labeling that leaves an edge without labels.
-@example((StaticGraph(3, ((1, 2),)), TraversalSpec.uniform(1, 1), FullAvailability(3), 0, None))
+@example((StaticGraph(3, ((1, 2),)), TraversalSpec.uniform(1, 1), FullAvailability(3), 0, 1))
 @example((StaticGraph(4, ((0, 1), (2, 3))), TraversalSpec.uniform(2, 1),
-          Labeling(((1, 2), (1,))), 0, None))
+          Labeling(((1, 2), (1,))), 0, 1))
 @example((StaticGraph(3, ((0, 1), (0, 2), (1, 2))), TraversalSpec.uniform(3, 0),
-          FullAvailability(3), 0, None))
+          FullAvailability(3), 0, 1))
 @example((StaticGraph(3, ((0, 1), (1, 2))), TraversalSpec.from_maps([1, 4], {0: {2: 0}}),
-          FullAvailability(3), 0, None))
+          FullAvailability(3), 0, 1))
 @example((StaticGraph(3, ((0, 1), (1, 2))), TraversalSpec.uniform(2, 1),
-          Labeling(((1, 3), ())), 0, None))
+          Labeling(((1, 3), ())), 0, 1))
 @settings(max_examples=400, deadline=None)
 @given(searches())
 def test_one_target_ft_ld_match_reference(case):
@@ -148,7 +146,7 @@ def test_one_target_ft_ld_match_reference(case):
     others = [v for v in range(graph.vertex_count) if v != source]
     duration, start = reference._fastest(graph, table, source)
     latest, chains = reference._latest_departures_with_chains(graph, table, source, others)
-    arrivals, parents = earliest_arrival(graph, table, source)
+    arrivals, parents = reference.earliest_arrival(graph, table, source)
     want = {
         Measure.FASTEST: (duration, reference._probe_paths(
             graph, table, source, start, [v for v in others if duration[v] is not None])),
@@ -159,6 +157,10 @@ def test_one_target_ft_ld_match_reference(case):
             for v in others if arrivals[v] is not None}),
     }
     for measure, (want_values, want_paths) in want.items():
+        # Every vertex at once, then each target alone.
+        values, witnesses = _search(graph, table, source, measure)
+        assert values == want_values
+        assert witnesses(list(want_paths)) == want_paths
         for v in others:
             values, witnesses = _search(graph, table, source, measure, targets=(v,))
             assert values[v] == want_values[v]
@@ -181,11 +183,11 @@ def test_min_wait_matches_reference(case):
 # A zero-weight triangle, an arrival past tau on the full temporal graph,
 # and a labeling that leaves an edge without labels.
 @example((StaticGraph(3, ((0, 1), (0, 2), (1, 2))), TraversalSpec.uniform(3, 0),
-          FullAvailability(2), 0, None))
+          FullAvailability(2), 0, 1))
 @example((StaticGraph(3, ((0, 1), (1, 2))), TraversalSpec.from_maps([1, 4], {0: {2: 0}}),
-          FullAvailability(3), 0, None))
+          FullAvailability(3), 0, 1))
 @example((StaticGraph(3, ((0, 1), (1, 2))), TraversalSpec.uniform(2, 1),
-          Labeling(((1,), ())), 0, None))
+          Labeling(((1,), ())), 0, 1))
 @settings(max_examples=300, deadline=None)
 @given(searches())
 def test_st_mh_match_reference(case):

@@ -1,0 +1,63 @@
+"""``tests/reference_search.py`` keeps its own copy of the old
+earliest-arrival kernel and never reaches the library's: a reference that
+called ``tmbcast``'s kernel would follow it when it changes, and every
+differential test over it would compare the new code with itself."""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+REFERENCE = Path(__file__).with_name("reference_search.py")
+
+
+def kernel_imports(tree: ast.AST, name: str = "earliest_arrival") -> list[str]:
+    """``line`` entries for every way ``tree`` reaches ``name`` in
+    ``tmbcast``: ``from tmbcast... import name`` or ``<module>.name`` on a
+    module imported from ``tmbcast``."""
+    modules = set()
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("tmbcast"):
+            for alias in node.names:
+                if alias.name == name:
+                    found.append(f"{node.lineno} import {name}")
+                else:
+                    modules.add(alias.asname or alias.name)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("tmbcast"):
+                    modules.add(alias.asname or alias.name.split(".")[0])
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr == name
+            and isinstance(node.value, (ast.Name, ast.Attribute))
+            and ast.unparse(node.value).split(".")[0] in modules
+        ):
+            found.append(f"{node.lineno} {ast.unparse(node)}")
+    return found
+
+
+def test_reference_search_keeps_its_own_kernel():
+    tree = ast.parse(REFERENCE.read_text(encoding="utf-8"))
+    assert kernel_imports(tree) == []
+    own = [node for node in tree.body
+           if isinstance(node, ast.FunctionDef) and node.name == "earliest_arrival"]
+    assert len(own) == 1 and own[0].args.args[3].arg == "first_time"
+
+
+def test_kernel_imports_are_detected():
+    tree = ast.parse(
+        "from tmbcast.core import CandidateTable, earliest_arrival\n"
+        "import tmbcast.core as core\n"
+        "from tmbcast import distances\n"
+        "core.earliest_arrival(1)\n"
+        "distances.earliest_arrival(2)\n"
+        "other.earliest_arrival(3)\n"
+    )
+    assert kernel_imports(tree) == [
+        "1 import earliest_arrival",
+        "4 core.earliest_arrival",
+        "5 distances.earliest_arrival",
+    ]

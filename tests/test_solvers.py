@@ -105,9 +105,9 @@ def test_ea_solve_searches_each_source_once(monkeypatch):
     searched = []
     kernel = core.earliest_arrival
 
-    def counting(graph, table, source, first_time=None):
+    def counting(graph, table, source, **kwargs):
         searched.append(source)
-        return kernel(graph, table, source, first_time)
+        return kernel(graph, table, source, **kwargs)
 
     for module in (core, distances, tsot):
         monkeypatch.setattr(module, "earliest_arrival", counting)
@@ -445,6 +445,22 @@ def test_brute_force_space_guard():
     assert err.value.cardinality == 5
 
 
+# A 2-edge path with tau = 30 has 30 * 30 labelings; each limit below is the
+# only one it exceeds, and the refusal names that limit.
+@pytest.mark.parametrize("limits, named", [
+    (OracleLimits(max_labelings=899, max_tau=30), "900 labelings (labelings limit 899)"),
+    (OracleLimits(max_edges=1, max_tau=30), "900 labelings and edges 2 (edges limit 1)"),
+    (OracleLimits(), "900 labelings and tau 30 (tau limit 10)"),
+])
+def test_brute_force_refusal_names_the_limit_exceeded(limits, named):
+    inst = Instance(StaticGraph(3, ((0, 1), (1, 2))), frozenset({0}),
+                    TraversalSpec.uniform(2, 1), (1, 1), 30)
+    with pytest.raises(SearchSpaceTooLarge) as err:
+        brute_force(inst, EA, limits)
+    assert str(err.value) == f"brute-force search space has {named}"
+    assert err.value.cardinality == 900
+
+
 def test_brute_force_stops_at_the_first_leaf_that_meets_the_full_graph_value(monkeypatch):
     import tmbcast.core as core
     import tmbcast.distances as distances
@@ -457,9 +473,9 @@ def test_brute_force_stops_at_the_first_leaf_that_meets_the_full_graph_value(mon
     searched = []
     kernel = core.earliest_arrival
 
-    def counting(graph, table, source, first_time=None):
+    def counting(graph, table, source, **kwargs):
         searched.append(source)
-        return kernel(graph, table, source, first_time)
+        return kernel(graph, table, source, **kwargs)
 
     for module in (core, distances):
         monkeypatch.setattr(module, "earliest_arrival", counting)
