@@ -15,7 +15,9 @@ and shared by every source and probe:
   candidate first departures latest first until every vertex is reached,
   and fastest runs them all.  For one target the runs stop at the target:
   latest departure bisects for the last finite F, and fastest sweeps the
-  candidates, skipping those that F bounds out (see ``_fastest_to``);
+  candidates, skipping those that F bounds out (see ``_fastest_to``).  The
+  floor L* = min_v ld(v), which the exact solvers' ld tree needs, bisects
+  the same way for the last start whose run reaches every vertex;
 * shortest travel / minimum hop: the front search ``_fronts`` keyed by the
   cost (travel or hops), whose first kept state at a vertex has the least
   cost and then the earliest arrival;
@@ -231,17 +233,26 @@ def _probe_paths(graph, table, source, start, vertices) -> dict[int, TemporalPat
     return paths
 
 
-def _free_run(graph, table, source: int, target: int, start: int):
+def _free_run(graph, table, source: int, target: int | None, start: int):
     """(arrival, first departure): the earliest arrival at ``target`` over
     the walks from ``source`` whose first step departs at ``start`` or
     later, F(start), and the first departure of the run's path there;
-    (None, None) when there is no such walk.
+    (None, None) when there is no such walk.  With ``target`` None the run
+    covers every vertex: the latest of their arrivals and the least first
+    departure of their paths, (None, None) when some vertex is unreached.
 
     F never decreases as ``start`` grows, and the path's first departure
     ``t'`` attains it: ``t' >= start`` and F(t') = F(start), so the run
     from ``t'`` arrives at F(start) along a path that departs at ``t'``.
+    With ``target`` None, every path departs at the least ``t'`` or later,
+    so the run from there still reaches every vertex.
     """
     arrivals, parents = earliest_arrival(graph, table, source, start=start, stop=target)
+    if target is None:
+        if arrivals.count(None) > 1:  # the source's own entry is None
+            return None, None
+        return (max(a for a in arrivals if a is not None),
+                min(p[2] for p in parents if p is not None and p[0] == source))
     if arrivals[target] is None:
         return None, None
     v = target
@@ -250,13 +261,17 @@ def _free_run(graph, table, source: int, target: int, start: int):
     return arrivals[target], parents[v][2]
 
 
-def _latest_departure_to(graph, table, source: int, target: int) -> int | None:
+def _latest_departure_to(graph, table, source: int, target: int | None = None) -> int | None:
     """ld(source, target): the latest candidate first departure whose run
-    reaches ``target``, or None.
+    reaches ``target``, or None.  With ``target`` None, the latest whose
+    run reaches every vertex: the floor L* = min_v ld(source, v), None when
+    even the first run misses a vertex.
 
     That is the latest candidate ``t0`` with F(t0) finite (see
     ``_free_run``), found by bisection: a finite run's first departure is a
-    candidate that reaches the target, so it becomes the lower end.
+    candidate that reaches the target, so it becomes the lower end.  The
+    first run decides reachability, and each later one halves the range,
+    so it takes at most 1 + ceil(log2 tau) runs on the full graph.
     """
     times = _first_departure_times(graph, table, source)
     if not times:

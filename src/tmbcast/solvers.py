@@ -44,12 +44,12 @@ from tmbcast.core import (
     Unreachable,
     ValidationError,
     WrongSourceCount,
-    reaches_all,
 )
 from tmbcast.distances import (
     Bounds,
     DistanceResult,
     Measure,
+    _latest_departure_to,
     _pair_values,
     _table_pairs,
     _worst,
@@ -107,23 +107,25 @@ _UNREACHABLE = "source {} cannot reach every vertex even in the full graph"
 
 def _full_graph_trees(instance: Instance, measure: Measure) -> list[Tsot]:
     """The measure's spanning out-tree of the full temporal graph for every
-    source, in source order.  Raises Unreachable naming the first source
-    that misses a vertex; under earliest arrival the tree's own search
-    decides that, so each source is searched once."""
-    sources = sorted(instance.sources)
-    if measure is Measure.EARLIEST_ARRIVAL:
-        trees = []
-        for s in sources:
-            try:
-                trees.append(build_ea_tsot(s, instance))
-            except Unreachable:
-                raise Unreachable(_UNREACHABLE.format(s)) from None
-        return trees
-    avail = instance.full_availability()
-    for s in sources:
-        if not reaches_all(instance.graph, avail, instance.traversal, s):
-            raise Unreachable(_UNREACHABLE.format(s))
-    return [build_ld_tsot(s, instance) for s in sources]
+    source, in source order: the earliest-arrival tree from start 1 under
+    earliest arrival, and from the floor L* under latest departure (see
+    ``tsot``).  Raises Unreachable naming the first source that misses a
+    vertex; the first search of each source decides that, the tree's own
+    under earliest arrival and the floor bisection's first run under
+    latest departure."""
+    table = CandidateTable(instance.full_availability(), instance.traversal)
+    trees = []
+    for s in sorted(instance.sources):
+        start = 1
+        if measure is Measure.LATEST_DEPARTURE:
+            start = _latest_departure_to(instance.graph, table, s)
+        try:
+            if start is None:
+                raise Unreachable
+            trees.append(build_ea_tsot(s, instance, start=start))
+        except Unreachable:
+            raise Unreachable(_UNREACHABLE.format(s)) from None
+    return trees
 
 
 def _finish(instance, labeling, measure, regime, status=SolveStatus.OPTIMAL,
@@ -267,9 +269,13 @@ def solve_tree(instance: Instance, measure: Measure) -> SolveResult:
 def approx_ft_mw(instance: Instance, measure: Measure) -> SolveResult:
     """Feasible single-source schedule with a duration/waiting certificate.
 
-    Returns the latest-departure tree of the full temporal graph; its
-    objective is at most the reported ft_max (resp. mw_max) while no schedule
-    can beat ft_min (resp. mw_min).
+    Returns the latest-departure merge tree of the full temporal graph
+    (``tsot.build_ld_tsot``); its objective is at most the reported ft_max
+    (resp. mw_max) while no schedule can beat ft_min (resp. mw_min).  Any
+    spanning schedule meets the certificate, but the exact solvers' cheaper
+    ld tree, the earliest-arrival tree from the floor L*, writes other
+    schedules with other ft and mw objectives, so this solver keeps the
+    merge tree and the outputs it has always given.
     """
     _require_measure(measure, _APPROX_MEASURES, "approx_ft_mw")
     if len(instance.sources) != 1:

@@ -3,13 +3,19 @@
 Two constructions:
 
 * the earliest-arrival tree records, for every vertex, the temporal in-edge
-  that first achieved its final earliest arrival, so the tree realizes every
-  earliest-arrival distance of the input availability;
-* the latest-departure tree admits vertices in nondecreasing order of their
-  latest-departure value and merges their witness paths edge by edge (add a
-  new vertex's in-edge; keep the existing in-edge when the new arrival is
-  not earlier; otherwise swap it), which guarantees every tree distance is
-  at least the worst latest departure of the input graph.
+  that first achieved its final earliest arrival, over the walks whose first
+  step departs at a given start or later.  From start 1 the tree realizes
+  every earliest-arrival distance of the input availability.  From the
+  floor L* = min_v ld(v), the latest start whose run still reaches every
+  vertex (``distances._latest_departure_to``), every tree path departs the
+  root at L* or later, so every tree distance under latest departure is at
+  least the worst one of the input graph: the exact solvers' ld tree;
+* the latest-departure merge tree admits vertices in nondecreasing order of
+  their latest-departure value and merges their witness paths edge by edge
+  (add a new vertex's in-edge; keep the existing in-edge when the new
+  arrival is not earlier; otherwise swap it).  It meets the same bound and
+  serves only the FT/MW approximation, whose schedules and ft/mw
+  objectives the floor tree would change.
 """
 
 from __future__ import annotations
@@ -70,42 +76,46 @@ class Tsot:
         return t + self.traversal.weight(e, t)
 
     def is_valid(self, graph: StaticGraph) -> bool:
-        """Spanning tree, one label per edge, time-respecting from the root."""
+        """Spanning tree, one label per edge, time-respecting from the root.
+
+        Each parent entry is checked once: its edge is one of the graph's
+        and joins the two vertices, and it departs no earlier than the
+        parent's own entry arrives.  One memoized pass then shows every
+        vertex climbs to the root without a cycle, so the whole check is
+        linear in the vertex count.
+        """
         n = graph.vertex_count
         if len(self.parent) != n or self.parent[self.root] is not None:
-            return False
-        if sum(1 for p in self.parent if p is not None) != n - 1:
             return False
         try:
             self.tree_edges()
         except ValidationError:
             return False
-        for v in range(n):
+        for v, entry in enumerate(self.parent):
             if v == self.root:
                 continue
-            entry = self.parent[v]
             if entry is None:
                 return False
             e, t, u = entry
-            if {u, v} != set(graph.endpoints(e)):
+            if not 0 <= e < graph.edge_count or {u, v} != set(graph.endpoints(e)):
                 return False
-            # climb to the root, checking departures against arrivals
-            seen = {v}
+            up = self.parent[u]
+            if up is not None and up[1] + self.traversal.weight(up[0], up[1]) > t:
+                return False
+        # 0: not yet known, 1: on the current climb, 2: reaches the root
+        state = [0] * n
+        state[self.root] = 2
+        for v in range(n):
+            climb = []
             cur = v
-            while cur != self.root:
-                ent = self.parent[cur]
-                if ent is None:
-                    return False
-                e, t, u = ent
-                up = self.parent[u]
-                if up is not None:
-                    ue, ut, _ = up
-                    if ut + self.traversal.weight(ue, ut) > t:
-                        return False
-                cur = u
-                if cur in seen:
-                    return False
-                seen.add(cur)
+            while not state[cur]:
+                state[cur] = 1
+                climb.append(cur)
+                cur = self.parent[cur][2]
+            if state[cur] == 1:
+                return False  # the climb came back to itself
+            for w in climb:
+                state[w] = 2
         return True
 
 
@@ -125,15 +135,17 @@ def build_ea_tsot(
     root: int,
     instance: Union[Instance, ReachFastInstance],
     availability: Availability | None = None,
+    start: int = 1,
 ) -> Tsot:
-    """Tree realizing every earliest-arrival distance of the availability.
+    """Tree realizing every earliest-arrival distance of the availability
+    over the walks whose first step departs at ``start`` or later.
 
     Defaults to the full temporal graph for plain instances and to the given
     labels for the shifting formulation.  Raises Unreachable when the root
     cannot reach some vertex.
     """
     graph, trav, avail = _resolve(instance, availability)
-    arrivals, parents = earliest_arrival(graph, CandidateTable(avail, trav), root)
+    arrivals, parents = earliest_arrival(graph, CandidateTable(avail, trav), root, start=start)
     parent: list[tuple[int, int, int] | None] = [None] * graph.vertex_count
     for v in range(graph.vertex_count):
         if v == root:

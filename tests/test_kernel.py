@@ -1,8 +1,8 @@
 """Differential tests of the earliest-arrival kernel, the minimum-waiting
 search, the shortest-travel and minimum-hop front search, the one-target
 fastest and latest-departure searches, the certificate maxima, the
-latest-departure tree, the nonseparating-path search, the tree solver and
-the branch-and-bound oracle against the code they replaced
+latest-departure floor and trees, the nonseparating-path search, the tree
+solver and the branch-and-bound oracle against the code they replaced
 (``reference_search``), and of reachability against exhaustive
 enumeration."""
 
@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -34,13 +35,21 @@ from tmbcast.distances import (
     _cost_fronts,
     _first_departure_times,
     _free_run,
+    _latest_departure_to,
     _max_stats,
     _min_wait_run,
     _search,
+    objective,
 )
 from tmbcast.reductions import find_nonseparating_path
-from tmbcast.solvers import brute_force, solve_tree, tree_mu_diagnostic
-from tmbcast.tsot import build_ld_tsot
+from tmbcast.solvers import (
+    brute_force,
+    solve_multi_full_mu,
+    solve_single_source,
+    solve_tree,
+    tree_mu_diagnostic,
+)
+from tmbcast.tsot import build_ea_tsot, build_ld_tsot
 
 import oracles
 import reference_search as reference
@@ -264,6 +273,71 @@ def test_ld_tree_matches_reference(data):
     except Unreachable:
         got = Unreachable
     assert got == want
+
+
+@st.composite
+def ld_solves(draw):
+    """(instance, availability): one or two sources (at most tau) on
+    ``networks()``, every multiplicity the source count, and a labeling or
+    None (the full temporal graph)."""
+    graph, traversal, tau = draw(networks(min_vertices=2))  # an Instance has two or more
+    sources = draw(st.sets(st.integers(0, graph.vertex_count - 1), min_size=1,
+                           max_size=min(2, tau)))
+    instance = Instance(graph, frozenset(sources), traversal,
+                        (len(sources),) * graph.edge_count, tau)
+    return instance, draw(st.none() | labelings(graph, tau))
+
+
+# A zero-weight triangle; an arrival past tau on the full temporal graph,
+# where the floor sits below the far vertex's first departure; two sources
+# on one path; and a labeling that leaves an edge without labels.
+@example((Instance(StaticGraph(3, ((0, 1), (0, 2), (1, 2))), frozenset({0}),
+                   TraversalSpec.uniform(3, 0), (1, 1, 1), 3), None))
+@example((Instance(StaticGraph(3, ((0, 1), (1, 2))), frozenset({0}),
+                   TraversalSpec.from_maps([1, 4], {0: {2: 0}}), (1, 1), 3), None))
+@example((Instance(StaticGraph(3, ((0, 1), (1, 2))), frozenset({0, 2}),
+                   TraversalSpec.uniform(2, 1), (2, 2), 4), None))
+@example((Instance(StaticGraph(3, ((0, 1), (1, 2))), frozenset({0}),
+                   TraversalSpec.uniform(2, 1), (1, 1), 3), Labeling(((1, 3), ()))))
+@settings(max_examples=400, deadline=None)
+@given(ld_solves())
+def test_ld_floor_and_tree_match_the_reference_sweep(case):
+    instance, availability = case
+    graph = instance.graph
+    avail = instance.full_availability() if availability is None else availability
+    table = CandidateTable(avail, instance.traversal)
+    unreachable = False
+    want_labeling = Labeling.empty(graph.edge_count)
+    for root in sorted(instance.sources):
+        others = [v for v in range(graph.vertex_count) if v != root]
+        floor = _latest_departure_to(graph, table, root)
+        try:
+            want_tree = reference.build_ld_tsot(root, instance, availability)
+        except Unreachable:
+            assert floor is None
+            unreachable = True
+            continue
+        latest = reference._latest_departures(graph, table, root, others)
+        assert floor == min(latest[v] for v in others)
+        tree = build_ea_tsot(root, instance, availability, start=floor)
+        assert tree.is_valid(graph)
+        for v in others:
+            while tree.parent[v][2] != root:
+                v = tree.parent[v][2]
+            assert tree.parent[v][1] >= floor  # the path departs the root then or later
+        want_labeling = want_labeling.union(want_tree.to_labeling(graph.edge_count))
+    if availability is not None:
+        return
+    solves = [solve_multi_full_mu]
+    if len(instance.sources) == 1:
+        solves.append(solve_single_source)
+    for solve in solves:
+        if unreachable:
+            with pytest.raises(Unreachable):
+                solve(instance, Measure.LATEST_DEPARTURE)
+        else:
+            got = solve(instance, Measure.LATEST_DEPARTURE).objective
+            assert got == objective(instance, want_labeling, Measure.LATEST_DEPARTURE)
 
 
 @settings(max_examples=300, deadline=None)

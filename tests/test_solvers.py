@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 import sys
 
@@ -115,6 +116,43 @@ def test_ea_solve_searches_each_source_once(monkeypatch):
     # The tree's search, which also decides reachability, and one for the
     # schedule's distances.
     assert searched == [0, 0]
+
+
+def test_ld_solve_bisects_for_the_floor(monkeypatch):
+    import tmbcast.core as core
+    import tmbcast.distances as distances
+    import tmbcast.tsot as tsot
+
+    # A 10x10 grid with weight 3 and a few overrides: the far corner is 54
+    # time units from either source, so a sweep down from tau would take
+    # some 55 runs per source before every vertex is reached.
+    k, tau = 10, 1000
+    edges = [(r * k + c, r * k + c + 1) for r in range(k) for c in range(k - 1)]
+    edges += [(r * k + c, r * k + c + k) for r in range(k - 1) for c in range(k)]
+    graph = StaticGraph(k * k, tuple(edges))
+    traversal = TraversalSpec.from_maps([3] * len(edges), {0: {990: 0}, 7: {995: 1}})
+    searched = []
+    kernel = core.earliest_arrival
+
+    def counting(graph, table, source, **kwargs):
+        if table.tau is not None:  # the full graph, not the written schedule
+            searched.append(source)
+        return kernel(graph, table, source, **kwargs)
+
+    for module in (core, distances, tsot):
+        monkeypatch.setattr(module, "earliest_arrival", counting)
+    most = math.ceil(math.log2(tau)) + 2  # bisection, then the tree's own run
+    for solve, sources in ((solve_single_source, {0}), (solve_multi_full_mu, {0, k * k - 1})):
+        inst = Instance(graph, frozenset(sources), traversal, (len(sources),) * len(edges), tau)
+        searched.clear()
+        result = solve(inst, LD)
+        for s in sources:
+            assert 0 < searched.count(s) <= most
+        floors = [
+            min(r.value for v, r in enumerate(sssp(s, FullAvailability(tau), inst, LD)) if v != s)
+            for s in sources
+        ]
+        assert result.objective == min(floors)
 
 
 @pytest.mark.parametrize("measure", [EA, LD])

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 
@@ -171,3 +172,53 @@ def test_ld_tsot_walks_each_witness_link_once_on_a_long_path(monkeypatch):
     tree = build_ld_tsot(0, inst)
     assert tree.tree_edges() == {e: 3 for e in range(n - 1)}
     assert len(walked) == n - 1
+
+
+def test_is_valid_is_linear_on_a_long_path(monkeypatch):
+    # Climbing to the root from every vertex took 1.86 s here: quadratic.
+    n = 3000
+    graph = StaticGraph(n, tuple((v, v + 1) for v in range(n - 1)))
+    trav = TraversalSpec.uniform(n - 1, 1)
+    tree = Tsot(0, (None, *((v - 1, v, v - 1) for v in range(1, n))), trav)
+    weighed = []
+    weight = TraversalSpec.weight
+
+    def counting(self, e, t):
+        weighed.append(e)
+        return weight(self, e, t)
+
+    monkeypatch.setattr(TraversalSpec, "weight", counting)
+    started = time.perf_counter()
+    assert tree.is_valid(graph)
+    assert time.perf_counter() - started < 0.5
+    assert len(weighed) == n - 2  # one parent-arrival check per non-root child
+
+
+def test_is_valid_rejects_a_cycle_that_misses_the_root():
+    # 1 -> 2 -> 3 -> 1 on zero-weight edges at one time: every entry joins
+    # its vertices, departs when its parent arrives and uses its own edge.
+    graph = StaticGraph(4, ((0, 1), (1, 2), (2, 3), (1, 3)))
+    trav = TraversalSpec.uniform(4, 0)
+    assert not Tsot(0, (None, (3, 1, 3), (1, 1, 1), (2, 1, 2)), trav).is_valid(graph)
+    assert Tsot(0, (None, (0, 1, 0), (1, 1, 1), (2, 1, 2)), trav).is_valid(graph)
+
+
+def test_is_valid_rejects_an_edge_id_outside_the_graph():
+    # Python reads a negative id from the end of the edge list.
+    graph = StaticGraph(3, ((0, 1), (1, 2)))
+    trav = TraversalSpec.uniform(2, 1)
+    assert not Tsot(0, (None, (-2, 1, 0), (-1, 2, 1)), trav).is_valid(graph)
+    assert not Tsot(0, (None, (0, 1, 0), (2, 2, 1)), trav).is_valid(graph)
+
+
+def test_is_valid_rejects_a_reused_edge():
+    graph = StaticGraph(3, ((0, 1), (1, 2)))
+    trav = TraversalSpec.uniform(2, 0)
+    assert not Tsot(0, (None, (1, 1, 2), (1, 1, 1)), trav).is_valid(graph)
+
+
+def test_is_valid_rejects_a_departure_before_the_parent_arrives():
+    graph = StaticGraph(3, ((0, 1), (1, 2)))
+    trav = TraversalSpec.uniform(2, 2)  # edge 0 at time 1 arrives at 3
+    assert not Tsot(0, (None, (0, 1, 0), (1, 2, 1)), trav).is_valid(graph)
+    assert Tsot(0, (None, (0, 1, 0), (1, 3, 1)), trav).is_valid(graph)
