@@ -103,7 +103,7 @@ Time = int
 # Model constructors validate with one plain loop or per-row function per
 # rule, and the first bad item raises; a loop over sorted rows reads each
 # row's last item and looks for the first bad one only when that fails.
-# Only label sets and override rows, most of a document, first meet a bulk
+# Only label sets and overrides, most of a document, first meet a bulk
 # accept test over all their exact ints at once: without those two tests the
 # benchmark's ``check`` workload loses about 18% ops/s.  For every other
 # rule a bulk pre-test saved nothing that could be measured end to end.
@@ -166,10 +166,12 @@ class StaticGraph:
         return tuple(tuple(entries) for entries in adj)
 
     def endpoints(self, e: Edge) -> tuple[Vertex, Vertex]:
+        if not 0 <= e < len(self.edges):  # a negative id would wrap
+            raise ValidationError(f"no edge {e}")
         return self.edges[e]
 
     def other_endpoint(self, e: Edge, v: Vertex) -> Vertex:
-        u, w = self.edges[e]
+        u, w = self.endpoints(e)
         if v == u:
             return w
         if v == w:
@@ -182,9 +184,10 @@ class StaticGraph:
     def edge_id(self, u: Vertex, v: Vertex) -> Edge:
         """Edge id of {u, v}; raises ValidationError if absent."""
         key = (min(u, v), max(u, v))
-        for e, other in self.adjacency[u]:
-            if other == v:
-                return e
+        if 0 <= u < self.vertex_count:
+            for e, other in self.adjacency[u]:
+                if other == v:
+                    return e
         raise ValidationError(f"no edge {key}")
 
     def is_connected(self) -> bool:
@@ -202,29 +205,6 @@ class StaticGraph:
 
     def is_tree(self) -> bool:
         return self.edge_count == self.vertex_count - 1 and self.is_connected()
-
-
-def _override_rows(defaults, rows):
-    """Bulk accept test of ``_override_row`` over every row: the sorted rows
-    and their time -> weight dicts when every row is a tuple, list or dict
-    items view of pairs of exact ints and passes; None otherwise."""
-    if not set(map(type, rows)) <= {tuple, list, type({}.items())}:
-        return None  # an iterator row must reach ``_override_row`` unread
-    try:
-        index = tuple(map(dict, rows))
-    except (TypeError, ValueError):  # some item is not a pair
-        return None
-    times = tuple(chain.from_iterable(index))
-    weights = tuple(chain.from_iterable(map(dict.values, index)))
-    if (
-        set(map(type, times)) | set(map(type, weights)) <= {int}
-        and tuple(map(len, index)) == tuple(map(len, rows))  # no time twice
-        and _within(defaults, 0)
-        and _within(times, 1)
-        and _within(weights, 0)
-    ):
-        return tuple(map(tuple, map(sorted, map(dict.items, index)))), index
-    return None
 
 
 def _override_row(e, default, items):
@@ -253,6 +233,10 @@ class TraversalSpec:
     ``(time, weight)`` pairs.  Keeping the table sparse lets instances carry
     horizons (and sentinel default weights) far larger than the number of
     meaningful departure times.
+
+    Overrides come as the constructor's rows, one per edge, where a time
+    listed twice is a fault, or as ``from_entries``' columns of a document's
+    ``[edge, time, weight]`` entries, where the last for an (edge, time) wins.
     """
 
     defaults: tuple[int, ...]
@@ -261,14 +245,55 @@ class TraversalSpec:
     def __post_init__(self):
         if len(self.defaults) != len(self.overrides):
             raise ValidationError("defaults and overrides must cover the same edges")
-        rows = self.overrides
-        bulk = _override_rows(self.defaults, rows)
-        if bulk is None:
-            bulk = tuple(zip(*map(_override_row, count(), self.defaults, rows))) or ((), ())
-        norm, index = bulk
+        self._build(self.defaults, self.overrides)
+
+    @classmethod
+    def from_entries(cls, edge_count: int, defaults: Sequence[int], edges: Sequence[Edge] = (),
+                     times: Sequence[Time] = (), weights: Sequence[int] = ()) -> "TraversalSpec":
+        """The table over ``edge_count`` edges of the override entries
+        ``[edges[i], times[i], weights[i]]``, the last for an (edge, time)
+        winning; values go through int().  Faults raise as the constructor
+        does on the winning entries' rows, an unknown edge as rows too many."""
+        if not len(edges) == len(times) == len(weights):
+            raise ValidationError("override columns differ in length")
+        columns = (edges, times, weights)
+        if not set(map(type, chain(*columns))) <= {int}:
+            columns = tuple(tuple(map(int, column)) for column in columns)
+        if len(defaults) != edge_count or not _within(columns[0], 0, edge_count - 1):
+            raise ValidationError("defaults and overrides must cover the same edges")
+        return object.__new__(cls)._build(defaults, None, columns)
+
+    def _build(self, defaults, rows, columns=None) -> "TraversalSpec":
+        """Set the fields from ``rows`` or exact-int entry ``columns``, each
+        edge's time -> weight dict built once.  Past the bulk accept test only
+        non-empty dicts are sorted, else ``_override_row`` builds every row."""
+        index = None
+        if columns is not None:
+            edges, times, weights = columns
+            index = tuple({} for _ in defaults)
+            for e, t, w in zip(edges, times, weights):
+                index[e][t] = w
+            rows = map(dict.items, index)
+        elif set(map(type, rows)) <= {tuple, list}:  # an iterator row is read once
+            try:
+                index = tuple(map(dict, rows))
+            except (TypeError, ValueError):  # some item is not a pair
+                pass
+            else:
+                times = tuple(chain.from_iterable(index))
+                weights = tuple(chain.from_iterable(map(dict.values, index)))
+                if not (set(map(type, times)) | set(map(type, weights)) <= {int}
+                        and len(times) == sum(map(len, rows))):  # no time twice
+                    index = None
+        if (index is not None and _within(defaults, 0) and _within(times, 1)
+                and _within(weights, 0)):
+            norm = tuple([tuple(sorted(row.items())) if row else () for row in index])
+        else:
+            norm, index = tuple(zip(*map(_override_row, count(), defaults, rows))) or ((), ())
         object.__setattr__(self, "overrides", norm)
         object.__setattr__(self, "_override_index", index)  # per edge, time -> weight
-        object.__setattr__(self, "defaults", tuple(map(int, self.defaults)))
+        object.__setattr__(self, "defaults", tuple(map(int, defaults)))
+        return self
 
     @classmethod
     def uniform(cls, edge_count: int, weight: int) -> "TraversalSpec":
@@ -280,10 +305,8 @@ class TraversalSpec:
         defaults: Sequence[int],
         overrides: Mapping[Edge, Mapping[Time, int]] | None = None,
     ) -> "TraversalSpec":
-        table: list[tuple[tuple[Time, int], ...]] = [() for _ in defaults]
-        for e, per_edge in (overrides or {}).items():
-            table[e] = tuple(sorted(per_edge.items()))
-        return cls(tuple(defaults), tuple(table))
+        entries = ((e, t, w) for e, row in (overrides or {}).items() for t, w in row.items())
+        return cls.from_entries(len(defaults), defaults, *zip(*entries))
 
     @cached_property
     def _override_departures(self) -> tuple[tuple[tuple[Time, Time], ...], ...]:
@@ -355,6 +378,8 @@ class Labeling:
     def from_dict(cls, edge_count: int, by_edge: Mapping[Edge, Iterable[Time]]) -> "Labeling":
         table: list[tuple[Time, ...]] = [() for _ in range(edge_count)]
         for e, times in by_edge.items():
+            if not 0 <= e < edge_count:  # a negative id would wrap
+                raise ValidationError(f"edge {e} outside 0..{edge_count - 1}")
             table[e] = tuple(sorted(set(times)))
         return cls(tuple(table))
 

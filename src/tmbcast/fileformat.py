@@ -7,6 +7,10 @@ converts values with int(); the model constructors in ``tmbcast.core``
 validate the structure, once per document, and the parsed document keeps
 the validated model.  Reachability is a solver concern.
 
+Overrides are ``[edge, time, weight]`` entries, the last one for an (edge,
+time) winning: the loader checks their shape and edges and hands their
+columns to ``TraversalSpec.from_entries`` (code may pass per-edge rows).
+
 Every fault of a document's text raises ``ParseError``: text that is not
 JSON or nests too deeply for the decoder (``RecursionError``), a missing or
 mistyped field, and every value int() rejects with ``TypeError``,
@@ -20,7 +24,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import chain
-from typing import Any, Sequence
+from typing import Any
 
 from tmbcast.core import (
     Instance,
@@ -199,23 +203,6 @@ def _load_json(text: str, what: str) -> dict:
     return payload
 
 
-def _columns(rows: Sequence, width: int) -> tuple | None:
-    """The columns of ``rows`` (``width`` empty ones when there are none),
-    or None when some row is not a sized sequence of ``width`` items."""
-    try:
-        if set(map(len, rows)) <= {width}:
-            flat = tuple(chain.from_iterable(rows))
-            return tuple(flat[i::width] for i in range(width))
-    except TypeError:
-        pass
-    return None
-
-
-def _ints(values: tuple) -> tuple[int, ...]:
-    """``values`` through int(), skipped when every value already is one."""
-    return values if set(map(type, values)) <= {int} else tuple(map(int, values))
-
-
 def _int_values(values: list, what: str) -> tuple[int, ...]:
     """``values`` through int(); ParseError when one does not convert."""
     try:
@@ -224,14 +211,17 @@ def _int_values(values: list, what: str) -> tuple[int, ...]:
         raise ParseError(f"{what}: {err}") from None
 
 
-def _override_table(items: list, edge_count: int, what: str) -> tuple:
-    """Per-edge (time, weight) rows of ``[edge, time, weight]`` entries, as
-    ``dict.items()`` views; the last entry for an (edge, time) wins."""
-    columns = _columns(items, 3)
+def _override_columns(items: list, edge_count: int, what: str) -> tuple:
+    """The edge, time and weight columns of ``[edge, time, weight]`` entries,
+    through int(); ParseError names the first entry that is not three values
+    int() accepts or whose edge is not one of the document's."""
     try:
-        columns = None if columns is None else tuple(map(_ints, columns))
-    except _INT_ERRORS:
-        columns = None
+        flat = tuple(chain.from_iterable(items)) if set(map(len, items)) <= {3} else None
+        if flat is not None and not set(map(type, flat)) <= {int}:
+            flat = tuple(map(int, flat))
+    except _INT_ERRORS:  # some entry is not a list, or some value not a number
+        flat = None
+    columns = None if flat is None else (flat[0::3], flat[1::3], flat[2::3])
     if columns is None or not _within(columns[0], 0, edge_count - 1):
         # Name the first bad entry; for JSON values one always is.
         for item in items:
@@ -241,11 +231,7 @@ def _override_table(items: list, edge_count: int, what: str) -> tuple:
                 raise ParseError(f"{what}: overrides must be [edge, time, weight]") from None
             if not (0 <= e < edge_count):
                 raise ParseError(f"{what}: override for unknown edge {e}")
-    edges, times, weights = columns
-    rows = [{} for _ in range(edge_count)]
-    for e, t, w in zip(edges, times, weights):
-        rows[e][t] = w
-    return tuple(map(dict.items, rows))
+    return columns
 
 
 def _labeling(rows: list, what: str) -> Labeling:
@@ -276,9 +262,9 @@ def parse_instance_document(text: str) -> InstanceDocument:
         edges = tuple((int(u), int(v)) for u, v in edges_raw)
     except _INT_ERRORS:
         raise ParseError(f"{what}: edges must be pairs of integers") from None
-    table = _override_table(overrides_raw, len(edges), what)
+    entries = _override_columns(overrides_raw, len(edges), what)
     graph = StaticGraph(n, edges)
-    traversal = TraversalSpec(_int_values(defaults, what), table)
+    traversal = TraversalSpec.from_entries(len(edges), _int_values(defaults, what), *entries)
 
     names = payload.get("names")
     roles = payload.get("roles")

@@ -246,7 +246,7 @@ class _Builder:
         self.roles: list[str] = []
         self.edges: list[tuple[int, int]] = []
         self.edge_ids: dict[tuple[int, int], int] = {}
-        self.overrides: list[dict[int, int]] = []
+        self.overrides: dict[tuple[int, int], int] = {}  # (edge, time) -> weight
         self.restricted: set[int] = set()
 
     def vertex(self, name: str, role: str) -> int:
@@ -256,33 +256,24 @@ class _Builder:
 
     def edge(self, u: int, v: int, times: dict[int, int], restricted=False) -> int:
         key = (min(u, v), max(u, v))
-        if key in self.edge_ids:
-            e = self.edge_ids[key]
-            self.overrides[e].update(times)
-        else:
-            e = len(self.edges)
+        e = self.edge_ids.setdefault(key, len(self.edges))
+        if e == len(self.edges):
             self.edges.append(key)
-            self.edge_ids[key] = e
-            self.overrides.append(dict(times))
+        self.overrides.update(((e, t), w) for t, w in times.items())
         if restricted:
             self.restricted.add(e)
         return e
 
     def finish(self, sources, default_weight=None, tau=None, mu_default=None):
-        max_time = max(
-            (t for per in self.overrides for t in per), default=0
-        )
-        max_weight = max(
-            (w for per in self.overrides for w in per.values()), default=0
-        )
         if tau is None:
-            tau = max_time + max_weight + 1
+            max_time = max((t for _, t in self.overrides), default=0)
+            tau = max_time + max(self.overrides.values(), default=0) + 1
         if default_weight is None:
             default_weight = tau
         graph = StaticGraph(len(self.names), tuple(self.edges))
-        traversal = TraversalSpec(
-            (default_weight,) * graph.edge_count,
-            tuple(tuple(sorted(per.items())) for per in self.overrides),
+        traversal = TraversalSpec.from_entries(
+            graph.edge_count, (default_weight,) * graph.edge_count,
+            *zip(*((e, t, w) for (e, t), w in self.overrides.items())),
         )
         mu_default = tau if mu_default is None else mu_default
         multiplicity = tuple(

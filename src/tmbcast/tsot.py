@@ -63,10 +63,7 @@ class Tsot:
         return out
 
     def to_labeling(self, edge_count: int) -> Labeling:
-        table: list[tuple[int, ...]] = [() for _ in range(edge_count)]
-        for e, t in self.tree_edges().items():
-            table[e] = (t,)
-        return Labeling(tuple(table))
+        return Labeling.from_dict(edge_count, {e: (t,) for e, t in self.tree_edges().items()})
 
     def arrival(self, v: int) -> int | None:
         """Arrival time of the tree path at v (None for the root)."""

@@ -13,6 +13,7 @@ from tmbcast.core import (
     StaticGraph,
     TraversalSpec,
     Unreachable,
+    ValidationError,
 )
 from tmbcast.distances import Measure, sssp
 from tmbcast.tsot import Tsot, build_ea_tsot, build_ld_tsot
@@ -209,6 +210,19 @@ def test_is_valid_rejects_an_edge_id_outside_the_graph():
     trav = TraversalSpec.uniform(2, 1)
     assert not Tsot(0, (None, (-2, 1, 0), (-1, 2, 1)), trav).is_valid(graph)
     assert not Tsot(0, (None, (0, 1, 0), (2, 2, 1)), trav).is_valid(graph)
+
+
+def test_to_labeling_rejects_negative_edge_ids():
+    # Read from the end of the table, -2 and -1 labeled edges 0 and 1.
+    trav = TraversalSpec.uniform(2, 1)
+    with pytest.raises(ValidationError, match="edge -2 outside 0..1"):
+        Tsot(0, (None, (-2, 1, 0), (-1, 2, 1)), trav).to_labeling(2)
+
+
+def test_to_labeling_rejects_an_edge_id_past_the_last_edge():
+    trav = TraversalSpec.uniform(2, 1)
+    with pytest.raises(ValidationError, match="edge 5 outside 0..1"):
+        Tsot(0, (None, (0, 1, 0), (5, 2, 1)), trav).to_labeling(2)
 
 
 def test_is_valid_rejects_a_reused_edge():
