@@ -179,6 +179,8 @@ class StaticGraph:
         raise ValidationError(f"vertex {v} is not an endpoint of edge {e}")
 
     def incident(self, v: Vertex) -> tuple[tuple[Edge, Vertex], ...]:
+        if not 0 <= v < self.vertex_count:  # a negative id would wrap
+            raise ValidationError(f"no vertex {v}")
         return self.adjacency[v]
 
     def edge_id(self, u: Vertex, v: Vertex) -> Edge:
@@ -801,19 +803,19 @@ def is_feasible(instance: Instance, labeling: Labeling) -> bool:
 
 
 def _feasible_arrivals(instance: Instance, table: CandidateTable) -> dict | None:
-    """Earliest arrivals from each source in order, or None at the first
-    source that misses a vertex; None before allocating anything per
-    vertex when there are over twice as many vertices as edges, as some
-    vertex then has no edge."""
+    """The kernel's (arrivals, parents) from each source in order, or None
+    at the first source that misses a vertex; None before allocating
+    anything per vertex when there are over twice as many vertices as
+    edges, as some vertex then has no edge."""
     graph = instance.graph
     if graph.vertex_count > 2 * graph.edge_count:
         return None
-    arrivals = {}
+    forests = {}
     for s in sorted(instance.sources):
-        arrivals[s], _ = earliest_arrival(graph, table, s)
-        if arrivals[s].count(None) > 1:
+        forests[s] = earliest_arrival(graph, table, s)
+        if forests[s][0].count(None) > 1:
             return None
-    return arrivals
+    return forests
 
 
 def _reaches_all(graph: StaticGraph, table: CandidateTable, source: Vertex) -> bool:

@@ -23,7 +23,9 @@ and shared by every source and probe:
   cost and then the earliest arrival;
 * minimum waiting: depth-first enumeration of simple paths with an explicit
   stack (waiting is the one statistic where revisiting a vertex could pay
-  off, and the definitions range over simple paths only).
+  off, and the definitions range over simple paths only), pruned from the
+  start by the largest waiting of a path in the start-1 earliest-arrival
+  forest.
 
 The certificate's maxima (the longest duration and the longest waiting of a
 simple temporal path to each vertex) take one pair of front searches per
@@ -402,8 +404,24 @@ def _cost_fronts(graph: StaticGraph, table: CandidateTable, source: int,
 # Minimum-waiting search over simple paths
 
 
+def _forest_waiting(arrivals: list, parents: list, source: int) -> int:
+    """The largest waiting over the paths of a kernel run's parent forest,
+    by a memoized climb as in ``_parent_chain``: a zero-weight edge gives a
+    child its parent's arrival, so arrival order may put the child first."""
+    waiting = {source: 0}
+    for v in range(len(parents)):
+        climbed = []
+        while v not in waiting and parents[v] is not None:
+            climbed.append(v)
+            v = parents[v][0]
+        for w in reversed(climbed):
+            u, _, t = parents[w]
+            waiting[w] = 0 if u == source else waiting[u] + t - arrivals[u]
+    return max(waiting.values())
+
+
 def _min_wait_run(
-    graph: StaticGraph, table: CandidateTable, source: int
+    graph: StaticGraph, table: CandidateTable, source: int, forest: tuple | None = None
 ) -> dict[int, tuple[int, tuple]]:
     """Least waiting per vertex over simple temporal paths from ``source``.
 
@@ -413,16 +431,24 @@ def _min_wait_run(
 
     Depth-first over simple paths with an explicit stack of move iterators,
     so the depth is not bounded by the interpreter's recursion limit.
-    Waiting never decreases along a path: once every vertex has a best, a
-    prefix whose waiting reaches the largest of them cannot improve any
-    vertex and is skipped.
+    Waiting never decreases along a path, so a prefix is skipped when its
+    waiting exceeds W, the largest waiting of a path in the start-1
+    earliest-arrival forest (``forest``, the kernel's ``(arrivals,
+    parents)`` if the caller has it, else one run here): each forest path
+    is a simple path the search enumerates, so no vertex's least waiting
+    exceeds W.  Once every vertex has a best, a prefix whose waiting
+    reaches the largest of them cannot improve any vertex either.  Skipped
+    prefixes lie on no path of least waiting and the rest are tried in the
+    same order, so values and witnesses (the first path found with the
+    least waiting) do not depend on the bound.
     """
     adjacency = graph.adjacency
     best: dict[int, tuple[int, tuple]] = {}
     on_path = [False] * graph.vertex_count
     on_path[source] = True
     missing = graph.vertex_count - 1
-    bound = float("inf")
+    arrivals, parents = forest or earliest_arrival(graph, table, source)
+    bound = _forest_waiting(arrivals, parents, source) + 1
     worst: list[tuple[int, int]] = []  # (-waiting, v); stale entries dropped lazily
 
     def moves(v: int, arrival: int, waited: int, first: bool):
@@ -477,7 +503,7 @@ def _chain_path(graph: StaticGraph, source: int, chain: tuple) -> TemporalPath:
 _ONE_TARGET = (Measure.EARLIEST_ARRIVAL, Measure.LATEST_DEPARTURE, Measure.FASTEST)
 
 
-def _search(graph, table, source, measure: Measure, targets=None):
+def _search(graph, table, source, measure: Measure, targets=None, forest=None):
     """(values, witnesses) of one source.
 
     ``values[v]`` is measure(source, v), None for the source and for
@@ -485,7 +511,8 @@ def _search(graph, table, source, measure: Measure, targets=None):
     vertex to a realizing path.  ``targets`` (default: every other vertex)
     lets the shortest-travel and minimum-hop front searches stop early.
     With a single target, earliest arrival, latest departure and fastest
-    answer for that vertex alone (``_search_one``).
+    answer for that vertex alone (``_search_one``).  ``forest`` is passed
+    to ``_min_wait_run``.
     """
     if targets is not None and len(targets) == 1 and measure in _ONE_TARGET:
         return _search_one(graph, table, source, measure, *targets)
@@ -499,7 +526,7 @@ def _search(graph, table, source, measure: Measure, targets=None):
         duration, start = _fastest(graph, table, source)
         return duration, lambda vs: _probe_paths(graph, table, source, start, vs)
     if measure is Measure.MIN_WAIT:
-        best = _min_wait_run(graph, table, source)
+        best = _min_wait_run(graph, table, source, forest)
     elif measure in (Measure.SHORTEST_TRAVEL, Measure.MIN_HOP):
         until = None if targets is None else set(targets)
         fronts = _cost_fronts(graph, table, source, measure, until)
@@ -591,13 +618,14 @@ def distance(
 
 
 def _pair_values(
-    instance: Instance, table: CandidateTable, measure: Measure
+    instance: Instance, table: CandidateTable, measure: Measure, forests: dict | None = None
 ) -> dict[tuple[int, int], int | None]:
     """measure(s, v) for every source s and every other vertex v (None when
-    unreachable), one search per source, no witnesses."""
+    unreachable), one search per source, no witnesses; ``forests`` are
+    ``_feasible_arrivals``' kernel runs, if the caller has them."""
     out: dict[tuple[int, int], int | None] = {}
     for s in sorted(instance.sources):
-        values, _ = _search(instance.graph, table, s, measure)
+        values, _ = _search(instance.graph, table, s, measure, forest=forests and forests[s])
         for v, value in enumerate(values):
             if v != s:
                 out[(s, v)] = value
@@ -634,12 +662,12 @@ def _table_pairs(
 ) -> dict[tuple[int, int], int | None] | None:
     """The pair values ``objective`` takes the worst of over a candidate
     table that is already built, or None when the schedule is infeasible."""
-    arrivals = _feasible_arrivals(instance, table)
-    if arrivals is None:
+    forests = _feasible_arrivals(instance, table)
+    if forests is None:
         return None
     if measure is Measure.EARLIEST_ARRIVAL:
-        return {(s, v): a for s, row in arrivals.items() for v, a in enumerate(row) if v != s}
-    return _pair_values(instance, table, measure)
+        return {(s, v): a for s, (row, _) in forests.items() for v, a in enumerate(row) if v != s}
+    return _pair_values(instance, table, measure, forests)
 
 
 # ---------------------------------------------------------------------------

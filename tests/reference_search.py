@@ -9,6 +9,9 @@ differential tests can compare old and new.
   calls this copy, so differential tests compare against the old probes;
 * ``_min_wait_run``, the recursive depth-first search without pruning, by
   the iterative ``distances._min_wait_run``;
+* ``_min_wait_run_unseeded``, the iterative search whose bound stayed
+  infinite until every vertex had a best, by the ``distances._min_wait_run``
+  that starts from the waiting of the earliest-arrival forest;
 * ``_max_stats_run``, a depth-first search over every simple static path, by
   the per-target Pareto searches of ``distances._max_stats``;
 * ``_pareto_run``, a FIFO label-correcting search over per-vertex Pareto
@@ -306,6 +309,65 @@ def _min_wait_run(
                 on_path[w_v] = False
 
     visit(source, 1, 0, True)
+    return best
+
+
+def _min_wait_run_unseeded(
+    graph: StaticGraph, table: CandidateTable, source: int
+) -> dict[int, tuple[int, tuple]]:
+    """Least waiting per vertex over simple temporal paths from ``source``.
+
+    Maps each reached vertex to ``(waiting, steps)`` for the first path found
+    with that waiting, where ``steps`` is the linked list
+    ``(edge, time, previous steps)`` ending in None (see ``_chain_path``).
+
+    Depth-first over simple paths with an explicit stack of move iterators,
+    so the depth is not bounded by the interpreter's recursion limit.
+    Waiting never decreases along a path: once every vertex has a best, a
+    prefix whose waiting reaches the largest of them cannot improve any
+    vertex and is skipped.
+    """
+    adjacency = graph.adjacency
+    best: dict[int, tuple[int, tuple]] = {}
+    on_path = [False] * graph.vertex_count
+    on_path[source] = True
+    missing = graph.vertex_count - 1
+    bound = float("inf")
+    worst: list[tuple[int, int]] = []  # (-waiting, v); stale entries dropped lazily
+
+    def moves(v: int, arrival: int, waited: int, first: bool):
+        return iter([
+            (w, e, t, reach, waited if first else waited + t - arrival)
+            for e, w in adjacency[v]
+            if not on_path[w]
+            for t, reach in (
+                table.available(e) if first else table.candidates(e, arrival)
+            )
+        ])
+
+    stack = [(moves(source, 1, 0, True), None, source)]
+    while stack:
+        pending, chain, v = stack[-1]
+        for w, e, t, reach, waited in pending:
+            if waited >= bound:
+                continue
+            link = (e, t, chain)
+            cur = best.get(w)
+            if cur is None or waited < cur[0]:
+                best[w] = (waited, link)
+                if cur is None:
+                    missing -= 1
+                heapq.heappush(worst, (-waited, w))
+                if not missing:
+                    while -worst[0][0] != best[worst[0][1]][0]:
+                        heapq.heappop(worst)
+                    bound = -worst[0][0]
+            on_path[w] = True
+            stack.append((moves(w, reach, waited, False), link, w))
+            break
+        else:
+            stack.pop()
+            on_path[v] = False
     return best
 
 

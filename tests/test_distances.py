@@ -7,6 +7,7 @@ import time
 import pytest
 
 from tmbcast.core import (
+    CandidateTable,
     FullAvailability,
     Instance,
     Labeling,
@@ -23,6 +24,7 @@ from tmbcast.core import (
 from tmbcast.distances import (
     Bounds,
     Measure,
+    _min_wait_run,
     distance,
     ft_mw_bounds,
     objective,
@@ -33,6 +35,7 @@ from tmbcast.tsot import build_ld_tsot
 
 import worked_example as fig
 import oracles
+import reference_search as reference
 
 ALL_MEASURES = tuple(Measure)
 
@@ -314,6 +317,47 @@ def test_one_target_distance_answers_an_unreachable_target_in_one_run(kernel_run
     inst = Instance(graph, frozenset({0}), TraversalSpec.uniform(2, 2), (1, 1), 2)
     assert distance(0, 2, inst.full_availability(), inst, measure).value is None
     assert len(kernel_runs) == 1
+
+
+def test_min_wait_objective_reuses_the_feasibility_runs(monkeypatch):
+    import tmbcast.core as core
+    import tmbcast.distances as distances
+
+    searched = []
+    kernel = core.earliest_arrival
+
+    def counting(graph, table, source, **kwargs):
+        searched.append(source)
+        return kernel(graph, table, source, **kwargs)
+
+    for module in (core, distances):
+        monkeypatch.setattr(module, "earliest_arrival", counting)
+    inst = fig.build_instance()
+    assert objective(inst, fig.LABELING_EA, Measure.MIN_WAIT) is not None
+    # One run per source decides feasibility and seeds the mw bound.
+    assert sorted(searched) == sorted(inst.sources)
+
+
+class CountingTable(CandidateTable):
+    """A candidate table that counts the edge scans made through it."""
+
+    __slots__ = ("scans",)
+
+    def candidates(self, e, lo):
+        self.scans += 1
+        return super().candidates(e, lo)
+
+
+def test_seeded_min_wait_scans_a_tenth_of_the_unseeded_candidates():
+    inst = grid_instance(0, 8, 100)
+    scans = []
+    for search in (_min_wait_run, reference._min_wait_run_unseeded):
+        table = CountingTable(inst.full_availability(), inst.traversal)
+        table.scans = 0
+        search(inst.graph, table, 0)
+        scans.append(table.scans)
+    seeded, unseeded = scans
+    assert 10 * seeded <= unseeded
 
 
 # ---------------------------------------------------------------------------

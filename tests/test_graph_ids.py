@@ -20,3 +20,9 @@ def test_edge_id_rejects_a_vertex_outside_the_graph(u, v):
 def test_from_steps_rejects_an_edge_outside_the_graph(e):
     with pytest.raises(ValidationError, match=f"no edge {e}"):
         TemporalPath.from_steps(PATH, 2, [(e, 1)])
+
+
+@pytest.mark.parametrize("v", [-1, -3, 3])
+def test_incident_rejects_a_vertex_outside_the_graph(v):
+    with pytest.raises(ValidationError, match=f"no vertex {v}"):
+        PATH.incident(v)

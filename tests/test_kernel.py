@@ -189,6 +189,43 @@ def test_min_wait_matches_reference(case):
     assert got == reference._min_wait_run(graph, availability, traversal, source)
 
 
+@st.composite
+def min_wait_searches(draw):
+    """(graph, traversal, availability, source) on up to 8 vertices, with
+    zero weights and override times near 1 and near tau; a labeling may
+    leave edges without labels, and the graph need not be connected."""
+    n = draw(st.integers(2, 8))
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=10))
+    tau = draw(st.integers(1, 12))
+    weights = st.integers(0, 3)
+    near = st.sampled_from(sorted({1, 2, max(tau - 1, 1), tau}))
+    defaults = [draw(weights) for _ in edges]
+    overrides = {e: draw(st.dictionaries(near, weights, max_size=3)) for e in range(len(edges))}
+    graph = StaticGraph(n, tuple(edges))
+    if draw(st.booleans()):
+        availability = FullAvailability(tau)
+    else:
+        availability = draw(labelings(graph, tau))
+    source = draw(st.integers(0, n - 1))
+    return graph, TraversalSpec.from_maps(defaults, overrides), availability, source
+
+
+# Two zero-weight edges give vertices 2 and 1 the same arrival, 4; vertex 4
+# is reached through 1 with waiting 4, the largest, so it is lost by a seed
+# that climbs the forest in arrival order or that skips prefixes reaching
+# the forest's largest waiting.
+@example((StaticGraph(5, ((0, 3), (2, 3), (1, 2), (1, 4))),
+          TraversalSpec.from_maps([1, 0, 0, 1], {}), Labeling(((1,), (4,), (4,), (6,))), 0))
+@settings(max_examples=300, deadline=None)
+@given(min_wait_searches())
+def test_seeded_min_wait_matches_the_unseeded_search(case):
+    graph, traversal, availability, source = case
+    table = CandidateTable(availability, traversal)
+    assert _min_wait_run(graph, table, source) == reference._min_wait_run_unseeded(
+        graph, table, source)
+
+
 # A zero-weight triangle, an arrival past tau on the full temporal graph,
 # and a labeling that leaves an edge without labels.
 @example((StaticGraph(3, ((0, 1), (0, 2), (1, 2))), TraversalSpec.uniform(3, 0),

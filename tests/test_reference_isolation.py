@@ -1,7 +1,8 @@
-"""``tests/reference_search.py`` keeps its own copy of the old
-earliest-arrival kernel and never reaches the library's: a reference that
-called ``tmbcast``'s kernel would follow it when it changes, and every
-differential test over it would compare the new code with itself."""
+"""``tests/reference_search.py`` keeps its own copies of the old
+earliest-arrival kernel and minimum-waiting search and never reaches the
+library's: a reference that called ``tmbcast``'s would follow it when it
+changes, and every differential test over it would compare the new code
+with itself."""
 
 from __future__ import annotations
 
@@ -45,6 +46,11 @@ def test_reference_search_keeps_its_own_kernel():
     own = [node for node in tree.body
            if isinstance(node, ast.FunctionDef) and node.name == "earliest_arrival"]
     assert len(own) == 1 and own[0].args.args[3].arg == "first_time"
+
+
+def test_reference_search_keeps_its_own_min_wait_search():
+    tree = ast.parse(REFERENCE.read_text(encoding="utf-8"))
+    assert kernel_imports(tree, "_min_wait_run") == []
 
 
 def test_kernel_imports_are_detected():
