@@ -503,19 +503,18 @@ def _chain_path(graph: StaticGraph, source: int, chain: tuple) -> TemporalPath:
 _ONE_TARGET = (Measure.EARLIEST_ARRIVAL, Measure.LATEST_DEPARTURE, Measure.FASTEST)
 
 
-def _search(graph, table, source, measure: Measure, targets=None, forest=None):
+def _search(graph, table, source, measure: Measure, target: int | None = None, forest=None):
     """(values, witnesses) of one source.
 
     ``values[v]`` is measure(source, v), None for the source and for
     unreached vertices; ``witnesses(vertices)`` maps each given reached
-    vertex to a realizing path.  ``targets`` (default: every other vertex)
-    lets the shortest-travel and minimum-hop front searches stop early.
-    With a single target, earliest arrival, latest departure and fastest
-    answer for that vertex alone (``_search_one``).  ``forest`` is passed
-    to ``_min_wait_run``.
+    vertex to a realizing path.  A ``target`` (default: every other vertex)
+    lets the shortest-travel and minimum-hop front searches stop early, and
+    earliest arrival, latest departure and fastest answer for that vertex
+    alone (``_search_one``).  ``forest`` is passed to ``_min_wait_run``.
     """
-    if targets is not None and len(targets) == 1 and measure in _ONE_TARGET:
-        return _search_one(graph, table, source, measure, *targets)
+    if target is not None and measure in _ONE_TARGET:
+        return _search_one(graph, table, source, measure, target)
     if measure is Measure.EARLIEST_ARRIVAL:
         arrivals, parents = earliest_arrival(graph, table, source)
         return arrivals, lambda vs: _parent_paths(graph, parents, source, vs)
@@ -528,7 +527,7 @@ def _search(graph, table, source, measure: Measure, targets=None, forest=None):
     if measure is Measure.MIN_WAIT:
         best = _min_wait_run(graph, table, source, forest)
     elif measure in (Measure.SHORTEST_TRAVEL, Measure.MIN_HOP):
-        until = None if targets is None else set(targets)
+        until = None if target is None else {target}
         fronts = _cost_fronts(graph, table, source, measure, until)
         best = {v: (front[0][0], front[0][2]) for v, front in enumerate(fronts) if front}
     else:
@@ -611,7 +610,7 @@ def distance(
     if isinstance(availability, Labeling):
         _check_labeling(instance, availability, quota=False)
     table = CandidateTable(availability, instance.traversal)
-    values, witnesses = _search(graph, table, u, measure, targets=(v,))
+    values, witnesses = _search(graph, table, u, measure, target=v)
     if values[v] is None:
         return UNREACHED
     return DistanceResult(values[v], witnesses([v])[v])

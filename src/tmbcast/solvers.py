@@ -238,8 +238,7 @@ def solve_tree(instance: Instance, measure: Measure) -> SolveResult:
             raise MultiplicityTooSmall(f"edge {e} has multiplicity {mu} < 2")
     sources = sorted(instance.sources)
     per_source_label = {
-        s: tree.to_labeling(graph.edge_count)
-        for s, tree in zip(sources, _full_graph_trees(instance, measure))
+        s: tree.tree_edges() for s, tree in zip(sources, _full_graph_trees(instance, measure))
     }
 
     # A source traverses edge {u, v} in direction u -> v exactly when it
@@ -256,7 +255,7 @@ def solve_tree(instance: Instance, measure: Measure) -> SolveResult:
         below = 0
         above = 0
         for s in sources:
-            label = per_source_label[s].times(e)[0]
+            label = per_source_label[s][e]
             if first <= number[s] < end:
                 below = max(below, label)
             else:
@@ -270,12 +269,14 @@ def approx_ft_mw(instance: Instance, measure: Measure) -> SolveResult:
     """Feasible single-source schedule with a duration/waiting certificate.
 
     Returns the latest-departure merge tree of the full temporal graph
-    (``tsot.build_ld_tsot``); its objective is at most the reported ft_max
-    (resp. mw_max) while no schedule can beat ft_min (resp. mw_min).  Any
-    spanning schedule meets the certificate, but the exact solvers' cheaper
-    ld tree, the earliest-arrival tree from the floor L*, writes other
-    schedules with other ft and mw objectives, so this solver keeps the
-    merge tree and the outputs it has always given.
+    (``tsot.build_ld_tsot``, which grafts witness paths in ascending
+    latest-departure order, each vertex keeping its first in-edge); its
+    objective is at most the reported ft_max (resp. mw_max) while no
+    schedule can beat ft_min (resp. mw_min).  Any spanning schedule meets
+    the certificate, but the exact solvers' cheaper ld tree, the
+    earliest-arrival tree from the floor L*, writes other schedules with
+    other ft and mw objectives, so this solver keeps the merge tree and the
+    outputs it has always given.
     """
     _require_measure(measure, _APPROX_MEASURES, "approx_ft_mw")
     if len(instance.sources) != 1:

@@ -11,11 +11,10 @@ Two constructions:
   root at L* or later, so every tree distance under latest departure is at
   least the worst one of the input graph: the exact solvers' ld tree;
 * the latest-departure merge tree admits vertices in nondecreasing order of
-  their latest-departure value and merges their witness paths edge by edge
-  (add a new vertex's in-edge; keep the existing in-edge when the new
-  arrival is not earlier; otherwise swap it).  It meets the same bound and
-  serves only the FT/MW approximation, whose schedules and ft/mw
-  objectives the floor tree would change.
+  their latest-departure value and grafts their witness paths edge by edge:
+  a vertex keeps the first in-edge it gets, which no later witness beats.
+  It meets the same bound and serves only the FT/MW approximation, whose
+  schedules and ft/mw objectives the floor tree would change.
 """
 
 from __future__ import annotations
@@ -168,25 +167,19 @@ def build_ld_tsot(
         if latest[v] is None:
             raise Unreachable(f"root {root} cannot reach vertex {v}")
 
-    parent: dict[int, tuple[int, int, int] | None] = {root: None}
-
-    def is_ancestor(candidate: int, below: int) -> bool:
-        cur = below
-        while cur != root:
-            if cur == candidate:
-                return True
-            cur = parent[cur][2]
-        return candidate == root
-
     # Vertices are admitted in nondecreasing latest-departure order, each
-    # merging the witness recorded by the probe that first reached it.  A
-    # link (edge, time, previous) is merged once, after its step, the
-    # head's parent arrives no later than the link, and so did every link
-    # before it in that walk.  Parent arrivals only ever decrease, so
-    # walking such a prefix again changes nothing: a walk stops at the
-    # first merged link.  Links are keyed by id, which the chains keep
-    # alive, because hashing a chain would walk it.
-    tree_edges: set[int] = set()
+    # grafting the witness recorded by the probe that first reached it,
+    # root side first; every vertex keeps the first in-edge it gets.  A
+    # link (edge, time, previous) is its head's parent in its probe's
+    # forest, so it arrives at that probe's earliest arrival.  Probes come
+    # in ascending start order, and a later start's walks are a subset of
+    # an earlier start's (FIFO under waiting), so a later link never
+    # arrives before the in-edge its head already has: keeping that one
+    # keeps every tree arrival no later than any witness's, and the tree
+    # time-respecting.  A link is walked once: a walk stops at the first
+    # merged link, whose prefix is already grafted.  Links are keyed by id,
+    # which the chains keep alive, because hashing a chain would walk it.
+    parent: dict[int, tuple[int, int, int] | None] = {root: None}
     merged: dict[int, int] = {}  # id of a merged link -> its head
     for u in sorted(others, key=lambda v: (latest[v], v)):
         if u in parent:
@@ -197,32 +190,10 @@ def build_ld_tsot(
             pending.append(link)
             link = link[2]
         tail = root if link is None else merged[id(link)]
-        settled = True
         for link in reversed(pending):
             e, t, _ = link
             head = graph.other_endpoint(e, tail)
-            if head not in parent:
-                parent[head] = (e, t, tail)
-                tree_edges.add(e)
-            elif head != root:
-                f, tf, _ = parent[head]
-                if t + trav.weight(e, t) < tf + trav.weight(f, tf):
-                    # Swapping in an edge already in the tree, or hanging a
-                    # vertex below its own descendant, would break the tree;
-                    # the witness paths produced by the latest-departure
-                    # search never ask for either, but guard anyway, and
-                    # walk a skipped link again next time.
-                    if e in tree_edges or is_ancestor(head, tail):
-                        settled = False
-                    else:
-                        tree_edges.discard(f)
-                        tree_edges.add(e)
-                        parent[head] = (e, t, tail)
-            if settled:
-                merged[id(link)] = head
+            parent.setdefault(head, (e, t, tail))
+            merged[id(link)] = head
             tail = head
-    return Tsot(
-        root,
-        tuple(parent.get(v) for v in range(graph.vertex_count)),
-        trav,
-    )
+    return Tsot(root, tuple(parent[v] for v in range(graph.vertex_count)), trav)

@@ -255,6 +255,36 @@ def test_witness_rejects_unsatisfying_assignment(capsys, tmp_path):
     assert "UnsatisfiedClause" in err
 
 
+def test_witness_rejects_mismatched_inputs(capsys, tmp_path):
+    cnf = tmp_path / "toy.cnf"
+    cnf.write_text(serialize_cnf(CnfFormula(1, ((1,),))))
+    gadget_file = tmp_path / "gadget.json"
+    run(
+        capsys, "gen", "sat", "--measure", "ft", "--cnf", str(cnf),
+        "-a", "1", "--out", str(gadget_file),
+    )
+    other_cnf = tmp_path / "other.cnf"
+    other_cnf.write_text(serialize_cnf(CnfFormula(1, ((-1,),))))
+    edited = tmp_path / "edited.json"
+    doc = json.loads(gadget_file.read_text())
+    edited.write_text(json.dumps(dict(doc, tau=doc["tau"] + 1)))
+    for formula, instance, bits, want, message in (
+        (other_cnf, gadget_file, "1", 3,
+         "CNF file does not match the formula recorded in the gadget"),
+        (cnf, edited, "1", 3, "gadget file does not match its recorded generator inputs"),
+        (cnf, gadget_file, "x", 8, "assignment must be 1 bits of 0/1, got 'x'"),
+        (cnf, gadget_file, "10", 8, "assignment must be 1 bits of 0/1, got '10'"),
+    ):
+        out = tmp_path / "nope.json"
+        code, payload, err = run(
+            capsys, "witness", "--cnf", str(formula), "--assignment", bits,
+            "--in", str(instance), "--out", str(out),
+        )
+        assert (code, payload) == (want, None)
+        assert err.strip() == message
+        assert not out.exists()
+
+
 @pytest.mark.parametrize("meta, error", [
     (None, "ValidationError: instance file does not carry gadget metadata"),
     ({"kind": "sat-gadget", "variable_count": "x", "cnf": 5},
@@ -333,6 +363,32 @@ def test_distance_with_witness(capsys, network):
     assert hops[-1]["to"] == "v1"
 
 
+def test_distance_takes_numeric_vertex_ids(capsys, tmp_path, network):
+    plain = tmp_path / "plain.json"
+    plain.write_text(serialize_instance(parse_instance_document(network.read_text()).to_instance()))
+    schedule = str(FIXTURES / "delivery-schedule-ea.json")
+    code, payload, _ = run(
+        capsys, "distance", "--measure", "ea", "--from", str(fig.M), "--to", str(fig.V1),
+        "--in", str(plain), "--labeling", schedule,
+    )
+    assert code == 0
+    assert (payload["from"], payload["to"], payload["value"]) == (str(fig.M), str(fig.V1), 10)
+    assert payload["witness"][0]["from"] == str(fig.M)
+    assert payload["witness"][-1]["to"] == str(fig.V1)
+    for instance, to, error in (
+        (plain, "6", "ValidationError: vertex 6 out of range"),
+        (plain, "-1", "ValidationError: vertex -1 out of range"),
+        (plain, "v1", "ValidationError: unknown vertex 'v1'"),
+        (network, "v9", "ValidationError: unknown vertex 'v9'"),
+    ):
+        code, payload, err = run(
+            capsys, "distance", "--measure", "ea", "--from", "0", "--to", to,
+            "--in", str(instance), "--labeling", schedule,
+        )
+        assert (code, payload) == (3, None)
+        assert err.strip() == error
+
+
 def test_labels_outside_horizon_are_rejected(capsys, network, tmp_path):
     doc = json.loads((FIXTURES / "delivery-schedule-ea.json").read_text())
     doc["labels"][8] = [64]  # the network's tau is 14
@@ -397,6 +453,58 @@ def test_oracle_infeasible_exit(capsys, tmp_path):
     code, payload, _ = run(capsys, "oracle", "--measure", "ea", "--in", str(f))
     assert code == 4
     assert payload["status"] == "infeasible"
+
+
+def test_oracle_out_writes_a_labeling_verify_accepts(capsys, tmp_path):
+    from tmbcast.core import Instance, StaticGraph, TraversalSpec
+
+    inst = Instance(
+        StaticGraph(4, ((0, 1), (1, 2), (1, 3))),
+        frozenset({0, 2}),
+        TraversalSpec.from_maps((1, 2, 1), {0: {2: 0}}),
+        (1, 2, 1),
+        4,
+    )
+    f = tmp_path / "inst.json"
+    f.write_text(serialize_instance(inst))
+    for measure in ("ea", "ld", "ft", "mw"):
+        out = tmp_path / f"oracle-{measure}.json"
+        code, payload, _ = run(
+            capsys, "oracle", "--measure", measure, "--in", str(f), "--out", str(out),
+        )
+        assert code == 0
+        assert payload["status"] == "optimal"
+        assert payload["labeling_file"] == str(out)
+        code, verified, _ = run(
+            capsys, "verify", "--in", str(f), "--labeling", str(out), "--measure", measure,
+        )
+        assert code == 0
+        assert verified["feasible"] is True
+        assert verified["objective"] == payload["objective"]
+
+
+def test_solve_oracle_fallback(capsys, tmp_path):
+    cnf = tmp_path / "toy.cnf"
+    cnf.write_text(serialize_cnf(CnfFormula(1, ((1,),))))
+    gadget_file = tmp_path / "gadget.json"
+    code, generated, _ = run(
+        capsys, "gen", "sat", "--measure", "ft", "--cnf", str(cnf),
+        "-a", "1", "--out", str(gadget_file),
+    )
+    assert code == 0
+    code, _, err = run(capsys, "solve", "--measure", "ft", "--in", str(gadget_file))
+    assert code == 5
+    assert "NoTractableRegime" in err
+    out = tmp_path / "schedule.json"
+    code, payload, _ = run(
+        capsys, "solve", "--measure", "ft", "--in", str(gadget_file), "--oracle",
+        "--max-labelings", "200000", "--max-edges", "40", "--max-tau", "20",
+        "--out", str(out),
+    )
+    assert code == 0
+    assert (payload["regime"], payload["status"]) == ("oracle", "optimal")
+    assert payload["objective"] == generated["yes_value"]
+    assert parse_labeling(out.read_text()).provenance["solver"] == "oracle"
 
 
 @pytest.mark.parametrize("command", [

@@ -171,7 +171,7 @@ def test_one_target_ft_ld_match_reference(case):
         assert values == want_values
         assert witnesses(list(want_paths)) == want_paths
         for v in others:
-            values, witnesses = _search(graph, table, source, measure, targets=(v,))
+            values, witnesses = _search(graph, table, source, measure, target=v)
             assert values[v] == want_values[v]
             if values[v] is not None:
                 assert witnesses([v])[v] == want_paths[v]
@@ -256,7 +256,7 @@ def test_st_mh_match_reference(case):
             # Simple, on available times, and time-respecting.
             assert validate_path(path, availability, traversal, graph)
             assert measure.statistic(path_stats(path, traversal)) == values[v]
-            assert _search(graph, table, source, measure, targets=(v,))[0][v] == values[v]
+            assert _search(graph, table, source, measure, target=v)[0][v] == values[v]
 
 
 @settings(max_examples=200, deadline=None)

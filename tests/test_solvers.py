@@ -676,7 +676,15 @@ def test_super_source_relaxed_optimum_matches_oracle():
 # regime dispatch
 
 
+def three_sources_on_a_tree():
+    """A star on 4 vertices with 3 sources and every quota 2: only the tree
+    regime applies."""
+    graph = StaticGraph(4, ((0, 1), (1, 2), (1, 3)))
+    return Instance(graph, frozenset({0, 2, 3}), TraversalSpec.uniform(3, 1), (2, 2, 2), 6)
+
+
 def test_pick_regime_names():
+    assert pick_regime(three_sources_on_a_tree(), EA) == "tree"
     inst = fig.build_instance()  # 2 sources, mu 1: nothing applies
     with pytest.raises(NoTractableRegime):
         pick_regime(inst, EA)
@@ -696,3 +704,9 @@ def test_solve_auto_dispatch():
     result = solve_auto(inst, EA)
     assert result.regime == "multi-source-full-mu"
     assert result.status is SolveStatus.OPTIMAL
+    tree = three_sources_on_a_tree()
+    for measure in (EA, LD):
+        result = solve_auto(tree, measure)
+        assert result.regime == "tree"
+        assert result.status is SolveStatus.OPTIMAL
+        assert result == solve_tree(tree, measure)

@@ -19,6 +19,7 @@ from tmbcast.distances import Measure, sssp
 from tmbcast.tsot import Tsot, build_ea_tsot, build_ld_tsot
 
 import oracles
+import reference_search as reference
 
 
 def full_sssp(inst, source, measure):
@@ -93,6 +94,22 @@ def test_ld_tsot_forced_first_edge_departure():
     inst = Instance(graph, frozenset({0}), trav, (1, 1), 6)
     ld = labeling_sssp(inst, labels, 0, Measure.LATEST_DEPARTURE)
     assert ld[1].value == 4 and ld[2].value == 4
+
+
+def test_ld_tsot_keeps_the_first_in_edge_of_a_vertex():
+    # Star around vertex 3.  Vertex 1 (ld 2) is admitted first and grafts
+    # 0 -> 3 at time 2 (arriving 3), then 3 -> 1 at time 4.  Vertex 2 (ld 4)
+    # comes next; its witness 0 -> 3 at 4 arrives at 5, later than the edge
+    # vertex 3 already has, so 3 keeps it.  Taking the later link instead
+    # would leave 3 -> 1 departing at 4, before 3 arrives.
+    graph = StaticGraph(4, ((0, 3), (2, 3), (1, 3)))
+    trav = TraversalSpec.from_maps([1, 6, 3], {0: {5: 1}, 1: {5: 0}, 2: {2: 4, 1: 4}})
+    inst = Instance(graph, frozenset({0}), trav, (1, 1, 1), 5)
+    labels = Labeling(((2, 4, 5), (4, 5), (2, 4)))
+    tree = build_ld_tsot(0, inst, labels)
+    assert tree.parent == reference.build_ld_tsot(0, inst, labels).parent
+    assert tree.parent == (None, (2, 4, 3), (1, 5, 3), (0, 2, 0))
+    assert tree.is_valid(graph)
 
 
 def test_ld_tsot_bound_random_full_graph():
