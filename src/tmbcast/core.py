@@ -16,7 +16,7 @@ function of its inputs, so everything here is safe to share across threads.
 from __future__ import annotations
 
 import heapq
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import chain, count
@@ -772,6 +772,76 @@ def earliest_arrival(
     return [None if a is _NEVER else a for a in arrival], parents
 
 
+def latest_departure(
+    graph: StaticGraph,
+    table: CandidateTable,
+    source: Vertex,
+    target: Vertex,
+) -> Time | None:
+    """ld(source, target): the latest first departure of a walk from
+    ``source`` to ``target``, or None when there is none.
+
+    Dijkstra backward from ``target`` over (latest time, vertex), latest
+    first (Wu et al., "Path Problems in Temporal Graphs", 2014).  A vertex's
+    latest time is the latest departure from it on a walk that still
+    reaches ``target``; the target's is unbounded.  Relaxing edge ``e`` from
+    a settled vertex with latest time ``Y`` gives the latest available
+    ``t`` with ``t + tr(e, t) <= Y``: a scan down the edge's departures at
+    or before ``Y``, and on the full temporal graph also the latest
+    non-override time up to ``min(tau, Y - default)``.  The run ends when
+    the source pops, its latest time the answer; the source is never
+    expanded, so no walk passes through it.  The walks are those of
+    ``earliest_arrival``, so the answer is the latest start whose forward
+    run reaches ``target``.
+    """
+    adjacency = graph.adjacency
+    all_departures = table.departures
+    tau = table.tau
+    full = tau is not None
+    overrides = table.overrides
+    defaults = table.defaults
+    latest = [0] * graph.vertex_count  # every departure is at 1 or later
+    done = [False] * graph.vertex_count
+    heap: list[tuple[float, Vertex]] = [(-_NEVER, target)]
+    pop = heapq.heappop
+    push = heapq.heappush
+    while heap:
+        key, y = pop(heap)
+        if done[y]:
+            continue
+        if y == source:
+            return -key
+        done[y] = True
+        deadline = -key
+        for e, x in adjacency[y]:
+            if done[x]:
+                continue
+            best = 0
+            if full:
+                t = min(tau, deadline - defaults[e])
+                per_edge = overrides[e]
+                while t in per_edge:
+                    t -= 1
+                if t > 0:
+                    best = t
+            departures = all_departures[e]
+            i = len(departures)
+            if i and departures[-1][0] > deadline:
+                i = bisect_right(departures, deadline, key=_time)
+            while i:
+                i -= 1
+                t, a = departures[i]
+                if t <= best:
+                    break
+                if a <= deadline:
+                    best = t
+                    break
+            if best > latest[x]:
+                latest[x] = best
+                push(heap, (-best, x))
+    return None
+
+
 def _check_cover(graph: StaticGraph, labeling: Labeling) -> None:
     m = graph.edge_count
     if labeling.edge_count != m:
@@ -802,13 +872,18 @@ def is_feasible(instance: Instance, labeling: Labeling) -> bool:
     return _feasible_arrivals(instance, CandidateTable(labeling, instance.traversal)) is not None
 
 
+def _too_sparse(graph: StaticGraph) -> bool:
+    """True when there are over twice as many vertices as edges, as some
+    vertex then has no edge and no source reaches every vertex."""
+    return graph.vertex_count > 2 * graph.edge_count
+
+
 def _feasible_arrivals(instance: Instance, table: CandidateTable) -> dict | None:
     """The kernel's (arrivals, parents) from each source in order, or None
     at the first source that misses a vertex; None before allocating
-    anything per vertex when there are over twice as many vertices as
-    edges, as some vertex then has no edge."""
+    anything per vertex when the graph is ``_too_sparse``."""
     graph = instance.graph
-    if graph.vertex_count > 2 * graph.edge_count:
+    if _too_sparse(graph):
         return None
     forests = {}
     for s in sorted(instance.sources):
@@ -818,11 +893,6 @@ def _feasible_arrivals(instance: Instance, table: CandidateTable) -> dict | None
     return forests
 
 
-def _reaches_all(graph: StaticGraph, table: CandidateTable, source: Vertex) -> bool:
-    arrivals, _ = earliest_arrival(graph, table, source)
-    return arrivals.count(None) == 1
-
-
 def reaches_all(
     graph: StaticGraph,
     availability: Availability,
@@ -830,4 +900,5 @@ def reaches_all(
     source: Vertex,
 ) -> bool:
     """True iff ``source`` temporally reaches every vertex of the graph."""
-    return _reaches_all(graph, CandidateTable(availability, traversal), source)
+    arrivals, _ = earliest_arrival(graph, CandidateTable(availability, traversal), source)
+    return arrivals.count(None) == 1

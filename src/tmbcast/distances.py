@@ -13,11 +13,13 @@ and shared by every source and probe:
   t0 over the starts is the least duration, first reached at the earliest
   optimal departure.  For every vertex, latest departure runs the
   candidate first departures latest first until every vertex is reached,
-  and fastest runs them all.  For one target the runs stop at the target:
-  latest departure bisects for the last finite F, and fastest sweeps the
-  candidates, skipping those that F bounds out (see ``_fastest_to``).  The
-  floor L* = min_v ld(v), which the exact solvers' ld tree needs, bisects
-  the same way for the last start whose run reaches every vertex;
+  and fastest runs them all.  For one target, latest departure is one run
+  of the backward kernel ``core.latest_departure``, and fastest sweeps the
+  candidates in runs stopped at the target, skipping those that F bounds
+  out (see ``_fastest_to``).  The floor L* = min_v ld(v), which the exact
+  solvers' ld tree needs, is a backward run to the vertex a first forward
+  run reaches last, checked by a forward run from its answer (see
+  ``_ld_floor``);
 * shortest travel / minimum hop: the front search ``_fronts`` keyed by the
   cost (travel or hops), whose first kept state at a vertex has the least
   cost and then the earliest arrival;
@@ -73,6 +75,7 @@ from tmbcast.core import (
     _feasible_arrivals,
     _time,
     earliest_arrival,
+    latest_departure,
 )
 
 
@@ -264,32 +267,63 @@ def _free_run(graph, table, source: int, target: int | None, start: int):
 
 
 def _latest_departure_to(graph, table, source: int, target: int | None = None) -> int | None:
-    """ld(source, target): the latest candidate first departure whose run
-    reaches ``target``, or None.  With ``target`` None, the latest whose
-    run reaches every vertex: the floor L* = min_v ld(source, v), None when
-    even the first run misses a vertex.
+    """ld(source, target), the latest start whose run reaches ``target``,
+    or None: one backward run of ``core.latest_departure``.  With
+    ``target`` None, the floor L* = min_v ld(source, v) (see ``_ld_floor``),
+    None when even the first run misses a vertex."""
+    if target is not None:
+        return latest_departure(graph, table, source, target)
+    floor = _ld_floor(graph, table, source)
+    return None if floor is None else floor[0]
 
-    That is the latest candidate ``t0`` with F(t0) finite (see
-    ``_free_run``), found by bisection: a finite run's first departure is a
-    candidate that reaches the target, so it becomes the lower end.  The
-    first run decides reachability, and each later one halves the range,
-    so it takes at most 1 + ceil(log2 tau) runs on the full graph.
+
+def _ld_floor(graph, table, source: int):
+    """(L*, forest): the latest candidate first departure whose run reaches
+    every vertex, the floor L* = min_v ld(source, v), and the kernel's
+    (arrivals, parents) from L*; None when even the first run misses a
+    vertex.
+
+    The first run, from the first candidate, decides reachability.  Its
+    last-reached vertex ``v`` bounds the floor from above by ld(source, v),
+    one backward run, and a forward run from that bound checks it: when it
+    reaches every vertex, the bound is L*.  Otherwise the missed vertex
+    reached last in the first run gives a new bound, strictly lower, as
+    its ld is below the old one.  Once 1 + ceil(log2 |C|) runs are spent,
+    C the candidates, a bisection over the candidates left finishes: a
+    finite run's least first departure (see ``_free_run``) is a candidate
+    whose run reaches every vertex, so it becomes the lower end, and each
+    run halves the range.
     """
     times = _first_departure_times(graph, table, source)
     if not times:
         return None
-    arrival, first = _free_run(graph, table, source, target, times[0])
-    if arrival is None:
+    first_run = earliest_arrival(graph, table, source, start=times[0])
+    arrivals, parents = first_run
+    if arrivals.count(None) > 1:  # the source's own entry is None
         return None
-    lo, hi = bisect_left(times, first), len(times) - 1
+    hi = len(times) - 1
+    runs, budget = 1, 1 + (len(times) - 1).bit_length()
+    v = max(range(graph.vertex_count), key=lambda v: arrivals[v] or 0)
+    while runs < budget:
+        bound = latest_departure(graph, table, source, v)
+        forest = earliest_arrival(graph, table, source, start=bound)
+        runs += 2
+        missed = [w for w, a in enumerate(forest[0]) if a is None and w != source]
+        if not missed:
+            return bound, forest
+        hi = bisect_left(times, bound) - 1
+        v = max(missed, key=arrivals.__getitem__)
+    lo = bisect_left(times, min(p[2] for p in parents if p is not None and p[0] == source))
     while lo < hi:
         mid = (lo + hi + 1) // 2
-        arrival, first = _free_run(graph, table, source, target, times[mid])
+        arrival, first = _free_run(graph, table, source, None, times[mid])
         if arrival is None:
             hi = mid - 1
         else:
             lo = bisect_left(times, first)
-    return times[lo]
+    if lo == 0:  # the first run is the one from times[0]
+        return times[0], first_run
+    return times[lo], earliest_arrival(graph, table, source, start=times[lo])
 
 
 def _fastest_to(graph, table, source: int, target: int):
@@ -543,11 +577,12 @@ def _search_one(graph, table, source, measure: Measure, target: int):
     latest-departure or fastest query; every other value is None.
 
     Earliest arrival is one kernel run stopped at the target.  Latest
-    departure (the latest start whose run reaches the target) and fastest
-    (the least arrival minus start) take a few runs (``_latest_departure_to``,
-    ``_fastest_to``) in place of one per candidate first departure.  The
-    witness re-runs the answer's first departure, stopped at the target,
-    which yields the same path as the full run from that start.
+    departure (the latest start whose run reaches the target) is one
+    backward run (``_latest_departure_to``), and fastest (the least arrival
+    minus start) a few forward runs (``_fastest_to``), in place of one per
+    candidate first departure.  The witness re-runs the answer's first
+    departure, stopped at the target, which yields the same path as the
+    full run from that start.
     """
     start = parents = None
     if measure is Measure.EARLIEST_ARRIVAL:

@@ -44,12 +44,13 @@ from tmbcast.core import (
     Unreachable,
     ValidationError,
     WrongSourceCount,
+    _too_sparse,
 )
 from tmbcast.distances import (
     Bounds,
     DistanceResult,
     Measure,
-    _latest_departure_to,
+    _ld_floor,
     _pair_values,
     _table_pairs,
     _worst,
@@ -109,20 +110,24 @@ def _full_graph_trees(instance: Instance, measure: Measure) -> list[Tsot]:
     """The measure's spanning out-tree of the full temporal graph for every
     source, in source order: the earliest-arrival tree from start 1 under
     earliest arrival, and from the floor L* under latest departure (see
-    ``tsot``).  Raises Unreachable naming the first source that misses a
-    vertex; the first search of each source decides that, the tree's own
-    under earliest arrival and the floor bisection's first run under
-    latest departure."""
+    ``tsot``), built from the floor search's run from L*.  Raises
+    Unreachable naming the first source that misses a vertex: at once when
+    the graph is too sparse for any source to reach every vertex, else from
+    the first search of each source, the tree's own under earliest arrival
+    and the floor search's first run under latest departure."""
+    sources = sorted(instance.sources)
+    if _too_sparse(instance.graph):
+        raise Unreachable(_UNREACHABLE.format(sources[0]))
     table = CandidateTable(instance.full_availability(), instance.traversal)
     trees = []
-    for s in sorted(instance.sources):
-        start = 1
+    for s in sources:
+        start, forest = 1, None
         if measure is Measure.LATEST_DEPARTURE:
-            start = _latest_departure_to(instance.graph, table, s)
+            start, forest = _ld_floor(instance.graph, table, s) or (None, None)
         try:
             if start is None:
                 raise Unreachable
-            trees.append(build_ea_tsot(s, instance, start=start))
+            trees.append(build_ea_tsot(s, instance, start=start, forest=forest))
         except Unreachable:
             raise Unreachable(_UNREACHABLE.format(s)) from None
     return trees

@@ -7,7 +7,8 @@ Two constructions:
   step departs at a given start or later.  From start 1 the tree realizes
   every earliest-arrival distance of the input availability.  From the
   floor L* = min_v ld(v), the latest start whose run still reaches every
-  vertex (``distances._latest_departure_to``), every tree path departs the
+  vertex (``distances._ld_floor``, whose last run is the one from L*, so
+  the exact solvers build the tree from it), every tree path departs the
   root at L* or later, so every tree distance under latest departure is at
   least the worst one of the input graph: the exact solvers' ld tree;
 * the latest-departure merge tree admits vertices in nondecreasing order of
@@ -132,16 +133,19 @@ def build_ea_tsot(
     instance: Union[Instance, ReachFastInstance],
     availability: Availability | None = None,
     start: int = 1,
+    forest: tuple | None = None,
 ) -> Tsot:
     """Tree realizing every earliest-arrival distance of the availability
     over the walks whose first step departs at ``start`` or later.
 
     Defaults to the full temporal graph for plain instances and to the given
-    labels for the shifting formulation.  Raises Unreachable when the root
-    cannot reach some vertex.
+    labels for the shifting formulation.  ``forest`` is the kernel's
+    ``(arrivals, parents)`` from ``start``, if the caller has it.  Raises
+    Unreachable when the root cannot reach some vertex.
     """
     graph, trav, avail = _resolve(instance, availability)
-    arrivals, parents = earliest_arrival(graph, CandidateTable(avail, trav), root, start=start)
+    arrivals, parents = forest or earliest_arrival(
+        graph, CandidateTable(avail, trav), root, start=start)
     parent: list[tuple[int, int, int] | None] = [None] * graph.vertex_count
     for v in range(graph.vertex_count):
         if v == root:

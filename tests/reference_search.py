@@ -32,10 +32,15 @@ differential tests can compare old and new.
   probe every candidate first departure, for one target by the one-target
   searches ``distances._fastest_to`` and ``distances._latest_departure_to``;
 * ``solve_tree``, which flooded the tree once per edge to find the sources
-  on each side of it, by the ``solvers.solve_tree`` that roots the tree once.
+  on each side of it, by the ``solvers.solve_tree`` that roots the tree once;
 * ``tree_mu_diagnostic``, which rooted the tree with its own search, parent
   map and per-vertex source counts, by the ``solvers.tree_mu_diagnostic``
-  that counts sources in preorder ranges of the rooting ``solve_tree`` uses.
+  that counts sources in preorder ranges of the rooting ``solve_tree`` uses;
+* ``_reaches_all``, which the brute-force copy decides feasibility with, by
+  ``core.reaches_all``, into which it was folded;
+* ``_latest_departure_to`` with ``_free_run``, which bisected over start
+  times for a one-target latest departure and for the floor L*, by the
+  backward search ``core.latest_departure`` and ``distances._ld_floor``.
 
 The recursive searches' depth grows with the path length and the depth-first
 ones take exponential time, so only small instances may be given to them.
@@ -67,7 +72,6 @@ from tmbcast.core import (
     Unreachable,
     Vertex,
     _NEVER,
-    _reaches_all,
     _time,
 )
 from tmbcast.distances import (
@@ -275,6 +279,11 @@ def earliest_arrival(
                 parents[w] = (u, e, best_t)
                 push(heap, (best, w))
     return [None if a is _NEVER else a for a in arrival], parents
+
+
+def _reaches_all(graph: StaticGraph, table: CandidateTable, source: Vertex) -> bool:
+    arrivals, _ = earliest_arrival(graph, table, source)
+    return arrivals.count(None) == 1
 
 
 def _min_wait_run(
@@ -822,3 +831,60 @@ def tree_mu_diagnostic(instance: Instance) -> bool:
             if instance.multiplicity[e] < 2:
                 return False
     return True
+
+
+def _free_run(graph, table, source: int, target: int | None, start: int):
+    """(arrival, first departure): the earliest arrival at ``target`` over
+    the walks from ``source`` whose first step departs at ``start`` or
+    later, F(start), and the first departure of the run's path there;
+    (None, None) when there is no such walk.  With ``target`` None the run
+    covers every vertex: the latest of their arrivals and the least first
+    departure of their paths, (None, None) when some vertex is unreached.
+
+    F never decreases as ``start`` grows, and the path's first departure
+    ``t'`` attains it: ``t' >= start`` and F(t') = F(start), so the run
+    from ``t'`` arrives at F(start) along a path that departs at ``t'``.
+    With ``target`` None, every path departs at the least ``t'`` or later,
+    so the run from there still reaches every vertex.
+    """
+    arrivals, parents = earliest_arrival(graph, table, source, start=start, stop=target)
+    if target is None:
+        if arrivals.count(None) > 1:  # the source's own entry is None
+            return None, None
+        return (max(a for a in arrivals if a is not None),
+                min(p[2] for p in parents if p is not None and p[0] == source))
+    if arrivals[target] is None:
+        return None, None
+    v = target
+    while parents[v][0] != source:
+        v = parents[v][0]
+    return arrivals[target], parents[v][2]
+
+
+def _latest_departure_to(graph, table, source: int, target: int | None = None) -> int | None:
+    """ld(source, target): the latest candidate first departure whose run
+    reaches ``target``, or None.  With ``target`` None, the latest whose
+    run reaches every vertex: the floor L* = min_v ld(source, v), None when
+    even the first run misses a vertex.
+
+    That is the latest candidate ``t0`` with F(t0) finite (see
+    ``_free_run``), found by bisection: a finite run's first departure is a
+    candidate that reaches the target, so it becomes the lower end.  The
+    first run decides reachability, and each later one halves the range,
+    so it takes at most 1 + ceil(log2 tau) runs on the full graph.
+    """
+    times = _first_departure_times(graph, table, source)
+    if not times:
+        return None
+    arrival, first = _free_run(graph, table, source, target, times[0])
+    if arrival is None:
+        return None
+    lo, hi = bisect_left(times, first), len(times) - 1
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        arrival, first = _free_run(graph, table, source, target, times[mid])
+        if arrival is None:
+            hi = mid - 1
+        else:
+            lo = bisect_left(times, first)
+    return times[lo]

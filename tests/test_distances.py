@@ -31,6 +31,7 @@ from tmbcast.distances import (
     sssp,
 )
 
+from tmbcast.solvers import solve_single_source
 from tmbcast.tsot import build_ld_tsot
 
 import worked_example as fig
@@ -269,17 +270,23 @@ def grid_instance(seed, k, tau):
 
 @pytest.fixture
 def kernel_runs(monkeypatch):
-    """One entry per earliest-arrival run made by ``distances``."""
+    """One ``(kernel name, table)`` entry per kernel run, forward
+    (``earliest_arrival``) or backward (``latest_departure``), made by
+    ``distances`` or by the tree builders of ``tsot``."""
     import tmbcast.distances as distances
+    import tmbcast.tsot as tsot
 
     runs = []
-    kernel = distances.earliest_arrival
 
-    def counting(*args, **kwargs):
-        runs.append((args, kwargs))
-        return kernel(*args, **kwargs)
+    def counting(name, kernel):
+        def run(graph, table, *args, **kwargs):
+            runs.append((name, table))
+            return kernel(graph, table, *args, **kwargs)
+        return run
 
-    monkeypatch.setattr(distances, "earliest_arrival", counting)
+    for module, name in ((distances, "earliest_arrival"), (distances, "latest_departure"),
+                         (tsot, "earliest_arrival")):
+        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
     return runs
 
 
@@ -300,12 +307,12 @@ def test_one_target_distance_runs_few_searches(kernel_runs):
     for measure in (Measure.FASTEST, Measure.LATEST_DEPARTURE, Measure.EARLIEST_ARRIVAL):
         kernel_runs.clear()
         results[measure] = distance(0, target, full, inst, measure)
-        results[measure, "runs"] = len(kernel_runs)
+        results[measure, "runs"] = [name for name, _ in kernel_runs]
     # The sweep ran one probe per first departure in 1..tau and one for
-    # the witness.
-    assert results[Measure.FASTEST, "runs"] < (inst.tau + 1) / 2
-    assert results[Measure.LATEST_DEPARTURE, "runs"] <= 2 * math.ceil(math.log2(inst.tau)) + 2
-    assert results[Measure.EARLIEST_ARRIVAL, "runs"] == 1
+    # the witness; latest departure is one backward run, then the witness.
+    assert len(results[Measure.FASTEST, "runs"]) < (inst.tau + 1) / 2
+    assert results[Measure.LATEST_DEPARTURE, "runs"] == ["latest_departure", "earliest_arrival"]
+    assert results[Measure.EARLIEST_ARRIVAL, "runs"] == ["earliest_arrival"]
     for measure in (Measure.FASTEST, Measure.LATEST_DEPARTURE):
         assert results[measure].value == sssp(0, full, inst, measure)[target].value
 
@@ -317,6 +324,19 @@ def test_one_target_distance_answers_an_unreachable_target_in_one_run(kernel_run
     inst = Instance(graph, frozenset({0}), TraversalSpec.uniform(2, 2), (1, 1), 2)
     assert distance(0, 2, inst.full_availability(), inst, measure).value is None
     assert len(kernel_runs) == 1
+
+
+def test_single_source_ld_solve_takes_three_full_graph_runs(kernel_runs):
+    inst = grid_instance(402, 10, 400)
+    result = solve_single_source(inst, Measure.LATEST_DEPARTURE)
+    full_graph = [name for name, table in kernel_runs if table.tau is not None]
+    # The floor's first run, the backward run from the vertex it reached
+    # last, and the run from that bound, which reaches every vertex and
+    # gives the tree; the bisection took 1 + ceil(log2 400) = 10 and the
+    # tree one more.
+    assert full_graph == ["earliest_arrival", "latest_departure", "earliest_arrival"]
+    values = sssp(0, inst.full_availability(), inst, Measure.LATEST_DEPARTURE)
+    assert result.objective == min(r.value for r in values[1:])
 
 
 def test_min_wait_objective_reuses_the_feasibility_runs(monkeypatch):

@@ -1,10 +1,10 @@
 """Differential tests of the earliest-arrival kernel, the minimum-waiting
 search, the shortest-travel and minimum-hop front search, the one-target
-fastest and latest-departure searches, the certificate maxima, the
-latest-departure floor and trees, the nonseparating-path search, the tree
-solver and the branch-and-bound oracle against the code they replaced
-(``reference_search``), and of reachability against exhaustive
-enumeration."""
+fastest and latest-departure searches, the backward latest-departure
+search, the certificate maxima, the latest-departure floor and trees, the
+nonseparating-path search, the tree solver and the branch-and-bound oracle
+against the code they replaced (``reference_search``), and of reachability
+against exhaustive enumeration."""
 
 from __future__ import annotations
 
@@ -25,6 +25,7 @@ from tmbcast.core import (
     TraversalSpec,
     Unreachable,
     earliest_arrival,
+    latest_departure,
     path_stats,
     reaches_all,
     validate_path,
@@ -36,6 +37,7 @@ from tmbcast.distances import (
     _first_departure_times,
     _free_run,
     _latest_departure_to,
+    _ld_floor,
     _max_stats,
     _min_wait_run,
     _search,
@@ -175,6 +177,42 @@ def test_one_target_ft_ld_match_reference(case):
             assert values[v] == want_values[v]
             if values[v] is not None:
                 assert witnesses([v])[v] == want_paths[v]
+
+
+# A source with no edges; a target the source cannot reach; zero-weight
+# edges whose latest departures tie; overrides at 1 and at tau; an arrival
+# past tau on the last edge; and a labeling that leaves an edge without
+# labels.
+@example((StaticGraph(3, ((1, 2),)), TraversalSpec.uniform(1, 1), FullAvailability(3), 0, 1))
+@example((StaticGraph(4, ((0, 1), (2, 3))), TraversalSpec.uniform(2, 1),
+          Labeling(((1, 2), (1,))), 0, 1))
+@example((StaticGraph(3, ((0, 1), (0, 2), (1, 2))), TraversalSpec.uniform(3, 0),
+          FullAvailability(3), 0, 1))
+@example((StaticGraph(3, ((0, 1), (1, 2))),
+          TraversalSpec.from_maps([2, 1], {0: {1: 0, 4: 0}, 1: {1: 3, 4: 0}}),
+          FullAvailability(4), 0, 1))
+@example((StaticGraph(3, ((0, 1), (1, 2))), TraversalSpec.from_maps([1, 4], {0: {2: 0}}),
+          FullAvailability(3), 0, 1))
+@example((StaticGraph(3, ((0, 1), (1, 2))), TraversalSpec.uniform(2, 1),
+          Labeling(((1, 3), ())), 0, 1))
+@settings(max_examples=500, deadline=None)
+@given(searches(max_vertices=7, max_edges=10))
+def test_backward_ld_and_floor_match_the_reference_bisection(case):
+    graph, traversal, availability, source, _ = case
+    table = CandidateTable(availability, traversal)
+    for v in range(graph.vertex_count):
+        if v != source:
+            want = reference._latest_departure_to(graph, table, source, v)
+            assert latest_departure(graph, table, source, v) == want
+            assert _latest_departure_to(graph, table, source, v) == want
+    want = reference._latest_departure_to(graph, table, source)
+    assert _latest_departure_to(graph, table, source) == want
+    floor = _ld_floor(graph, table, source)
+    if want is None:
+        assert floor is None
+    else:
+        # The forest is the run from the floor itself, as the tree needs.
+        assert floor == (want, earliest_arrival(graph, table, source, start=want))
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,13 +1,15 @@
 """``tests/reference_search.py`` keeps its own copies of the old
-earliest-arrival kernel and minimum-waiting search and never reaches the
-library's: a reference that called ``tmbcast``'s would follow it when it
-changes, and every differential test over it would compare the new code
-with itself."""
+earliest-arrival kernel, minimum-waiting search, reachability test and
+latest-departure bisection and never reaches the library's searches: a
+reference that called ``tmbcast``'s would follow them when they change, and
+every differential test over it would compare the new code with itself."""
 
 from __future__ import annotations
 
 import ast
 from pathlib import Path
+
+import pytest
 
 REFERENCE = Path(__file__).with_name("reference_search.py")
 
@@ -51,6 +53,16 @@ def test_reference_search_keeps_its_own_kernel():
 def test_reference_search_keeps_its_own_min_wait_search():
     tree = ast.parse(REFERENCE.read_text(encoding="utf-8"))
     assert kernel_imports(tree, "_min_wait_run") == []
+
+
+@pytest.mark.parametrize("name", [
+    "_reaches_all", "latest_departure", "_latest_departure_to", "_free_run"])
+def test_reference_search_keeps_its_own_reachability_and_latest_departure(name):
+    tree = ast.parse(REFERENCE.read_text(encoding="utf-8"))
+    assert kernel_imports(tree, name) == []
+    if name != "latest_departure":  # the backward search has no old copy
+        assert [node.name for node in tree.body if isinstance(node, ast.FunctionDef)
+                ].count(name) == 1
 
 
 def test_kernel_imports_are_detected():

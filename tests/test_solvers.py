@@ -141,7 +141,7 @@ def test_ld_solve_bisects_for_the_floor(monkeypatch):
 
     for module in (core, distances, tsot):
         monkeypatch.setattr(module, "earliest_arrival", counting)
-    most = math.ceil(math.log2(tau)) + 2  # bisection, then the tree's own run
+    most = math.ceil(math.log2(tau)) + 2  # at most a bisection over 1..tau and the tree's run
     for solve, sources in ((solve_single_source, {0}), (solve_multi_full_mu, {0, k * k - 1})):
         inst = Instance(graph, frozenset(sources), traversal, (len(sources),) * len(edges), tau)
         searched.clear()
@@ -170,6 +170,34 @@ def test_unreachable_solves_name_the_first_source_that_misses_a_vertex(measure):
         assert str(err.value) == (
             f"source {first} cannot reach every vertex even in the full graph"
         )
+
+
+@pytest.mark.parametrize("measure", [EA, LD])
+def test_a_vertex_without_edges_fails_solve_before_any_search(monkeypatch, measure):
+    import tmbcast.core as core
+    import tmbcast.distances as distances
+    import tmbcast.tsot as tsot
+
+    # More than twice as many vertices as edges leaves a vertex with no
+    # edge: Unreachable for the first source, with no search and nothing
+    # allocated per vertex.
+    for module in (core, distances, tsot):
+        monkeypatch.setattr(module, "earliest_arrival", None)
+    for module in (core, distances):
+        monkeypatch.setattr(module, "latest_departure", None)
+    graph = StaticGraph(10**6, ((0, 1),))
+    traversal = TraversalSpec.uniform(1, 1)
+    cases = (
+        (solve_single_source, Instance(graph, frozenset({0}), traversal, (1,), 5)),
+        (solve_multi_full_mu, Instance(graph, frozenset({7, 3}), traversal, (2,), 5)),
+    )
+    for solve, inst in cases:
+        with pytest.raises(Unreachable) as err:
+            solve(inst, measure)
+        assert str(err.value) == (
+            f"source {min(inst.sources)} cannot reach every vertex even in the full graph"
+        )
+    assert "adjacency" not in vars(graph)
 
 
 def test_single_source_matches_oracle():
