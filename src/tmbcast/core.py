@@ -261,6 +261,13 @@ class TraversalSpec:
         columns = (edges, times, weights)
         if not set(map(type, chain(*columns))) <= {int}:
             columns = tuple(tuple(map(int, column)) for column in columns)
+        return cls._from_int_columns(edge_count, defaults, columns)
+
+    @classmethod
+    def _from_int_columns(cls, edge_count: int, defaults: Sequence[int],
+                          columns: tuple) -> "TraversalSpec":
+        """``from_entries`` past its int test: the equal-length ``(edges,
+        times, weights)`` columns hold exact ints already."""
         if len(defaults) != edge_count or not _within(columns[0], 0, edge_count - 1):
             raise ValidationError("defaults and overrides must cover the same edges")
         return object.__new__(cls)._build(defaults, None, columns)

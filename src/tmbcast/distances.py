@@ -167,11 +167,12 @@ def _first_departure_times(
 
 
 def _latest_departures(
-    graph: StaticGraph, table: CandidateTable, source: int
-) -> tuple[list[int | None], list[tuple | None]]:
+    graph: StaticGraph, table: CandidateTable, source: int, chains: bool = True
+) -> tuple[list[int | None], list[tuple | None] | None]:
     """(values, chains): the latest first departure from which each other
-    vertex is reachable, and its witness from that run as a linked step
-    list (see ``_chain_path``).
+    vertex is reachable, and, when ``chains`` is true, its witness from that
+    run as a linked step list (see ``_chain_path``); chains is None
+    otherwise.
 
     Runs the kernel from each candidate first departure, latest first, until
     every vertex is reached; a vertex's value is the first start whose run
@@ -180,7 +181,7 @@ def _latest_departures(
     vertices stay None.
     """
     value: list[int | None] = [None] * graph.vertex_count
-    chains: list[tuple | None] = [None] * graph.vertex_count
+    witness: list[tuple | None] | None = [None] * graph.vertex_count if chains else None
     remaining = set(range(graph.vertex_count)) - {source}
     for t0 in reversed(_first_departure_times(graph, table, source)):
         if not remaining:
@@ -190,9 +191,10 @@ def _latest_departures(
         links = {source: None}
         for v in found:
             value[v] = t0
-            chains[v] = _parent_chain(parents, links, v)
+            if chains:
+                witness[v] = _parent_chain(parents, links, v)
         remaining.difference_update(found)
-    return value, chains
+    return value, witness
 
 
 def _parent_chain(parents: list, links: dict, v: int) -> tuple:
@@ -655,11 +657,15 @@ def _pair_values(
     instance: Instance, table: CandidateTable, measure: Measure, forests: dict | None = None
 ) -> dict[tuple[int, int], int | None]:
     """measure(s, v) for every source s and every other vertex v (None when
-    unreachable), one search per source, no witnesses; ``forests`` are
-    ``_feasible_arrivals``' kernel runs, if the caller has them."""
+    unreachable), one search per source, no witnesses (latest departure
+    keeps no chains); ``forests`` are ``_feasible_arrivals``' kernel runs,
+    if the caller has them."""
     out: dict[tuple[int, int], int | None] = {}
     for s in sorted(instance.sources):
-        values, _ = _search(instance.graph, table, s, measure, forest=forests and forests[s])
+        if measure is Measure.LATEST_DEPARTURE:
+            values, _ = _latest_departures(instance.graph, table, s, chains=False)
+        else:
+            values, _ = _search(instance.graph, table, s, measure, forest=forests and forests[s])
         for v, value in enumerate(values):
             if v != s:
                 out[(s, v)] = value

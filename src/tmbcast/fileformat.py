@@ -2,14 +2,19 @@
 
 Documents are JSON with a fixed key order (sorted), two-space indentation,
 sorted override/label lists, and a trailing newline, so serializing a parsed
-document reproduces it byte for byte.  Parsing checks the JSON shape and
+document reproduces it byte for byte.  The text is exactly
+``json.dumps(payload, sort_keys=True, indent=2)`` plus the newline, but
+``_canonical`` writes the ints, strings and lists of the payload itself,
+because with an indent ``json.dumps`` never uses the C encoder; only meta
+and provenance go through it.  Parsing checks the JSON shape and
 converts values with int(); the model constructors in ``tmbcast.core``
 validate the structure, once per document, and the parsed document keeps
 the validated model.  Reachability is a solver concern.
 
 Overrides are ``[edge, time, weight]`` entries, the last one for an (edge,
-time) winning: the loader checks their shape and edges and hands their
-columns to ``TraversalSpec.from_entries`` (code may pass per-edge rows).
+time) winning: the loader checks their shape and edges, converts them to
+exact ints and hands their columns to ``TraversalSpec``'s entry builder,
+which then skips ``from_entries``' int test (code may pass per-edge rows).
 
 Every fault of a document's text raises ``ParseError``: text that is not
 JSON or nests too deeply for the decoder (``RecursionError``), a missing or
@@ -24,6 +29,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import chain
+from json.encoder import encode_basestring_ascii
 from typing import Any
 
 from tmbcast.core import (
@@ -141,7 +147,41 @@ class InstanceDocument:
 
 
 def _canonical(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    """``json.dumps(payload, sort_keys=True, indent=2) + "\\n"``, byte for
+    byte, for a non-empty payload with string keys.  Ints, strings and
+    non-empty lists of ints, of strings or of int lists are written here;
+    any other value (meta, provenance) goes through ``json.dumps`` and is
+    re-indented, which is safe because JSON escapes every newline inside a
+    string."""
+    return "{\n" + ",\n".join(
+        f"  {encode_basestring_ascii(key)}: {_canonical_value(payload[key])}"
+        for key in sorted(payload)
+    ) + "\n}\n"
+
+
+def _canonical_value(value) -> str:
+    """One top-level value of ``_canonical``, as ``json.dumps`` indents it."""
+    kind = type(value)
+    if kind is int:
+        return repr(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is list and value:
+        kinds = set(map(type, value))
+        if kinds <= {int}:
+            items = map(repr, value)
+        elif kinds == {str}:
+            items = map(encode_basestring_ascii, value)
+        elif kinds == {list} and set(map(type, chain.from_iterable(value))) <= {int}:
+            items = (
+                "[\n      " + ",\n      ".join(map(repr, row)) + "\n    ]" if row else "[]"
+                for row in value
+            )
+        else:
+            items = None
+        if items is not None:
+            return "[\n    " + ",\n    ".join(items) + "\n  ]"
+    return json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n  ")
 
 
 def serialize_instance(
@@ -213,8 +253,9 @@ def _int_values(values: list, what: str) -> tuple[int, ...]:
 
 def _override_columns(items: list, edge_count: int, what: str) -> tuple:
     """The edge, time and weight columns of ``[edge, time, weight]`` entries,
-    through int(); ParseError names the first entry that is not three values
-    int() accepts or whose edge is not one of the document's."""
+    exact ints through int() (the one int test of the entries); ParseError
+    names the first entry that is not three values int() accepts or whose
+    edge is not one of the document's."""
     try:
         flat = tuple(chain.from_iterable(items)) if set(map(len, items)) <= {3} else None
         if flat is not None and not set(map(type, flat)) <= {int}:
@@ -264,7 +305,7 @@ def parse_instance_document(text: str) -> InstanceDocument:
         raise ParseError(f"{what}: edges must be pairs of integers") from None
     entries = _override_columns(overrides_raw, len(edges), what)
     graph = StaticGraph(n, edges)
-    traversal = TraversalSpec.from_entries(len(edges), _int_values(defaults, what), *entries)
+    traversal = TraversalSpec._from_int_columns(len(edges), _int_values(defaults, what), entries)
 
     names = payload.get("names")
     roles = payload.get("roles")

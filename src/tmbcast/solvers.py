@@ -74,8 +74,12 @@ class SolveResult:
     """A schedule with its objective.
 
     ``per_source_distances`` maps every (source, other vertex) pair to its
-    distance value under the schedule; the witness is left None (``sssp``
-    or ``distance`` on the labeling gives one).
+    distance value under the schedule, sources ascending, then vertices;
+    the witness is left None (``sssp`` or ``distance`` on the labeling
+    gives one).  A schedule written from trees takes the values from the
+    tree paths (single-source, the approximation, and multi-source under
+    earliest arrival); the others' values come from a search of the
+    schedule, or from the oracle's own.
     """
 
     labeling: Labeling
@@ -133,10 +137,39 @@ def _full_graph_trees(instance: Instance, measure: Measure) -> list[Tsot]:
     return trees
 
 
+def _tree_pairs(trees: list[Tsot], measure: Measure) -> dict[tuple[int, int], int]:
+    """measure(root, v) for every tree's root and every other vertex, in
+    ``_pair_values``' order (roots ascending as given, then vertices), on a
+    schedule where each tree path is the vertex's only temporal path or,
+    for earliest arrival, the earliest one: the path's ``Tsot.path_stats``
+    read as ``Measure.statistic`` reads ``core.path_stats``."""
+    pick = _TREE_STATISTIC[measure]
+    return {
+        (tree.root, v): pick(*stats)
+        for tree in trees
+        for v, stats in enumerate(tree.path_stats())
+        if stats is not None
+    }
+
+
+# Measure.statistic over a tree path's (departure, arrival, travel, hops),
+# without a PathStats per vertex, which would cost more than the search.
+_TREE_STATISTIC = {
+    Measure.EARLIEST_ARRIVAL: lambda departure, arrival, travel, hops: arrival,
+    Measure.LATEST_DEPARTURE: lambda departure, arrival, travel, hops: departure,
+    Measure.FASTEST: lambda departure, arrival, travel, hops: arrival - departure,
+    Measure.SHORTEST_TRAVEL: lambda departure, arrival, travel, hops: travel,
+    Measure.MIN_HOP: lambda departure, arrival, travel, hops: hops,
+    Measure.MIN_WAIT: lambda departure, arrival, travel, hops: arrival - departure - travel,
+}
+
+
 def _finish(instance, labeling, measure, regime, status=SolveStatus.OPTIMAL,
             bounds=None, pairs=None):
-    """The result for ``labeling``; ``pairs`` are its pair values when the
-    caller already has them."""
+    """The result for ``labeling``.  ``pairs`` are its pair values when the
+    caller already has them: from the oracle's search, or from the trees
+    the schedule was written from (``_tree_pairs``).  Without them, one
+    search per source on the schedule finds them."""
     if pairs is None:
         pairs = _pair_values(instance, CandidateTable(labeling, instance.traversal), measure)
     return SolveResult(
@@ -158,9 +191,10 @@ def solve_single_source(instance: Instance, measure: Measure) -> SolveResult:
         raise WrongSourceCount(
             f"single-source solver got {len(instance.sources)} sources"
         )
-    (tree,) = _full_graph_trees(instance, measure)
-    labeling = tree.to_labeling(instance.graph.edge_count)
-    return _finish(instance, labeling, measure, regime="single-source")
+    trees = _full_graph_trees(instance, measure)
+    labeling = trees[0].to_labeling(instance.graph.edge_count)
+    return _finish(instance, labeling, measure, regime="single-source",
+                   pairs=_tree_pairs(trees, measure))
 
 
 def solve_multi_full_mu(instance: Instance, measure: Measure) -> SolveResult:
@@ -172,10 +206,18 @@ def solve_multi_full_mu(instance: Instance, measure: Measure) -> SolveResult:
             raise MultiplicityTooSmall(
                 f"edge {e} has multiplicity {mu} < source count {k}"
             )
-    labeling = Labeling.empty(instance.graph.edge_count)
-    for tree in _full_graph_trees(instance, measure):
-        labeling = labeling.union(tree.to_labeling(instance.graph.edge_count))
-    return _finish(instance, labeling, measure, regime="multi-source-full-mu")
+    trees = _full_graph_trees(instance, measure)
+    times: list[set[int]] = [set() for _ in range(instance.graph.edge_count)]
+    for tree in trees:
+        for e, t in tree.tree_edges().items():
+            times[e].add(t)
+    labeling = Labeling(tuple(times))
+    # Under earliest arrival a source's tree realizes its full-graph
+    # values, which no schedule beats, and the union holds the tree, so
+    # the tree's values are the union's.  Under latest departure the
+    # union's can exceed the tree's, so the schedule is searched.
+    pairs = _tree_pairs(trees, measure) if measure is Measure.EARLIEST_ARRIVAL else None
+    return _finish(instance, labeling, measure, regime="multi-source-full-mu", pairs=pairs)
 
 
 def _rooted(graph: StaticGraph) -> tuple[list[int], list[int], list[int]]:
@@ -299,6 +341,7 @@ def approx_ft_mw(instance: Instance, measure: Measure) -> SolveResult:
         regime="approx-ld-tree",
         status=SolveStatus.APPROXIMATE,
         bounds=bounds,
+        pairs=_tree_pairs([tree], measure),
     )
 
 

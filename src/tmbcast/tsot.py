@@ -65,6 +65,35 @@ class Tsot:
     def to_labeling(self, edge_count: int) -> Labeling:
         return Labeling.from_dict(edge_count, {e: (t,) for e, t in self.tree_edges().items()})
 
+    def path_stats(self) -> list[tuple[int, int, int, int] | None]:
+        """Per vertex, ``(departure, arrival, travel, hops)`` of its tree
+        path, None for the root: what ``core.path_stats`` gives for that
+        path (duration is arrival minus departure, waiting that minus
+        travel).  A vertex's path is its parent's and one more step; one
+        memoized climb per vertex finds its parent's first, since no order
+        of the vertices is known to put parents first.  Raises
+        ValidationError on a climb longer than the vertex count, which only
+        a cycle of parent entries makes."""
+        root, parent, weight = self.root, self.parent, self.traversal.weight
+        n = len(parent)
+        stats: list[tuple[int, int, int, int] | None] = [None] * n
+        for v in range(n):
+            climbed = []
+            while stats[v] is None and v != root:
+                if len(climbed) == n:
+                    raise ValidationError(f"parent entries from {climbed[0]} form a cycle")
+                climbed.append(v)
+                v = parent[v][2]
+            for w in reversed(climbed):
+                e, t, u = parent[w]
+                step = weight(e, t)
+                if u == root:
+                    stats[w] = (t, t + step, step, 1)
+                else:
+                    departure, _, travel, hops = stats[u]
+                    stats[w] = (departure, t + step, travel + step, hops + 1)
+        return stats
+
     def arrival(self, v: int) -> int | None:
         """Arrival time of the tree path at v (None for the root)."""
         if v == self.root:

@@ -113,9 +113,77 @@ def test_ea_solve_searches_each_source_once(monkeypatch):
     for module in (core, distances, tsot):
         monkeypatch.setattr(module, "earliest_arrival", counting)
     assert solve_single_source(inst, EA).objective == 5
-    # The tree's search, which also decides reachability, and one for the
-    # schedule's distances.
-    assert searched == [0, 0]
+    # The tree's search, which also decides reachability; the schedule's
+    # distances come from the tree.
+    assert searched == [0]
+
+
+def count_kernel_runs(monkeypatch) -> dict[str, list[int]]:
+    """Count the sources of every forward and backward kernel run, split by
+    table: ``full`` for the full temporal graph, ``schedule`` for a
+    labeling."""
+    import tmbcast.core as core
+    import tmbcast.distances as distances
+    import tmbcast.tsot as tsot
+
+    runs = {"full": [], "schedule": []}
+
+    def counting(kernel):
+        def run(graph, table, source, *args, **kwargs):
+            runs["schedule" if table.tau is None else "full"].append(source)
+            return kernel(graph, table, source, *args, **kwargs)
+        return run
+
+    for name in ("earliest_arrival", "latest_departure"):
+        wrapped = counting(getattr(core, name))
+        for module in (core, distances, tsot):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, wrapped)
+    return runs
+
+
+def grid3(tau: int, sources, mu: int) -> Instance:
+    """A 3x3 grid with unit weights and one zero-weight override."""
+    edges = [(r * 3 + c, r * 3 + c + 1) for r in range(3) for c in range(2)]
+    edges += [(r * 3 + c, r * 3 + c + 3) for r in range(2) for c in range(3)]
+    traversal = TraversalSpec.from_maps((1,) * 12, {4: {2: 0}})
+    return Instance(StaticGraph(9, tuple(edges)), frozenset(sources), traversal,
+                    (mu,) * 12, tau)
+
+
+def test_multi_source_ea_runs_once_per_source_on_the_full_graph(monkeypatch):
+    runs = count_kernel_runs(monkeypatch)
+    inst = grid3(8, {0, 8, 4}, 3)
+    result = solve_multi_full_mu(inst, EA)
+    # One tree per source, which also decides reachability; every pair
+    # value comes from the source's tree.
+    assert runs == {"full": [0, 4, 8], "schedule": []}
+    pairs = {pair: r.value for pair, r in result.per_source_distances.items()}
+    assert pairs == distances_on_schedule(inst, result.labeling, EA)
+    assert result.objective == objective(inst, result.labeling, EA)
+
+
+@pytest.mark.parametrize("solve, measure", [
+    (solve_single_source, LD), (approx_ft_mw, FT), (approx_ft_mw, MW),
+])
+def test_tree_schedules_are_not_searched_again(monkeypatch, solve, measure):
+    runs = count_kernel_runs(monkeypatch)
+    inst = grid3(8, {0}, 1)
+    result = solve(inst, measure)
+    assert runs["full"] and not runs["schedule"]
+    pairs = {pair: r.value for pair, r in result.per_source_distances.items()}
+    assert pairs == distances_on_schedule(inst, result.labeling, measure)
+    assert result.objective == objective(inst, result.labeling, measure)
+
+
+def distances_on_schedule(inst, labeling, measure):
+    """Every (source, vertex) value from ``sssp`` on the schedule."""
+    return {
+        (s, v): r.value
+        for s in sorted(inst.sources)
+        for v, r in enumerate(sssp(s, labeling, inst, measure))
+        if v != s
+    }
 
 
 def test_ld_solve_bisects_for_the_floor(monkeypatch):
