@@ -13,13 +13,13 @@ and shared by every source and probe:
   t0 over the starts is the least duration, first reached at the earliest
   optimal departure.  For every vertex, latest departure runs the
   candidate first departures latest first until every vertex is reached,
-  and fastest runs them all.  For one target, latest departure is one run
-  of the backward kernel ``core.latest_departure``, and fastest sweeps the
-  candidates in runs stopped at the target, skipping those that F bounds
-  out (see ``_fastest_to``).  The floor L* = min_v ld(v), which the exact
-  solvers' ld tree needs, is a backward run to the vertex a first forward
-  run reaches last, checked by a forward run from its answer (see
-  ``_ld_floor``);
+  and fastest runs them all.  For one target, latest departure is the
+  backward kernel ``core.latest_departure`` itself, one run, and fastest
+  sweeps the candidates in runs stopped at the target, skipping those
+  that F bounds out (see ``_fastest_to``).  The floor L* = min_v ld(v),
+  which the exact solvers' ld tree needs, is a backward run to the vertex
+  a first forward run reaches last, checked by a forward run from its
+  answer (see ``_ld_floor``);
 * shortest travel / minimum hop: the front search ``_fronts`` keyed by the
   cost (travel or hops), whose first kept state at a vertex has the least
   cost and then the earliest arrival;
@@ -240,45 +240,6 @@ def _probe_paths(graph, table, source, start, vertices) -> dict[int, TemporalPat
     return paths
 
 
-def _free_run(graph, table, source: int, target: int | None, start: int):
-    """(arrival, first departure): the earliest arrival at ``target`` over
-    the walks from ``source`` whose first step departs at ``start`` or
-    later, F(start), and the first departure of the run's path there;
-    (None, None) when there is no such walk.  With ``target`` None the run
-    covers every vertex: the latest of their arrivals and the least first
-    departure of their paths, (None, None) when some vertex is unreached.
-
-    F never decreases as ``start`` grows, and the path's first departure
-    ``t'`` attains it: ``t' >= start`` and F(t') = F(start), so the run
-    from ``t'`` arrives at F(start) along a path that departs at ``t'``.
-    With ``target`` None, every path departs at the least ``t'`` or later,
-    so the run from there still reaches every vertex.
-    """
-    arrivals, parents = earliest_arrival(graph, table, source, start=start, stop=target)
-    if target is None:
-        if arrivals.count(None) > 1:  # the source's own entry is None
-            return None, None
-        return (max(a for a in arrivals if a is not None),
-                min(p[2] for p in parents if p is not None and p[0] == source))
-    if arrivals[target] is None:
-        return None, None
-    v = target
-    while parents[v][0] != source:
-        v = parents[v][0]
-    return arrivals[target], parents[v][2]
-
-
-def _latest_departure_to(graph, table, source: int, target: int | None = None) -> int | None:
-    """ld(source, target), the latest start whose run reaches ``target``,
-    or None: one backward run of ``core.latest_departure``.  With
-    ``target`` None, the floor L* = min_v ld(source, v) (see ``_ld_floor``),
-    None when even the first run misses a vertex."""
-    if target is not None:
-        return latest_departure(graph, table, source, target)
-    floor = _ld_floor(graph, table, source)
-    return None if floor is None else floor[0]
-
-
 def _ld_floor(graph, table, source: int):
     """(L*, forest): the latest candidate first departure whose run reaches
     every vertex, the floor L* = min_v ld(source, v), and the kernel's
@@ -291,10 +252,11 @@ def _ld_floor(graph, table, source: int):
     reaches every vertex, the bound is L*.  Otherwise the missed vertex
     reached last in the first run gives a new bound, strictly lower, as
     its ld is below the old one.  Once 1 + ceil(log2 |C|) runs are spent,
-    C the candidates, a bisection over the candidates left finishes: a
-    finite run's least first departure (see ``_free_run``) is a candidate
-    whose run reaches every vertex, so it becomes the lower end, and each
-    run halves the range.
+    C the candidates, a bisection over the candidates left finishes.  A run
+    from ``t`` that reaches every vertex has its paths depart at their
+    least first departure ``t'`` or later, so the run from ``t'`` reaches
+    every vertex too, and ``t'`` becomes the lower end; a run that misses
+    one lowers the upper end.  Each run halves the range.
     """
     times = _first_departure_times(graph, table, source)
     if not times:
@@ -318,11 +280,11 @@ def _ld_floor(graph, table, source: int):
     lo = bisect_left(times, min(p[2] for p in parents if p is not None and p[0] == source))
     while lo < hi:
         mid = (lo + hi + 1) // 2
-        arrival, first = _free_run(graph, table, source, None, times[mid])
-        if arrival is None:
+        arrivals, parents = earliest_arrival(graph, table, source, start=times[mid])
+        if arrivals.count(None) > 1:
             hi = mid - 1
         else:
-            lo = bisect_left(times, first)
+            lo = bisect_left(times, min(p[2] for p in parents if p is not None and p[0] == source))
     if lo == 0:  # the first run is the one from times[0]
         return times[0], first_run
     return times[lo], earliest_arrival(graph, table, source, start=times[lo])
@@ -334,19 +296,28 @@ def _fastest_to(graph, table, source: int, target: int):
     (None, None) when the target is unreached.
 
     A sweep over the candidate first departures, pruned by bounds: the run
-    from ``t`` gives the exact duration F(t) - t' of its path's first
-    departure ``t'`` (see ``_free_run``), and every departure ``t''`` after
-    ``t`` takes at least F(t) - t''.  So every candidate up to F(t) - best
-    is slower than the best so far, or ties it later, and the sweep skips
-    to the first candidate past that; an unreached target ends it.
+    from ``t``, stopped at the target, arrives there at F(t), the earliest
+    arrival over the walks whose first step departs at ``t`` or later.  F
+    never decreases as ``t`` grows, and its path's first departure ``t'``
+    attains it: ``t' >= t`` and F(t') = F(t), so F(t) - t' is the exact
+    duration from ``t'``.  Every departure ``t''`` after ``t`` takes at
+    least F(t) - t''.  So every candidate up to F(t) - best is slower than
+    the best so far, or ties it later, and the sweep skips to the first
+    candidate past that; an unreached target ends it.
     """
     times = _first_departure_times(graph, table, source)
     best = start = None
     i = 0
     while i < len(times):
-        arrival, first = _free_run(graph, table, source, target, times[i])
+        arrivals, parents = earliest_arrival(
+            graph, table, source, start=times[i], stop=target)
+        arrival = arrivals[target]
         if arrival is None:
             break  # no later first departure reaches the target either
+        v = target
+        while parents[v][0] != source:
+            v = parents[v][0]
+        first = parents[v][2]
         if best is None or arrival - first < best:
             best, start = arrival - first, first
         i = bisect_right(times, arrival - best)  # arrival - best >= first >= times[i]
@@ -580,7 +551,7 @@ def _search_one(graph, table, source, measure: Measure, target: int):
 
     Earliest arrival is one kernel run stopped at the target.  Latest
     departure (the latest start whose run reaches the target) is one
-    backward run (``_latest_departure_to``), and fastest (the least arrival
+    backward run (``core.latest_departure``), and fastest (the least arrival
     minus start) a few forward runs (``_fastest_to``), in place of one per
     candidate first departure.  The witness re-runs the answer's first
     departure, stopped at the target, which yields the same path as the
@@ -591,7 +562,7 @@ def _search_one(graph, table, source, measure: Measure, target: int):
         arrivals, parents = earliest_arrival(graph, table, source, stop=target)
         value = arrivals[target]
     elif measure is Measure.LATEST_DEPARTURE:
-        value = start = _latest_departure_to(graph, table, source, target)
+        value = start = latest_departure(graph, table, source, target)
     else:
         value, start = _fastest_to(graph, table, source, target)
     values: list[int | None] = [None] * graph.vertex_count
@@ -672,14 +643,6 @@ def _pair_values(
     return out
 
 
-def _worst(measure: Measure, values: Iterable[int | None]) -> int | None:
-    """The measure's worst case over pair values; None if any is None."""
-    values = list(values)
-    if None in values:
-        return None
-    return measure.worst(values)
-
-
 def objective(
     instance: Instance, labeling: Labeling, measure: Measure
 ) -> int | None:
@@ -694,7 +657,7 @@ def objective(
     """
     _check_labeling(instance, labeling)
     pairs = _table_pairs(instance, CandidateTable(labeling, instance.traversal), measure)
-    return None if pairs is None else _worst(measure, pairs.values())
+    return None if pairs is None else measure.worst(pairs.values())
 
 
 def _table_pairs(

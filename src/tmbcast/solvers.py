@@ -48,12 +48,10 @@ from tmbcast.core import (
 )
 from tmbcast.distances import (
     Bounds,
-    DistanceResult,
     Measure,
     _ld_floor,
     _pair_values,
     _table_pairs,
-    _worst,
     ft_mw_bounds,
 )
 from tmbcast.tsot import Tsot, build_ea_tsot, build_ld_tsot
@@ -74,17 +72,17 @@ class SolveResult:
     """A schedule with its objective.
 
     ``per_source_distances`` maps every (source, other vertex) pair to its
-    distance value under the schedule, sources ascending, then vertices;
-    the witness is left None (``sssp`` or ``distance`` on the labeling
-    gives one).  A schedule written from trees takes the values from the
-    tree paths (single-source, the approximation, and multi-source under
-    earliest arrival); the others' values come from a search of the
+    distance value under the schedule, an int, sources ascending, then
+    vertices (``sssp`` or ``distance`` on the labeling gives a witness
+    path).  A schedule written from trees takes the values from the tree
+    paths when they are exact (one tree, or earliest arrival; see
+    ``_from_trees``); the others' values come from a search of the
     schedule, or from the oracle's own.
     """
 
     labeling: Labeling
     objective: int | None
-    per_source_distances: dict[tuple[int, int], DistanceResult]
+    per_source_distances: dict[tuple[int, int], int]
     status: SolveStatus
     regime: str | None = None
     bounds: Bounds | None = None
@@ -166,22 +164,39 @@ _TREE_STATISTIC = {
 
 def _finish(instance, labeling, measure, regime, status=SolveStatus.OPTIMAL,
             bounds=None, pairs=None):
-    """The result for ``labeling``.  ``pairs`` are its pair values when the
-    caller already has them: from the oracle's search, or from the trees
-    the schedule was written from (``_tree_pairs``).  Without them, one
-    search per source on the schedule finds them."""
+    """The result for ``labeling``, a feasible schedule.  ``pairs`` are its
+    pair values, ints, when the caller already has them: from the oracle's
+    search, or from the trees the schedule was written from
+    (``_from_trees``).  Without them, one search per source on the schedule
+    finds them: the tree regime, and multi-source latest departure."""
     if pairs is None:
         pairs = _pair_values(instance, CandidateTable(labeling, instance.traversal), measure)
     return SolveResult(
         labeling=labeling,
-        objective=_worst(measure, pairs.values()),
-        per_source_distances={
-            pair: DistanceResult(value, None) for pair, value in pairs.items()
-        },
+        objective=measure.worst(pairs.values()),
+        per_source_distances=pairs,
         status=status,
         regime=regime,
         bounds=bounds,
     )
+
+
+def _from_trees(instance, trees, measure, regime, status=SolveStatus.OPTIMAL, bounds=None):
+    """The result for the union of spanning out-trees of the full temporal
+    graph, each edge labeled with every time a tree gives it.  The pair
+    values come from the tree paths when those are exact: with one tree,
+    each vertex's tree path is its only temporal path; under earliest
+    arrival, a source's tree realizes its full-graph values, which no
+    schedule beats, and the union holds the tree.  Under latest departure
+    the union's values can exceed the trees', so ``_finish`` searches it."""
+    rows: list[tuple[int, ...]] = [()] * instance.graph.edge_count
+    for tree in trees:
+        for e, t in tree.tree_edges().items():
+            if t not in rows[e]:
+                rows[e] += (t,)
+    exact = len(trees) == 1 or measure is Measure.EARLIEST_ARRIVAL
+    return _finish(instance, Labeling(tuple(rows)), measure, regime, status, bounds,
+                   _tree_pairs(trees, measure) if exact else None)
 
 
 def solve_single_source(instance: Instance, measure: Measure) -> SolveResult:
@@ -191,10 +206,8 @@ def solve_single_source(instance: Instance, measure: Measure) -> SolveResult:
         raise WrongSourceCount(
             f"single-source solver got {len(instance.sources)} sources"
         )
-    trees = _full_graph_trees(instance, measure)
-    labeling = trees[0].to_labeling(instance.graph.edge_count)
-    return _finish(instance, labeling, measure, regime="single-source",
-                   pairs=_tree_pairs(trees, measure))
+    return _from_trees(instance, _full_graph_trees(instance, measure), measure,
+                       "single-source")
 
 
 def solve_multi_full_mu(instance: Instance, measure: Measure) -> SolveResult:
@@ -206,18 +219,8 @@ def solve_multi_full_mu(instance: Instance, measure: Measure) -> SolveResult:
             raise MultiplicityTooSmall(
                 f"edge {e} has multiplicity {mu} < source count {k}"
             )
-    trees = _full_graph_trees(instance, measure)
-    times: list[set[int]] = [set() for _ in range(instance.graph.edge_count)]
-    for tree in trees:
-        for e, t in tree.tree_edges().items():
-            times[e].add(t)
-    labeling = Labeling(tuple(times))
-    # Under earliest arrival a source's tree realizes its full-graph
-    # values, which no schedule beats, and the union holds the tree, so
-    # the tree's values are the union's.  Under latest departure the
-    # union's can exceed the tree's, so the schedule is searched.
-    pairs = _tree_pairs(trees, measure) if measure is Measure.EARLIEST_ARRIVAL else None
-    return _finish(instance, labeling, measure, regime="multi-source-full-mu", pairs=pairs)
+    return _from_trees(instance, _full_graph_trees(instance, measure), measure,
+                       "multi-source-full-mu")
 
 
 def _rooted(graph: StaticGraph) -> tuple[list[int], list[int], list[int]]:
@@ -332,17 +335,8 @@ def approx_ft_mw(instance: Instance, measure: Measure) -> SolveResult:
         )
     (s,) = instance.sources
     bounds = ft_mw_bounds(s, instance)  # raises Unreachable when hopeless
-    tree = build_ld_tsot(s, instance)
-    labeling = tree.to_labeling(instance.graph.edge_count)
-    return _finish(
-        instance,
-        labeling,
-        measure,
-        regime="approx-ld-tree",
-        status=SolveStatus.APPROXIMATE,
-        bounds=bounds,
-        pairs=_tree_pairs([tree], measure),
-    )
+    return _from_trees(instance, [build_ld_tsot(s, instance)], measure, "approx-ld-tree",
+                       SolveStatus.APPROXIMATE, bounds)
 
 
 def add_super_source(instance: Instance) -> Instance:
@@ -433,7 +427,7 @@ def brute_force(
     def evaluate() -> tuple[int | None, dict | None]:
         """The table's value and its pair values."""
         pairs = _table_pairs(instance, CandidateTable(table, trav), measure)
-        return (None if pairs is None else _worst(measure, pairs.values())), pairs
+        return (None if pairs is None else measure.worst(pairs.values())), pairs
 
     best_value: int | None = None
     best_table: tuple | None = None

@@ -63,7 +63,14 @@ class Tsot:
         return out
 
     def to_labeling(self, edge_count: int) -> Labeling:
-        return Labeling.from_dict(edge_count, {e: (t,) for e, t in self.tree_edges().items()})
+        """The schedule of the tree's labels on a graph of ``edge_count``
+        edges: one time per tree edge, none elsewhere."""
+        rows: list[tuple[int, ...]] = [()] * edge_count
+        for e, t in self.tree_edges().items():
+            if not 0 <= e < edge_count:  # a negative id would wrap
+                raise ValidationError(f"edge {e} outside 0..{edge_count - 1}")
+            rows[e] = (t,)
+        return Labeling(tuple(rows))
 
     def path_stats(self) -> list[tuple[int, int, int, int] | None]:
         """Per vertex, ``(departure, arrival, travel, hops)`` of its tree
@@ -93,13 +100,6 @@ class Tsot:
                     departure, _, travel, hops = stats[u]
                     stats[w] = (departure, t + step, travel + step, hops + 1)
         return stats
-
-    def arrival(self, v: int) -> int | None:
-        """Arrival time of the tree path at v (None for the root)."""
-        if v == self.root:
-            return None
-        e, t, _ = self.parent[v]
-        return t + self.traversal.weight(e, t)
 
     def is_valid(self, graph: StaticGraph) -> bool:
         """Spanning tree, one label per edge, time-respecting from the root.

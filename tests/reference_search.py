@@ -30,7 +30,8 @@ differential tests can compare old and new.
 * ``_fastest`` with ``_probe_paths``, and ``_latest_departures_with_chains``
   (the ``distances._latest_departures`` that records witness chains), which
   probe every candidate first departure, for one target by the one-target
-  searches ``distances._fastest_to`` and ``distances._latest_departure_to``;
+  fastest search ``distances._fastest_to`` and the backward search
+  ``core.latest_departure``;
 * ``solve_tree``, which flooded the tree once per edge to find the sources
   on each side of it, by the ``solvers.solve_tree`` that roots the tree once;
 * ``tree_mu_diagnostic``, which rooted the tree with its own search, parent
@@ -40,7 +41,10 @@ differential tests can compare old and new.
   ``core.reaches_all``, into which it was folded;
 * ``_latest_departure_to`` with ``_free_run``, which bisected over start
   times for a one-target latest departure and for the floor L*, by the
-  backward search ``core.latest_departure`` and ``distances._ld_floor``.
+  backward search ``core.latest_departure`` and ``distances._ld_floor``;
+* ``_worst``, the worst pair value or None when some pair is unreached,
+  which the brute-force copy reads infeasibility from, by
+  ``Measure.worst`` over the pair values of a feasible schedule.
 
 The recursive searches' depth grows with the path length and the depth-first
 ones take exponential time, so only small instances may be given to them.
@@ -80,7 +84,6 @@ from tmbcast.distances import (
     _pair_values,
     _parent_chain,
     _parent_paths,
-    _worst,
 )
 from tmbcast.solvers import (
     _EXACT_MEASURES,
@@ -629,6 +632,14 @@ def nonseparating_paths(graph: StaticGraph, s1: int, s2: int):
             edges.pop()
 
     yield from extend([s1], [])
+
+
+def _worst(measure: Measure, values: Iterable[int | None]) -> int | None:
+    """The measure's worst case over pair values; None if any is None."""
+    values = list(values)
+    if None in values:
+        return None
+    return measure.worst(values)
 
 
 def brute_force(

@@ -64,6 +64,16 @@ def test_distance_rejects_same_vertex():
         distance(0, 0, lab, inst, Measure.EARLIEST_ARRIVAL)
 
 
+def test_vertices_outside_the_graph_are_rejected():
+    graph = StaticGraph(3, ((0, 1), (1, 2)))
+    inst = Instance(graph, frozenset({0}), TraversalSpec.uniform(2, 1), (1, 1), 3)
+    full = FullAvailability(3)
+    with pytest.raises(ValidationError, match="source -1 out of range"):
+        sssp(-1, full, inst, Measure.EARLIEST_ARRIVAL)
+    with pytest.raises(ValidationError, match="vertex out of range"):
+        distance(0, 7, full, inst, Measure.EARLIEST_ARRIVAL)
+
+
 def test_worked_example_ea_to_last_vertex():
     inst = fig.build_instance()
     res = distance(fig.M, fig.V1, fig.LABELING_EA, inst, Measure.EARLIEST_ARRIVAL)

@@ -35,8 +35,6 @@ from tmbcast.distances import (
     _chain_path,
     _cost_fronts,
     _first_departure_times,
-    _free_run,
-    _latest_departure_to,
     _ld_floor,
     _max_stats,
     _min_wait_run,
@@ -131,10 +129,14 @@ def test_free_start_is_the_least_exact_start_at_or_after_it(case):
             continue
         # Stopped at v, the run still settles v's arrival; the first
         # departure of its path attains it as an exact start.
-        arrival, first = _free_run(graph, table, source, v, start)
-        assert arrival == want
-        if arrival is not None:
-            assert first >= start and exact[later.index(first)][v] == arrival
+        stopped, parents = earliest_arrival(graph, table, source, start=start, stop=v)
+        assert stopped[v] == want
+        if want is not None:
+            u = v
+            while parents[u][0] != source:
+                u = parents[u][0]
+            first = parents[u][2]
+            assert first >= start and exact[later.index(first)][v] == want
 
 
 # A source with no edges; a target the source cannot reach; zero-weight
@@ -204,9 +206,7 @@ def test_backward_ld_and_floor_match_the_reference_bisection(case):
         if v != source:
             want = reference._latest_departure_to(graph, table, source, v)
             assert latest_departure(graph, table, source, v) == want
-            assert _latest_departure_to(graph, table, source, v) == want
     want = reference._latest_departure_to(graph, table, source)
-    assert _latest_departure_to(graph, table, source) == want
     floor = _ld_floor(graph, table, source)
     if want is None:
         assert floor is None
@@ -385,7 +385,8 @@ def test_ld_floor_and_tree_match_the_reference_sweep(case):
     want_labeling = Labeling.empty(graph.edge_count)
     for root in sorted(instance.sources):
         others = [v for v in range(graph.vertex_count) if v != root]
-        floor = _latest_departure_to(graph, table, root)
+        found = _ld_floor(graph, table, root)
+        floor = None if found is None else found[0]
         try:
             want_tree = reference.build_ld_tsot(root, instance, availability)
         except Unreachable:

@@ -65,6 +65,41 @@ def test_reference_search_keeps_its_own_reachability_and_latest_departure(name):
                 ].count(name) == 1
 
 
+# The library's private names the reference may import.  A new private
+# import would tie the reference to code that may change under it; the
+# list may only shrink.
+PRIVATE_IMPORTS_ALLOWED = {
+    "_NEVER", "_time", "_first_departure_times", "_pair_values", "_parent_chain",
+    "_parent_paths", "_EXACT_MEASURES", "_finish", "_full_graph_trees",
+    "_require_measure", "_resolve",
+}
+
+
+def private_imports(tree: ast.AST) -> set[str]:
+    """The private names ``tree`` imports with ``from tmbcast... import``."""
+    return {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("tmbcast")
+        for alias in node.names
+        if alias.name.startswith("_")
+    }
+
+
+def test_reference_search_imports_only_allowed_private_names():
+    tree = ast.parse(REFERENCE.read_text(encoding="utf-8"))
+    assert private_imports(tree) <= PRIVATE_IMPORTS_ALLOWED
+
+
+def test_private_imports_are_detected():
+    tree = ast.parse(
+        "from tmbcast.core import CandidateTable, _NEVER\n"
+        "from tmbcast.distances import _worst as worst\n"
+        "from other import _hidden\n"
+    )
+    assert private_imports(tree) == {"_NEVER", "_worst"}
+
+
 def test_kernel_imports_are_detected():
     tree = ast.parse(
         "from tmbcast.core import CandidateTable, earliest_arrival\n"

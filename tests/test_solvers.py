@@ -16,6 +16,7 @@ from tmbcast.core import (
     StaticGraph,
     TraversalSpec,
     Unreachable,
+    ValidationError,
     WrongSourceCount,
     is_feasible,
 )
@@ -84,6 +85,13 @@ def test_single_source_rejects_multi_source():
     inst = fig.build_instance()
     with pytest.raises(WrongSourceCount):
         solve_single_source(inst, EA)
+
+
+def test_single_source_rejects_an_approximation_measure():
+    graph = StaticGraph(2, ((0, 1),))
+    inst = Instance(graph, frozenset({0}), TraversalSpec.uniform(1, 1), (1,), 2)
+    with pytest.raises(ValidationError, match="solve_single_source supports only ea/ld"):
+        solve_single_source(inst, Measure.FASTEST)
 
 
 def test_single_source_unreachable():
@@ -158,7 +166,7 @@ def test_multi_source_ea_runs_once_per_source_on_the_full_graph(monkeypatch):
     # One tree per source, which also decides reachability; every pair
     # value comes from the source's tree.
     assert runs == {"full": [0, 4, 8], "schedule": []}
-    pairs = {pair: r.value for pair, r in result.per_source_distances.items()}
+    pairs = result.per_source_distances
     assert pairs == distances_on_schedule(inst, result.labeling, EA)
     assert result.objective == objective(inst, result.labeling, EA)
 
@@ -171,7 +179,7 @@ def test_tree_schedules_are_not_searched_again(monkeypatch, solve, measure):
     inst = grid3(8, {0}, 1)
     result = solve(inst, measure)
     assert runs["full"] and not runs["schedule"]
-    pairs = {pair: r.value for pair, r in result.per_source_distances.items()}
+    pairs = result.per_source_distances
     assert pairs == distances_on_schedule(inst, result.labeling, measure)
     assert result.objective == objective(inst, result.labeling, measure)
 
@@ -324,7 +332,7 @@ def test_single_source_ea_per_vertex_optimality():
         for v in range(inst.graph.vertex_count):
             if v == s:
                 continue
-            assert got.per_source_distances[(s, v)].value == full[v].value
+            assert got.per_source_distances[(s, v)] == full[v].value
 
 
 def test_single_source_ld_bound_per_vertex():
@@ -343,7 +351,7 @@ def test_single_source_ld_bound_per_vertex():
         for v in range(inst.graph.vertex_count):
             if v == s:
                 continue
-            assert got.per_source_distances[(s, v)].value >= floor
+            assert got.per_source_distances[(s, v)] >= floor
         assert got.objective == floor
 
 
@@ -456,6 +464,8 @@ def test_tree_rejects_cycles_and_small_mu():
     )
     with pytest.raises(NotATree):
         solve_tree(inst, EA)
+    with pytest.raises(NotATree):
+        tree_mu_diagnostic(inst)
     tree_inst = Instance(
         StaticGraph(3, ((0, 1), (1, 2))),
         frozenset({0, 2}),
@@ -762,7 +772,7 @@ def test_super_source_relaxed_optimum_matches_oracle():
                 assert want is None
                 continue
             value = agg(
-                got.per_source_distances[(star, v)].value for v in non_sources
+                got.per_source_distances[(star, v)] for v in non_sources
             )
             assert value == want, measure
         done += 1

@@ -104,7 +104,7 @@ def test_multi_source_ea_pairs_match_the_search_on_the_union(instance):
         result = solve_multi_full_mu(instance, ea)
     except Unreachable:
         return
-    got = {pair: r.value for pair, r in result.per_source_distances.items()}
+    got = result.per_source_distances
     table = CandidateTable(result.labeling, instance.traversal)
     assert list(got.items()) == list(_pair_values(instance, table, ea).items())
     # The union is one label set per edge of the per-source trees.

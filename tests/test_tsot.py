@@ -49,7 +49,7 @@ def test_ea_tsot_prefers_faster_two_hop_route():
     by_vertex = {v: tree.parent[v][0] for v in (1, 2)}
     assert by_vertex[2] == 1  # in-edge of vertex 2 is {1,2}, not the direct edge
     full = full_sssp(inst, 0, Measure.EARLIEST_ARRIVAL)
-    assert tree.arrival(2) == full[2].value == 3
+    assert tree.path_stats()[2][1] == full[2].value == 3
 
 
 def test_ea_tsot_exactness_random():
@@ -240,6 +240,15 @@ def test_to_labeling_rejects_an_edge_id_past_the_last_edge():
     trav = TraversalSpec.uniform(2, 1)
     with pytest.raises(ValidationError, match="edge 5 outside 0..1"):
         Tsot(0, (None, (0, 1, 0), (5, 2, 1)), trav).to_labeling(2)
+
+
+def test_is_valid_rejects_misplaced_parent_entries():
+    graph = StaticGraph(3, ((0, 1), (1, 2)))
+    trav = TraversalSpec.uniform(2, 1)
+    assert Tsot(0, (None, (0, 1, 0), (1, 2, 1)), trav).is_valid(graph)
+    assert not Tsot(0, (None, (0, 1, 0)), trav).is_valid(graph)  # one vertex short
+    assert not Tsot(1, (None, (0, 1, 0), (1, 2, 1)), trav).is_valid(graph)  # root has a parent
+    assert not Tsot(0, (None, None, (1, 2, 1)), trav).is_valid(graph)  # vertex 1 has none
 
 
 def test_is_valid_rejects_a_reused_edge():
