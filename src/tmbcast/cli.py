@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import sys
 from pathlib import Path
@@ -474,6 +475,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # A command's searches allocate heap entries, parent tuples and fronts
+    # in bulk but make almost no reference cycles, and reference counting
+    # frees the rest at once, so the cyclic collector would only re-walk
+    # live data.  Hold it for the one command and give the caller back its
+    # state.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         args.func(args)
     except _Exit as stop:
@@ -481,6 +489,9 @@ def main(argv=None) -> int:
     except TmbError as err:
         print(f"{type(err).__name__}: {err}", file=sys.stderr)
         return next(EXIT_CODES[k] for k in type(err).__mro__ if k in EXIT_CODES)
+    finally:
+        if collecting:
+            gc.enable()
     return 0
 
 

@@ -17,9 +17,9 @@ and shared by every source and probe:
   backward kernel ``core.latest_departure`` itself, one run, and fastest
   sweeps the candidates in runs stopped at the target, skipping those
   that F bounds out (see ``_fastest_to``).  The floor L* = min_v ld(v),
-  which the exact solvers' ld tree needs, is a backward run to the vertex
-  a first forward run reaches last, checked by a forward run from its
-  answer (see ``_ld_floor``);
+  which the exact solvers' ld tree and the ld objective need, is a
+  backward run to the vertex a first forward run reaches last, checked by
+  a forward run from its answer (see ``_ld_floor``);
 * shortest travel / minimum hop: the front search ``_fronts`` keyed by the
   cost (travel or hops), whose first kept state at a vertex has the least
   cost and then the earliest arrival;
@@ -74,6 +74,7 @@ from tmbcast.core import (
     _check_labeling,
     _feasible_arrivals,
     _time,
+    _too_sparse,
     earliest_arrival,
     latest_departure,
 )
@@ -211,15 +212,21 @@ def _parent_chain(parents: list, links: dict, v: int) -> tuple:
     return chain
 
 
-def _fastest(graph: StaticGraph, table: CandidateTable, source: int):
+def _fastest(graph: StaticGraph, table: CandidateTable, source: int, forest=None):
     """(durations, first departures): per vertex, the least arrival minus
     start over runs from every candidate first departure, and the earliest
     start attaining it.  A run's paths depart at its start or later, so that
-    is the least duration, first reached at the earliest optimal departure."""
+    is the least duration, first reached at the earliest optimal departure.
+    ``forest`` is the kernel's start-1 run if the caller has it; it serves
+    as the run from the first candidate, the same run, as no edge from the
+    source departs before that."""
     duration: list[int | None] = [None] * graph.vertex_count
     start: list[int | None] = [None] * graph.vertex_count
-    for t0 in _first_departure_times(graph, table, source):
-        arrivals, _ = earliest_arrival(graph, table, source, start=t0)
+    for i, t0 in enumerate(_first_departure_times(graph, table, source)):
+        if i == 0 and forest is not None:
+            arrivals = forest[0]
+        else:
+            arrivals, _ = earliest_arrival(graph, table, source, start=t0)
         for v, arrival in enumerate(arrivals):
             if arrival is not None and (duration[v] is None or arrival - t0 < duration[v]):
                 duration[v] = arrival - t0
@@ -240,11 +247,13 @@ def _probe_paths(graph, table, source, start, vertices) -> dict[int, TemporalPat
     return paths
 
 
-def _ld_floor(graph, table, source: int):
+def _ld_floor(graph, table, source: int, first_run=None):
     """(L*, forest): the latest candidate first departure whose run reaches
     every vertex, the floor L* = min_v ld(source, v), and the kernel's
     (arrivals, parents) from L*; None when even the first run misses a
-    vertex.
+    vertex.  ``first_run`` is the kernel's start-1 run if the caller has
+    it, the same run as the one from the first candidate, as no edge from
+    the source departs before that.
 
     The first run, from the first candidate, decides reachability.  Its
     last-reached vertex ``v`` bounds the floor from above by ld(source, v),
@@ -261,7 +270,7 @@ def _ld_floor(graph, table, source: int):
     times = _first_departure_times(graph, table, source)
     if not times:
         return None
-    first_run = earliest_arrival(graph, table, source, start=times[0])
+    first_run = first_run or earliest_arrival(graph, table, source, start=times[0])
     arrivals, parents = first_run
     if arrivals.count(None) > 1:  # the source's own entry is None
         return None
@@ -518,7 +527,8 @@ def _search(graph, table, source, measure: Measure, target: int | None = None, f
     vertex to a realizing path.  A ``target`` (default: every other vertex)
     lets the shortest-travel and minimum-hop front searches stop early, and
     earliest arrival, latest departure and fastest answer for that vertex
-    alone (``_search_one``).  ``forest`` is passed to ``_min_wait_run``.
+    alone (``_search_one``).  ``forest``, the kernel's start-1 run if the
+    caller has it, is passed to ``_fastest`` and ``_min_wait_run``.
     """
     if target is not None and measure in _ONE_TARGET:
         return _search_one(graph, table, source, measure, target)
@@ -529,7 +539,7 @@ def _search(graph, table, source, measure: Measure, target: int | None = None, f
         value, chains = _latest_departures(graph, table, source)
         return value, lambda vs: {v: _chain_path(graph, source, chains[v]) for v in vs}
     if measure is Measure.FASTEST:
-        duration, start = _fastest(graph, table, source)
+        duration, start = _fastest(graph, table, source, forest)
         return duration, lambda vs: _probe_paths(graph, table, source, start, vs)
     if measure is Measure.MIN_WAIT:
         best = _min_wait_run(graph, table, source, forest)
@@ -652,12 +662,21 @@ def objective(
     None when some source fails to reach some vertex.  One earliest-arrival
     search per source decides that first, stopping at the first source that
     misses a vertex, so an infeasible schedule pays for no measure search;
-    earliest arrival reads its values from those searches.  A labeling
-    ``is_feasible`` rejects raises the same error here.
+    earliest arrival reads its values from those searches, and the other
+    measures' searches take them as their start-1 run.  Latest departure's
+    min over pairs is the least floor L* over the sources (``_ld_floor``),
+    so it needs no value per vertex.  A labeling ``is_feasible`` rejects
+    raises the same error here.
     """
     _check_labeling(instance, labeling)
-    pairs = _table_pairs(instance, CandidateTable(labeling, instance.traversal), measure)
-    return None if pairs is None else measure.worst(pairs.values())
+    table = CandidateTable(labeling, instance.traversal)
+    if measure is not Measure.LATEST_DEPARTURE:
+        pairs = _table_pairs(instance, table, measure)
+        return None if pairs is None else measure.worst(pairs.values())
+    forests = _feasible_arrivals(instance, table)
+    if forests is None:
+        return None
+    return min(_ld_floor(instance.graph, table, s, run)[0] for s, run in forests.items())
 
 
 def _table_pairs(
@@ -754,13 +773,21 @@ def ft_mw_bounds(source: int, instance: Instance) -> Bounds:
     source even with every edge available at every time.
     """
     graph = instance.graph
+    if _too_sparse(graph):
+        raise Unreachable(f"source {source} cannot reach every vertex of "
+                          f"{graph.vertex_count}: too few edges ({graph.edge_count})")
     table = CandidateTable(instance.full_availability(), instance.traversal)
-    ft, _ = _fastest(graph, table, source)
+    # Later starts reach a subset of what the start-1 run reaches (FIFO), so
+    # that one run decides reachability before any sweep over 1..tau.
+    forest = earliest_arrival(graph, table, source)
     others = [v for v in range(graph.vertex_count) if v != source]
-    missing = [v for v in others if ft[v] is None]
+    missing = [v for v in others if forest[0][v] is None]
     if missing:
-        raise Unreachable(f"source {source} cannot reach vertices {missing}")
-    mw = _min_wait_run(graph, table, source)
+        named = ", ".join(map(str, missing[:10])) + (", ..." if len(missing) > 10 else "")
+        raise Unreachable(
+            f"source {source} cannot reach {len(missing)} of {len(others)} vertices: {named}")
+    ft, _ = _fastest(graph, table, source, forest)
+    mw = _min_wait_run(graph, table, source, forest)
     max_dur, max_wait = _max_stats(graph, table, source)
     return Bounds(
         ft_min=max(ft[v] for v in others),

@@ -1,23 +1,29 @@
 from __future__ import annotations
 
+import contextlib
+import gc
 import json
 import re
 import shutil
+import time
 from pathlib import Path
 
 import pytest
 
 import tmbcast.cli as cli
 from tmbcast.cli import main
-from tmbcast.core import ValidationError
+from tmbcast.core import Instance, ParseError, StaticGraph, TraversalSpec, ValidationError
+from tmbcast.distances import Measure
 from tmbcast.fileformat import (
     parse_instance,
     parse_instance_document,
     parse_labeling,
     serialize_cnf,
     serialize_instance,
+    serialize_labeling,
 )
 from tmbcast.reductions import CnfFormula
+from tmbcast.solvers import solve_single_source
 
 import worked_example as fig
 
@@ -607,3 +613,121 @@ def test_every_exit_code_is_documented():
     for code in sorted(set(cli.EXIT_CODES.values()) | {0, 2}):
         assert re.search(rf"^  {code}  \S", cli.__doc__, re.M), code
         assert re.search(rf"[:,] {code} [a-z]", sentence.replace("\n", " ")), code
+
+
+# ---------------------------------------------------------------------------
+# The cyclic collector is held for the command and given back afterwards.
+
+
+@contextlib.contextmanager
+def collector(enabled):
+    """The cyclic collector on or off inside the block, as before after it."""
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        yield
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+@pytest.fixture
+def verify_command(monkeypatch):
+    """Install a function as ``cmd_verify``; the cached parser is rebuilt
+    around it, and again after the test."""
+    def install(func):
+        monkeypatch.setattr(cli, "cmd_verify", func)
+        cli.build_parser.cache_clear()
+    yield install
+    cli.build_parser.cache_clear()
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+@pytest.mark.parametrize("raised, outcome", [
+    (None, 0),
+    (cli._Exit(4), 4),
+    (ParseError("bad"), 3),
+    (RuntimeError("bug"), RuntimeError),
+    (KeyboardInterrupt(), KeyboardInterrupt),
+], ids=["exit-0", "exit-code", "tmb-error", "uncaught", "keyboard-interrupt"])
+def test_main_holds_the_collector_and_gives_back_its_state(
+        capsys, verify_command, enabled, raised, outcome):
+    during = []
+
+    def command(args):
+        during.append(gc.isenabled())
+        if raised is not None:
+            raise raised
+
+    verify_command(command)
+    argv = ["verify", "--in", "x.json", "--labeling", "x.json", "--measure", "ea"]
+    with collector(enabled):
+        if isinstance(outcome, int):
+            assert main(argv) == outcome
+        else:
+            with pytest.raises(outcome):
+                main(argv)
+        after = gc.isenabled()
+    capsys.readouterr()
+    assert during == [False]
+    assert after is enabled
+
+
+def grid_files(tmp_path, k):
+    """A k x k grid from vertex 0 with unit weights and its earliest-arrival
+    tree schedule, as instance and labeling files."""
+    edges = [(v, v + 1) for v in range(k * k) if v % k < k - 1]
+    edges += [(v, v + k) for v in range(k * (k - 1))]
+    inst = Instance(StaticGraph(k * k, tuple(edges)), frozenset({0}),
+                    TraversalSpec.uniform(len(edges), 1), (1,) * len(edges), 4 * k)
+    labeling = solve_single_source(inst, Measure.EARLIEST_ARRIVAL).labeling
+    paths = tmp_path / f"grid{k}.json", tmp_path / f"grid{k}-ea.json"
+    paths[0].write_text(serialize_instance(inst))
+    paths[1].write_text(serialize_labeling(labeling))
+    return paths
+
+
+def test_verify_leaves_as_much_cyclic_garbage_on_a_large_grid_as_on_a_small_one(
+        capsys, tmp_path):
+    files = {k: grid_files(tmp_path, k) for k in (5, 20)}
+
+    def garbage(k, measure):
+        instance, labeling = files[k]
+        with collector(False):
+            gc.collect()
+            code, _, _ = run(capsys, "verify", "--in", str(instance),
+                             "--labeling", str(labeling), "--measure", measure)
+            assert code == 0
+            return gc.collect()
+
+    garbage(5, "ea")  # first-call caches
+    for measure in ("ea", "ld", "ft", "st", "mh", "mw"):
+        small, large = garbage(5, measure), garbage(20, measure)
+        # The grid has 16 times the vertices; the garbage does not grow.
+        assert abs(large - small) <= 5, (measure, small, large)
+
+
+# ---------------------------------------------------------------------------
+# The approximation on an instance its source cannot span
+
+
+@pytest.mark.parametrize("measure", ["ft", "mw"])
+@pytest.mark.parametrize("vertices, edges", [
+    (4, [[0, 1], [2, 3]]),
+    (1_000_000, [[0, 1]]),
+], ids=["two-components", "a-million-vertices"])
+def test_solve_approx_reports_an_unspanned_instance_without_sweeping_tau(
+        capsys, tmp_path, measure, vertices, edges):
+    instance = tmp_path / "split.json"
+    instance.write_text(json.dumps({
+        "format": "tmbcast/instance", "version": 1, "kind": "tmb", "vertices": vertices,
+        "edges": edges, "sources": [0], "tau": 10**9, "default_weights": [1] * len(edges),
+        "overrides": [], "multiplicity": [1] * len(edges),
+    }))
+    started = time.perf_counter()
+    code, payload, err = run(capsys, "solve", "--approx", "--measure", measure,
+                             "--in", str(instance))
+    # Milliseconds; a sweep over every start in 1..tau would take hours.
+    assert time.perf_counter() - started < 1
+    assert (code, payload) == (7, None)
+    assert err.startswith("Unreachable: source 0 cannot reach ")
+    assert len(err) < 1000

@@ -24,6 +24,7 @@ from tmbcast.core import (
 from tmbcast.distances import (
     Bounds,
     Measure,
+    _first_departure_times,
     _min_wait_run,
     distance,
     ft_mw_bounds,
@@ -31,7 +32,7 @@ from tmbcast.distances import (
     sssp,
 )
 
-from tmbcast.solvers import solve_single_source
+from tmbcast.solvers import solve_multi_full_mu, solve_single_source
 from tmbcast.tsot import build_ld_tsot
 
 import worked_example as fig
@@ -368,6 +369,60 @@ def test_min_wait_objective_reuses_the_feasibility_runs(monkeypatch):
     assert sorted(searched) == sorted(inst.sources)
 
 
+def tree_schedule(k, sources, tau=400):
+    """A k x k ``grid_instance`` with the given sources and quota |S|, and
+    the union of their full-graph earliest-arrival trees, one label per
+    edge per source, as in the benchmark's check workload."""
+    grid = grid_instance(403, k, tau)
+    inst = Instance(grid.graph, frozenset(sources), grid.traversal,
+                    (len(sources),) * grid.graph.edge_count, tau)
+    return inst, solve_multi_full_mu(inst, Measure.EARLIEST_ARRIVAL).labeling
+
+
+@pytest.fixture
+def objective_runs(monkeypatch, kernel_runs):
+    """``kernel_runs`` with the feasibility runs of ``core`` counted too,
+    each as ``("feasible", table)``."""
+    import tmbcast.core as core
+
+    kernel = core.earliest_arrival
+
+    def run(graph, table, *args, **kwargs):
+        kernel_runs.append(("feasible", table))
+        return kernel(graph, table, *args, **kwargs)
+
+    monkeypatch.setattr(core, "earliest_arrival", run)
+    return kernel_runs
+
+
+def test_ld_objective_takes_each_sources_floor_from_its_feasibility_run(objective_runs):
+    inst, lab = tree_schedule(10, (0, 9, 90, 99))
+    objective_runs.clear()
+    got = objective(inst, lab, Measure.LATEST_DEPARTURE)
+    runs = [name for name, _ in objective_runs]
+    # One feasibility run per source, then per source the floor's backward
+    # run from the vertex that run reached last and the forward run that
+    # confirms it; the feasibility run is the floor's first run.
+    assert runs == (
+        ["feasible"] * 4 + ["latest_departure", "earliest_arrival"] * 4)
+    assert got == min(r.value for s in sorted(inst.sources)
+                      for r in sssp(s, lab, inst, Measure.LATEST_DEPARTURE) if r.value is not None)
+
+
+def test_ft_objective_takes_each_sources_first_start_from_its_feasibility_run(objective_runs):
+    inst, lab = tree_schedule(10, (0, 9, 90, 99))
+    objective_runs.clear()
+    got = objective(inst, lab, Measure.FASTEST)
+    runs = [name for name, _ in objective_runs]
+    table = CandidateTable(lab, inst.traversal)
+    starts = [len(_first_departure_times(inst.graph, table, s)) for s in sorted(inst.sources)]
+    # Every candidate first departure but the first takes its own run.
+    assert runs == (
+        ["feasible"] * 4 + ["earliest_arrival"] * (sum(starts) - 4))
+    assert got == max(r.value for s in sorted(inst.sources)
+                      for r in sssp(s, lab, inst, Measure.FASTEST) if r.value is not None)
+
+
 class CountingTable(CandidateTable):
     """A candidate table that counts the edge scans made through it."""
 
@@ -496,6 +551,14 @@ def test_bounds_unreachable():
     graph = StaticGraph(3, ((0, 1),))
     inst = Instance(graph, frozenset({0}), TraversalSpec.uniform(1, 1), (1,), 3)
     with pytest.raises(Unreachable):
+        ft_mw_bounds(0, inst)
+
+
+def test_bounds_name_ten_unreached_vertices_and_the_count():
+    # Source 0 reaches vertex 1 alone; the other 28 vertices sit in pairs.
+    graph = StaticGraph(30, tuple((v, v + 1) for v in range(0, 30, 2)))
+    inst = Instance(graph, frozenset({0}), TraversalSpec.uniform(15, 1), (1,) * 15, 10**9)
+    with pytest.raises(Unreachable, match=r"reach 28 of 29 vertices: 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, \.\.\.$"):
         ft_mw_bounds(0, inst)
 
 

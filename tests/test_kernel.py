@@ -34,6 +34,7 @@ from tmbcast.distances import (
     Measure,
     _chain_path,
     _cost_fronts,
+    _fastest,
     _first_departure_times,
     _ld_floor,
     _max_stats,
@@ -213,6 +214,47 @@ def test_backward_ld_and_floor_match_the_reference_bisection(case):
     else:
         # The forest is the run from the floor itself, as the tree needs.
         assert floor == (want, earliest_arrival(graph, table, source, start=want))
+
+
+@settings(max_examples=400, deadline=None)
+@given(searches())
+def test_fastest_from_the_start_1_run_matches_reference(case):
+    graph, traversal, availability, source, _ = case
+    table = CandidateTable(availability, traversal)
+    want = reference._fastest(graph, table, source)
+    assert _fastest(graph, table, source) == want
+    # The start-1 run stands in for the run from the first candidate.
+    assert _fastest(graph, table, source, earliest_arrival(graph, table, source)) == want
+
+
+@st.composite
+def objective_cases(draw):
+    """(instance, labeling): one to three sources on ``networks()``, every
+    multiplicity min(3, tau), and a labeling with up to three labels per
+    edge, which that quota admits."""
+    graph, traversal, tau = draw(networks(min_vertices=2))
+    sources = draw(st.sets(st.integers(0, graph.vertex_count - 1), min_size=1, max_size=3))
+    instance = Instance(graph, frozenset(sources), traversal, (min(3, tau),) * graph.edge_count, tau)
+    return instance, draw(labelings(graph, tau))
+
+
+@settings(max_examples=400, deadline=None)
+@given(objective_cases())
+def test_ld_and_ft_objectives_match_the_reference_sweeps(case):
+    instance, labeling = case
+    graph = instance.graph
+    table = CandidateTable(labeling, instance.traversal)
+    feasible = all(reference._reaches_all(graph, table, s) for s in instance.sources)
+    pairs = {Measure.LATEST_DEPARTURE: [], Measure.FASTEST: []}
+    for s in instance.sources:
+        others = [v for v in range(graph.vertex_count) if v != s]
+        latest = reference._latest_departures(graph, table, s, others)
+        duration, _ = reference._fastest(graph, table, s)
+        pairs[Measure.LATEST_DEPARTURE] += [latest[v] for v in others]
+        pairs[Measure.FASTEST] += [duration[v] for v in others]
+    for measure, values in pairs.items():
+        want = measure.worst(values) if feasible else None
+        assert objective(instance, labeling, measure) == want
 
 
 @settings(max_examples=200, deadline=None)
