@@ -8,7 +8,8 @@ Exit codes are part of the contract:
   2  usage error (bad flags or arguments)
   3  parse or validation error in an input file
   4  verification failed: infeasible labeling or multiplicity violation
-  5  no tractable regime applies (and neither --approx nor --oracle given)
+  5  no tractable regime applies, and no fallback does: solve --approx
+     applies to one source under ft/mw, else solve --oracle runs if given
   6  brute-force search space exceeds the configured limit
   7  a required reachability precondition fails
   8  bad generator or witness input (parameters, formula shape, assignment)
@@ -165,18 +166,16 @@ def _steps_json(doc: InstanceDocument, witness) -> list:
 def cmd_solve(args) -> None:
     doc, instance = _load_tmb(args.input)
     measure = Measure(args.measure)
-    result = None
-    regime_error = None
     try:
         result = solve_auto(instance, measure)
-    except NoTractableRegime as err:
-        regime_error = err
-    if result is None and args.approx and measure in _APPROX_MEASURES:
-        result = approx_ft_mw(instance, measure)
-    if result is None and args.oracle:
-        result = brute_force(instance, measure, _limits(args))
-    if result is None:
-        _fail(5, f"NoTractableRegime: {regime_error}")
+    except NoTractableRegime:
+        # The approximation takes one source under ft/mw; else the oracle.
+        if args.approx and measure in _APPROX_MEASURES and len(instance.sources) == 1:
+            result = approx_ft_mw(instance, measure)
+        elif args.oracle:
+            result = brute_force(instance, measure, _limits(args))
+        else:
+            raise
     payload = {
         "command": "solve",
         "measure": measure.code,

@@ -47,8 +47,8 @@ witness is a linked step list ``(edge, time, previous)`` (see
 latest-departure witness comes from the run that found its vertex, and an
 earliest-arrival or fastest witness from the parent forest of its kernel
 run (a fastest witness, or a one-target latest-departure one, re-runs the
-start that attained the value; the kernel is deterministic), so no run's
-parents outlive it.
+start that attained the value, see ``_probe_paths``; the kernel is
+deterministic), so no run's parents outlive it.
 """
 
 from __future__ import annotations
@@ -108,20 +108,26 @@ class Measure(Enum):
         raise ValidationError(f"unknown measure {code!r}")
 
     def statistic(self, stats: PathStats) -> int:
-        return {
-            Measure.EARLIEST_ARRIVAL: stats.arrival,
-            Measure.LATEST_DEPARTURE: stats.departure,
-            Measure.FASTEST: stats.duration,
-            Measure.SHORTEST_TRAVEL: stats.travel,
-            Measure.MIN_HOP: stats.hops,
-            Measure.MIN_WAIT: stats.waiting,
-        }[self]
+        return _STATISTIC[self](stats.departure, stats.arrival, stats.travel, stats.hops)
 
     def better(self, a: int, b: int) -> bool:
         return a > b if self.maximize else a < b
 
     def worst(self, values: Iterable[int]) -> int:
         return min(values) if self.maximize else max(values)
+
+
+# Each measure's statistic of a path with the given departure, arrival,
+# travel and hops (duration is arrival minus departure, waiting that minus
+# travel).  Plain functions, so a tree's paths need no PathStats apiece.
+_STATISTIC = {
+    Measure.EARLIEST_ARRIVAL: lambda departure, arrival, travel, hops: arrival,
+    Measure.LATEST_DEPARTURE: lambda departure, arrival, travel, hops: departure,
+    Measure.FASTEST: lambda departure, arrival, travel, hops: arrival - departure,
+    Measure.SHORTEST_TRAVEL: lambda departure, arrival, travel, hops: travel,
+    Measure.MIN_HOP: lambda departure, arrival, travel, hops: hops,
+    Measure.MIN_WAIT: lambda departure, arrival, travel, hops: arrival - departure - travel,
+}
 
 
 @dataclass(frozen=True)
@@ -236,13 +242,15 @@ def _fastest(graph: StaticGraph, table: CandidateTable, source: int, forest=None
 
 def _probe_paths(graph, table, source, start, vertices) -> dict[int, TemporalPath]:
     """Witness paths of ``vertices`` from re-runs of the kernel, one run
-    from each distinct first departure ``start[v]``."""
+    from each distinct first departure ``start[v]``.  A run for one vertex
+    stops once it is settled, when its path is final: the full run's."""
     by_start: dict[int, list[int]] = {}
     for v in vertices:
         by_start.setdefault(start[v], []).append(v)
     paths: dict[int, TemporalPath] = {}
     for t0, group in by_start.items():
-        _, parents = earliest_arrival(graph, table, source, start=t0)
+        _, parents = earliest_arrival(
+            graph, table, source, start=t0, stop=group[0] if len(group) == 1 else None)
         paths.update(_parent_paths(graph, parents, source, group))
     return paths
 
@@ -274,8 +282,11 @@ def _ld_floor(graph, table, source: int, first_run=None):
     arrivals, parents = first_run
     if arrivals.count(None) > 1:  # the source's own entry is None
         return None
-    hi = len(times) - 1
-    runs, budget = 1, 1 + (len(times) - 1).bit_length()
+    # Every time looked up below is a candidate, so ``index`` finds it; on
+    # the full graph ``times`` is a range, which ``len`` and ``bisect``
+    # cannot take past 2**63 - 1 candidates, but ``index`` can.
+    hi = times.index(times[-1])
+    runs, budget = 1, 1 + hi.bit_length()
     v = max(range(graph.vertex_count), key=lambda v: arrivals[v] or 0)
     while runs < budget:
         bound = latest_departure(graph, table, source, v)
@@ -284,16 +295,16 @@ def _ld_floor(graph, table, source: int, first_run=None):
         missed = [w for w, a in enumerate(forest[0]) if a is None and w != source]
         if not missed:
             return bound, forest
-        hi = bisect_left(times, bound) - 1
+        hi = times.index(bound) - 1
         v = max(missed, key=arrivals.__getitem__)
-    lo = bisect_left(times, min(p[2] for p in parents if p is not None and p[0] == source))
+    lo = times.index(min(p[2] for p in parents if p is not None and p[0] == source))
     while lo < hi:
         mid = (lo + hi + 1) // 2
         arrivals, parents = earliest_arrival(graph, table, source, start=times[mid])
         if arrivals.count(None) > 1:
             hi = mid - 1
         else:
-            lo = bisect_left(times, min(p[2] for p in parents if p is not None and p[0] == source))
+            lo = times.index(min(p[2] for p in parents if p is not None and p[0] == source))
     if lo == 0:  # the first run is the one from times[0]
         return times[0], first_run
     return times[lo], earliest_arrival(graph, table, source, start=times[lo])
@@ -516,25 +527,31 @@ def _chain_path(graph: StaticGraph, source: int, chain: tuple) -> TemporalPath:
 # Public distance operations
 
 
-_ONE_TARGET = (Measure.EARLIEST_ARRIVAL, Measure.LATEST_DEPARTURE, Measure.FASTEST)
-
-
 def _search(graph, table, source, measure: Measure, target: int | None = None, forest=None):
     """(values, witnesses) of one source.
 
     ``values[v]`` is measure(source, v), None for the source and for
     unreached vertices; ``witnesses(vertices)`` maps each given reached
     vertex to a realizing path.  A ``target`` (default: every other vertex)
-    lets the shortest-travel and minimum-hop front searches stop early, and
-    earliest arrival, latest departure and fastest answer for that vertex
-    alone (``_search_one``).  ``forest``, the kernel's start-1 run if the
-    caller has it, is passed to ``_fastest`` and ``_min_wait_run``.
+    asks for that vertex alone, and only ``values[target]`` is meaningful
+    then: earliest arrival and the shortest-travel and minimum-hop front
+    searches stop once it is settled, latest departure is one backward run
+    (``core.latest_departure``) and fastest a few forward runs
+    (``_fastest_to``) in place of one per candidate first departure, and
+    their witness re-runs the answer's first departure.  ``forest``, the
+    kernel's start-1 run if the caller has it, is passed to ``_fastest``
+    and ``_min_wait_run``.
     """
-    if target is not None and measure in _ONE_TARGET:
-        return _search_one(graph, table, source, measure, target)
     if measure is Measure.EARLIEST_ARRIVAL:
-        arrivals, parents = earliest_arrival(graph, table, source)
+        arrivals, parents = earliest_arrival(graph, table, source, stop=target)
         return arrivals, lambda vs: _parent_paths(graph, parents, source, vs)
+    if target is not None and measure in (Measure.LATEST_DEPARTURE, Measure.FASTEST):
+        values = [None] * graph.vertex_count
+        if measure is Measure.LATEST_DEPARTURE:
+            values[target] = start = latest_departure(graph, table, source, target)
+        else:
+            values[target], start = _fastest_to(graph, table, source, target)
+        return values, lambda vs: _probe_paths(graph, table, source, {target: start}, vs)
     if measure is Measure.LATEST_DEPARTURE:
         value, chains = _latest_departures(graph, table, source)
         return value, lambda vs: {v: _chain_path(graph, source, chains[v]) for v in vs}
@@ -543,47 +560,14 @@ def _search(graph, table, source, measure: Measure, target: int | None = None, f
         return duration, lambda vs: _probe_paths(graph, table, source, start, vs)
     if measure is Measure.MIN_WAIT:
         best = _min_wait_run(graph, table, source, forest)
-    elif measure in (Measure.SHORTEST_TRAVEL, Measure.MIN_HOP):
+    else:
         until = None if target is None else {target}
         fronts = _cost_fronts(graph, table, source, measure, until)
         best = {v: (front[0][0], front[0][2]) for v, front in enumerate(fronts) if front}
-    else:
-        raise ValidationError(f"unhandled measure {measure}")
     values = [None] * graph.vertex_count
     for v, (value, _) in best.items():
         values[v] = value
     return values, lambda vs: {v: _chain_path(graph, source, best[v][1]) for v in vs}
-
-
-def _search_one(graph, table, source, measure: Measure, target: int):
-    """``_search`` for the one target of an earliest-arrival,
-    latest-departure or fastest query; every other value is None.
-
-    Earliest arrival is one kernel run stopped at the target.  Latest
-    departure (the latest start whose run reaches the target) is one
-    backward run (``core.latest_departure``), and fastest (the least arrival
-    minus start) a few forward runs (``_fastest_to``), in place of one per
-    candidate first departure.  The witness re-runs the answer's first
-    departure, stopped at the target, which yields the same path as the
-    full run from that start.
-    """
-    start = parents = None
-    if measure is Measure.EARLIEST_ARRIVAL:
-        arrivals, parents = earliest_arrival(graph, table, source, stop=target)
-        value = arrivals[target]
-    elif measure is Measure.LATEST_DEPARTURE:
-        value = start = latest_departure(graph, table, source, target)
-    else:
-        value, start = _fastest_to(graph, table, source, target)
-    values: list[int | None] = [None] * graph.vertex_count
-    values[target] = value
-
-    def witnesses(vs):
-        probe = parents if start is None else earliest_arrival(
-            graph, table, source, start=start, stop=target)[1]
-        return _parent_paths(graph, probe, source, vs)
-
-    return values, witnesses
 
 
 def sssp(

@@ -49,6 +49,7 @@ from tmbcast.core import (
 from tmbcast.distances import (
     Bounds,
     Measure,
+    _STATISTIC,
     _ld_floor,
     _pair_values,
     _table_pairs,
@@ -141,25 +142,13 @@ def _tree_pairs(trees: list[Tsot], measure: Measure) -> dict[tuple[int, int], in
     schedule where each tree path is the vertex's only temporal path or,
     for earliest arrival, the earliest one: the path's ``Tsot.path_stats``
     read as ``Measure.statistic`` reads ``core.path_stats``."""
-    pick = _TREE_STATISTIC[measure]
+    pick = _STATISTIC[measure]
     return {
         (tree.root, v): pick(*stats)
         for tree in trees
         for v, stats in enumerate(tree.path_stats())
         if stats is not None
     }
-
-
-# Measure.statistic over a tree path's (departure, arrival, travel, hops),
-# without a PathStats per vertex, which would cost more than the search.
-_TREE_STATISTIC = {
-    Measure.EARLIEST_ARRIVAL: lambda departure, arrival, travel, hops: arrival,
-    Measure.LATEST_DEPARTURE: lambda departure, arrival, travel, hops: departure,
-    Measure.FASTEST: lambda departure, arrival, travel, hops: arrival - departure,
-    Measure.SHORTEST_TRAVEL: lambda departure, arrival, travel, hops: travel,
-    Measure.MIN_HOP: lambda departure, arrival, travel, hops: hops,
-    Measure.MIN_WAIT: lambda departure, arrival, travel, hops: arrival - departure - travel,
-}
 
 
 def _finish(instance, labeling, measure, regime, status=SolveStatus.OPTIMAL,

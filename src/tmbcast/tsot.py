@@ -105,44 +105,32 @@ class Tsot:
         """Spanning tree, one label per edge, time-respecting from the root.
 
         Each parent entry is checked once: its edge is one of the graph's
-        and joins the two vertices, and it departs no earlier than the
-        parent's own entry arrives.  One memoized pass then shows every
-        vertex climbs to the root without a cycle, so the whole check is
+        and joins the two vertices.  ``path_stats`` then climbs every
+        vertex to the root, failing on a cycle, and each entry must depart
+        no earlier than its parent's path arrives, so the whole check is
         linear in the vertex count.
         """
-        n = graph.vertex_count
-        if len(self.parent) != n or self.parent[self.root] is not None:
+        root, parent = self.root, self.parent
+        if len(parent) != graph.vertex_count or parent[root] is not None:
             return False
         try:
             self.tree_edges()
         except ValidationError:
             return False
-        for v, entry in enumerate(self.parent):
-            if v == self.root:
+        for v, entry in enumerate(parent):
+            if v == root:
                 continue
             if entry is None:
                 return False
-            e, t, u = entry
+            e, _, u = entry
             if not 0 <= e < graph.edge_count or {u, v} != set(graph.endpoints(e)):
                 return False
-            up = self.parent[u]
-            if up is not None and up[1] + self.traversal.weight(up[0], up[1]) > t:
-                return False
-        # 0: not yet known, 1: on the current climb, 2: reaches the root
-        state = [0] * n
-        state[self.root] = 2
-        for v in range(n):
-            climb = []
-            cur = v
-            while not state[cur]:
-                state[cur] = 1
-                climb.append(cur)
-                cur = self.parent[cur][2]
-            if state[cur] == 1:
-                return False  # the climb came back to itself
-            for w in climb:
-                state[w] = 2
-        return True
+        try:
+            stats = self.path_stats()
+        except ValidationError:
+            return False  # a cycle of parent entries
+        return all(entry is None or entry[2] == root or stats[entry[2]][1] <= entry[1]
+                   for entry in parent)
 
 
 def _resolve(source_of_labels: Union[Instance, ReachFastInstance], availability):

@@ -731,3 +731,61 @@ def test_solve_approx_reports_an_unspanned_instance_without_sweeping_tau(
     assert (code, payload) == (7, None)
     assert err.startswith("Unreachable: source 0 cannot reach ")
     assert len(err) < 1000
+
+
+# ---------------------------------------------------------------------------
+# Which fallback solve takes when no exact regime applies
+
+
+@pytest.fixture
+def two_source_triangle(tmp_path):
+    instance = tmp_path / "triangle.json"
+    instance.write_text(json.dumps({
+        "format": "tmbcast/instance", "version": 1, "kind": "tmb", "vertices": 3,
+        "edges": [[0, 1], [1, 2], [0, 2]], "sources": [0, 1], "tau": 3,
+        "default_weights": [1, 1, 1], "overrides": [], "multiplicity": [1, 1, 1],
+    }))
+    return instance
+
+
+def test_solve_approx_without_one_source_exits_5(capsys, two_source_triangle):
+    # The approximation takes one source; with no other fallback the
+    # command reports the missing regime.
+    code, payload, err = run(capsys, "solve", "--approx", "--measure", "ft",
+                             "--in", str(two_source_triangle))
+    assert (code, payload) == (5, None)
+    assert err.startswith("NoTractableRegime: no exact polynomial regime for measure ft")
+
+
+def test_solve_approx_without_one_source_falls_back_to_the_oracle(
+        capsys, two_source_triangle):
+    code, payload, _ = run(capsys, "solve", "--approx", "--oracle", "--measure", "ft",
+                           "--in", str(two_source_triangle))
+    assert code == 0
+    assert (payload["regime"], payload["status"], payload["objective"]) == (
+        "oracle", "optimal", 1)
+
+
+# ---------------------------------------------------------------------------
+# Latest departure past 2**63 - 1 candidate first departures
+
+
+@pytest.mark.parametrize("sources, multiplicity", [
+    ([0], [1, 1]),
+    ([0, 2], [2, 2]),
+], ids=["one-source", "two-sources"])
+def test_solve_ld_takes_a_horizon_past_the_machine_word(
+        capsys, tmp_path, sources, multiplicity):
+    tau = 10**30
+    instance = tmp_path / "path.json"
+    instance.write_text(json.dumps({
+        "format": "tmbcast/instance", "version": 1, "kind": "tmb", "vertices": 3,
+        "edges": [[0, 1], [1, 2]], "sources": sources, "tau": tau,
+        "default_weights": [1, 1], "overrides": [], "multiplicity": multiplicity,
+    }))
+    started = time.perf_counter()
+    code, payload, err = run(capsys, "solve", "--measure", "ld", "--in", str(instance))
+    # A handful of runs; a pass over the candidates would never end.
+    assert time.perf_counter() - started < 1
+    assert (code, err) == (0, "")
+    assert payload["objective"] == tau - 1

@@ -40,7 +40,9 @@ from tmbcast.distances import (
     _max_stats,
     _min_wait_run,
     _search,
+    distance,
     objective,
+    sssp,
 )
 from tmbcast.reductions import find_nonseparating_path
 from tmbcast.solvers import (
@@ -180,6 +182,49 @@ def test_one_target_ft_ld_match_reference(case):
             assert values[v] == want_values[v]
             if values[v] is not None:
                 assert witnesses([v])[v] == want_paths[v]
+
+
+@st.composite
+def pair_queries(draw):
+    """(instance, availability, u, v): two distinct vertices of a
+    ``networks()`` graph, the instance's one source ``u``, and a labeling or
+    the full temporal graph."""
+    graph, traversal, tau = draw(networks(min_vertices=2))
+    availability = FullAvailability(tau) if draw(st.booleans()) else draw(labelings(graph, tau))
+    u, v = draw(st.lists(st.integers(0, graph.vertex_count - 1), min_size=2, max_size=2,
+                         unique=True))
+    instance = Instance(graph, frozenset({u}), traversal, (1,) * graph.edge_count, tau)
+    return instance, availability, u, v
+
+
+# A target the source cannot reach; zero-weight edges whose first departures
+# tie; overrides at 1 and at tau; an arrival past tau on the last edge; and a
+# labeling that leaves an edge without labels.
+@example((Instance(StaticGraph(3, ((1, 2),)), frozenset({0}), TraversalSpec.uniform(1, 1),
+                   (1,), 3), FullAvailability(3), 0, 2))
+@example((Instance(StaticGraph(3, ((0, 1), (0, 2), (1, 2))), frozenset({0}),
+                   TraversalSpec.uniform(3, 0), (1,) * 3, 3), FullAvailability(3), 0, 2))
+@example((Instance(StaticGraph(3, ((0, 1), (1, 2))), frozenset({0}),
+                   TraversalSpec.from_maps([2, 1], {0: {1: 0, 4: 0}, 1: {1: 3, 4: 0}}),
+                   (1, 1), 4), FullAvailability(4), 0, 2))
+@example((Instance(StaticGraph(3, ((0, 1), (1, 2))), frozenset({0}),
+                   TraversalSpec.from_maps([1, 4], {0: {2: 0}}), (1, 1), 3),
+          FullAvailability(3), 0, 2))
+@example((Instance(StaticGraph(3, ((0, 1), (1, 2))), frozenset({0}),
+                   TraversalSpec.uniform(2, 1), (1, 1), 3), Labeling(((1, 3), ())), 0, 2))
+@settings(max_examples=400, deadline=None)
+@given(pair_queries())
+def test_one_target_distance_matches_sssp_and_an_unstopped_rerun(case):
+    instance, availability, u, v = case
+    table = CandidateTable(availability, instance.traversal)
+    for measure in (Measure.LATEST_DEPARTURE, Measure.FASTEST):
+        got = distance(u, v, availability, instance, measure)
+        assert got == sssp(u, availability, instance, measure)[v]
+        if got.value is not None:
+            # The run from the witness's first departure, not stopped at v.
+            first = got.witness.steps[0][1]
+            assert got.witness == reference._probe_paths(
+                instance.graph, table, u, {v: first}, [v])[v]
 
 
 # A source with no edges; a target the source cannot reach; zero-weight

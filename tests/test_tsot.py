@@ -4,6 +4,8 @@ import random
 import time
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tmbcast.core import (
     FullAvailability,
@@ -209,7 +211,7 @@ def test_is_valid_is_linear_on_a_long_path(monkeypatch):
     started = time.perf_counter()
     assert tree.is_valid(graph)
     assert time.perf_counter() - started < 0.5
-    assert len(weighed) == n - 2  # one parent-arrival check per non-root child
+    assert len(weighed) == n - 1  # path_stats weighs each tree edge once
 
 
 def test_is_valid_rejects_a_cycle_that_misses_the_root():
@@ -227,6 +229,8 @@ def test_is_valid_rejects_an_edge_id_outside_the_graph():
     trav = TraversalSpec.uniform(2, 1)
     assert not Tsot(0, (None, (-2, 1, 0), (-1, 2, 1)), trav).is_valid(graph)
     assert not Tsot(0, (None, (0, 1, 0), (2, 2, 1)), trav).is_valid(graph)
+    # Vertex 1's entry is fine, its parent's is not: never weighed.
+    assert not Tsot(0, (None, (1, 2, 2), (9, 1, 0)), trav).is_valid(graph)
 
 
 def test_to_labeling_rejects_negative_edge_ids():
@@ -262,3 +266,102 @@ def test_is_valid_rejects_a_departure_before_the_parent_arrives():
     trav = TraversalSpec.uniform(2, 2)  # edge 0 at time 1 arrives at 3
     assert not Tsot(0, (None, (0, 1, 0), (1, 2, 1)), trav).is_valid(graph)
     assert Tsot(0, (None, (0, 1, 0), (1, 3, 1)), trav).is_valid(graph)
+
+
+def _valid_by_brute_force(tree: Tsot, graph: StaticGraph) -> bool:
+    """``Tsot.is_valid`` from its definition: one entry per vertex, None at
+    the root only; each entry's edge joins its two vertices and no edge
+    serves twice; and every vertex's parent chain reaches the root within
+    the vertex count, each step departing when the one before arrives."""
+    n, root = graph.vertex_count, tree.root
+    if len(tree.parent) != n or tree.parent[root] is not None:
+        return False
+    used = []
+    for v, entry in enumerate(tree.parent):
+        if v != root:
+            if entry is None:
+                return False
+            e, _, u = entry
+            if e not in range(graph.edge_count) or sorted(graph.edges[e]) != sorted((u, v)):
+                return False
+            used.append(e)
+    if len(set(used)) != len(used):
+        return False
+    for v in range(n):
+        steps = []
+        while v != root:
+            if len(steps) == n:
+                return False  # the chain never reaches the root
+            e, t, v = tree.parent[v]
+            steps.append((e, t))
+        arrival = None
+        for e, t in reversed(steps):
+            if arrival is not None and t < arrival:
+                return False
+            arrival = t + tree.traversal.weight(e, t)
+    return True
+
+
+@st.composite
+def parent_tuples(draw):
+    """(tree, graph): a root and parent entries on a small graph with
+    weights from zero past tau.  Vertices come in a random order, root
+    first, and the graph mostly spans them along it.  Most entries name an
+    edge to a neighbour earlier in the order, departing when that
+    neighbour's entry arrives or at a random time; the others name any
+    vertex, a wrong or out-of-range edge, or none, which makes cycles,
+    reused edges and misplaced entries.  The tuple may be one short."""
+    n = draw(st.integers(1, 5))
+    root = draw(st.integers(0, n - 1))
+    order = [root] + draw(st.permutations([v for v in range(n) if v != root]))
+    # Mostly a spanning tree along the order, plus a few other edges.
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    spanning = {tuple(sorted((draw(st.sampled_from(order[:i])), v)))
+                for i, v in enumerate(order) if i and draw(st.integers(0, 9))}
+    extra = draw(st.sets(st.sampled_from(pairs), max_size=3)) if pairs else set()
+    edges = draw(st.permutations(sorted(spanning | extra)))
+    graph = StaticGraph(n, tuple(edges))
+    tau = draw(st.integers(1, 4))
+    weights = st.integers(0, tau + 1)
+    trav = TraversalSpec.from_maps(
+        [draw(weights) for _ in edges],
+        {e: draw(st.dictionaries(st.integers(1, tau), weights, max_size=2))
+         for e in range(len(edges))})
+    parent = [None] * n
+    arrival = {root: 1}  # when each vertex's chain arrives, while it is known
+    for i, v in enumerate(order):
+        kind = draw(st.integers(0, 19))
+        earlier = [(e, u) for e, u in graph.incident(v) if u in order[:i]]
+        if v == root and kind or kind == 0:
+            continue
+        if earlier and kind > 2:
+            e, u = draw(st.sampled_from(earlier))
+        else:
+            e, u = draw(st.integers(-1, len(edges))), draw(st.integers(0, n - 1))
+        if u in arrival and kind > 5:
+            t = arrival[u] + draw(st.integers(0, 1))
+        else:
+            t = draw(st.integers(1, tau + 1))
+        parent[v] = (e, t, u)
+        if 0 <= e < len(edges):
+            arrival[v] = t + trav.weight(e, t)
+    if draw(st.integers(0, 19)) == 0:
+        parent.pop()
+    return Tsot(root, tuple(parent), trav), graph
+
+
+# A cycle that misses the root; a reused edge; a departure before the parent
+# arrives; a chain of zero-weight edges at one time.
+@example((Tsot(0, (None, (3, 1, 3), (1, 1, 1), (2, 1, 2)), TraversalSpec.uniform(4, 0)),
+          StaticGraph(4, ((0, 1), (1, 2), (2, 3), (1, 3)))))
+@example((Tsot(0, (None, (1, 1, 2), (1, 1, 1)), TraversalSpec.uniform(2, 0)),
+          StaticGraph(3, ((0, 1), (1, 2)))))
+@example((Tsot(0, (None, (0, 1, 0), (1, 2, 1)), TraversalSpec.uniform(2, 2)),
+          StaticGraph(3, ((0, 1), (1, 2)))))
+@example((Tsot(0, (None, (0, 1, 0), (1, 1, 1), (2, 1, 2)), TraversalSpec.uniform(3, 0)),
+          StaticGraph(4, ((0, 1), (1, 2), (2, 3)))))
+@settings(max_examples=1000, deadline=None)
+@given(parent_tuples())
+def test_is_valid_matches_a_brute_force_check(case):
+    tree, graph = case
+    assert tree.is_valid(graph) == _valid_by_brute_force(tree, graph)
