@@ -110,8 +110,11 @@ def _emit(payload: dict):
 
 
 def _read(path: str) -> str:
+    # Bytes, decoded: no newline translation, as the parsers take "\r\n" as
+    # whitespace or one line break.  Text, not bytes, goes to the parsers, so
+    # a UTF-8 byte order mark stays a parse error rather than being skipped.
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_bytes().decode("utf-8")
     except (OSError, UnicodeDecodeError) as err:
         _fail(3, f"cannot read {path}: {err}")
 

@@ -634,10 +634,12 @@ class CandidateTable:
     graph (``tau`` not None) the edge also departs at its default weight at
     the first non-override time at or after the current arrival.  A labeling
     may also be given as per-edge tuples already sorted and duplicate-free,
-    as the brute-force oracle enumerates them.
+    as the brute-force oracle enumerates them.  On a labeling, ``times[e]``
+    holds the edge's scheduled times, and ``plain[e]`` is true when none of
+    them is an override time, so every departure has the default weight.
     """
 
-    __slots__ = ("departures", "tau", "defaults", "overrides")
+    __slots__ = ("departures", "tau", "defaults", "overrides", "times", "plain")
 
     def __init__(self, availability: Availability | Sequence[tuple[Time, ...]],
                  traversal: TraversalSpec):
@@ -650,12 +652,20 @@ class CandidateTable:
         if isinstance(availability, Labeling):
             availability = availability.times_by_edge
         self.tau = None
+        self.times = tuple(availability)
         self.departures = []
-        for times, per_edge, default in zip(availability, self.overrides, self.defaults):
+        self.plain = []
+        for times, per_edge, default in zip(self.times, self.overrides, self.defaults):
             row = []
+            plain = True
             for t in times:
-                row.append((t, t + per_edge.get(t, default)))
+                if t in per_edge:
+                    row.append((t, t + per_edge[t]))
+                    plain = False
+                else:
+                    row.append((t, t + default))
             self.departures.append(row)
+            self.plain.append(plain)
 
     def candidates(self, e: Edge, lo: Time) -> Sequence[tuple[Time, Time]]:
         """(departure, arrival) pairs worth trying at or after ``lo`` when
@@ -665,23 +675,28 @@ class CandidateTable:
         longer and arrives later than an earlier one, so only the first
         default-weight departure at or after ``lo`` is kept: on a labeling
         the scheduled times minus later default-weight ones, on the full
-        temporal graph the override times, then that default slot.
+        temporal graph the override times, then that default slot.  On a
+        labeling's ``plain`` edge that is the first scheduled time at or
+        after ``lo`` alone.
         """
-        per_edge = self.overrides[e]
-        if self.tau is not None and lo > self.tau:
-            return []
         departures = self.departures[e]
-        departures = departures[bisect_left(departures, lo, key=_time):]
+        per_edge = self.overrides[e]
         if self.tau is None:
+            i = bisect_left(self.times[e], lo)
+            if self.plain[e]:
+                return departures[i:i + 1]
             out = []
             saw_default = False
-            for t, arrival in departures:
+            for t, arrival in departures[i:]:
                 if t not in per_edge:
                     if saw_default:
                         continue
                     saw_default = True
                 out.append((t, arrival))
             return out
+        if lo > self.tau:
+            return []
+        departures = departures[bisect_left(departures, lo, key=_time):]
         t = lo
         while t in per_edge:
             t += 1
@@ -717,7 +732,9 @@ def earliest_arrival(
     ``(previous vertex, edge, departure)``, and the parent forest realizes
     the arrivals.  Within an edge the departure is the first of
     ``table.candidates`` with the least arrival; the scan stops once a
-    departure time reaches the best arrival so far.  With ``stop`` the run
+    departure time reaches the best arrival so far, and a labeling's
+    ``plain`` edge needs none: its first departure at or after the current
+    arrival is that one.  With ``stop`` the run
     ends once that vertex is settled: its arrival and its path in the forest
     are final, other entries may not be.
 
@@ -734,6 +751,8 @@ def earliest_arrival(
     full = tau is not None
     overrides = table.overrides
     defaults = table.defaults
+    plain = () if full else table.plain
+    all_times = table.times if plain else ()
     arrival: list = [_NEVER] * n
     parents: list = [None] * n
     done = [False] * n
@@ -755,15 +774,21 @@ def earliest_arrival(
             if done[w]:
                 continue
             departures = all_departures[e]
-            if departures and departures[0][0] < now:
-                departures = departures[bisect_left(departures, now, key=_time):]
-            best = _NEVER
-            for t, a in departures:
-                if t >= best:
-                    break
-                if a < best:
-                    best = a
-                    best_t = t
+            if plain and plain[e]:
+                i = bisect_left(all_times[e], now)
+                if i == len(departures):
+                    continue
+                best_t, best = departures[i]
+            else:
+                if departures and departures[0][0] < now:
+                    departures = departures[bisect_left(departures, now, key=_time):]
+                best = _NEVER
+                for t, a in departures:
+                    if t >= best:
+                        break
+                    if a < best:
+                        best = a
+                        best_t = t
             if full:
                 t = now
                 per_edge = overrides[e]

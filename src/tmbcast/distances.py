@@ -22,7 +22,9 @@ and shared by every source and probe:
   a forward run from its answer (see ``_ld_floor``);
 * shortest travel / minimum hop: the front search ``_fronts`` keyed by the
   cost (travel or hops), whose first kept state at a vertex has the least
-  cost and then the earliest arrival;
+  cost and then the earliest arrival.  It reaches the vertices the kernel
+  reaches, so ``objective`` reads feasibility from its fronts and runs no
+  kernel;
 * minimum waiting: depth-first enumeration of simple paths with an explicit
   stack (waiting is the one statistic where revisiting a vertex could pay
   off, and the definitions range over simple paths only), pruned from the
@@ -433,18 +435,25 @@ def _cost_fronts(graph: StaticGraph, table: CandidateTable, source: int,
 
 def _forest_waiting(arrivals: list, parents: list, source: int) -> int:
     """The largest waiting over the paths of a kernel run's parent forest,
-    by a memoized climb as in ``_parent_chain``: a zero-weight edge gives a
-    child its parent's arrival, so arrival order may put the child first."""
-    waiting = {source: 0}
-    for v in range(len(parents)):
-        climbed = []
-        while v not in waiting and parents[v] is not None:
-            climbed.append(v)
-            v = parents[v][0]
+    by a climb memoized per vertex as in ``_parent_chain``: a zero-weight
+    edge gives a child its parent's arrival, so arrival order may put the
+    child first."""
+    waiting = [None] * len(parents)
+    waiting[source] = worst = 0
+    for v, parent in enumerate(parents):
+        if parent is None or waiting[v] is not None:
+            continue  # unreached, or climbed to already
+        climbed = [v]
+        u = parent[0]
+        while waiting[u] is None:
+            climbed.append(u)
+            u = parents[u][0]
         for w in reversed(climbed):
             u, _, t = parents[w]
-            waiting[w] = 0 if u == source else waiting[u] + t - arrivals[u]
-    return max(waiting.values())
+            waiting[w] = x = 0 if u == source else waiting[u] + t - arrivals[u]
+            if x > worst:
+                worst = x
+    return worst
 
 
 def _min_wait_run(
@@ -643,14 +652,16 @@ def objective(
     """Worst-case measure over every (source, other vertex) pair, or None.
 
     Max over pairs for the minimizing measures, min for latest departure;
-    None when some source fails to reach some vertex.  One earliest-arrival
-    search per source decides that first, stopping at the first source that
-    misses a vertex, so an infeasible schedule pays for no measure search;
-    earliest arrival reads its values from those searches, and the other
-    measures' searches take them as their start-1 run.  Latest departure's
-    min over pairs is the least floor L* over the sources (``_ld_floor``),
-    so it needs no value per vertex.  A labeling ``is_feasible`` rejects
-    raises the same error here.
+    None when some source fails to reach some vertex, found at the first
+    source, in order, that misses one.  Shortest travel and minimum hop
+    read that from their own front searches, one per source (see
+    ``_table_pairs``), and run no kernel.  For the other measures one
+    earliest-arrival search per source decides it first, so an infeasible
+    schedule pays for no measure search; earliest arrival reads its values
+    from those searches, and fastest and minimum waiting take them as their
+    start-1 run.  Latest departure's min over pairs is the least floor L*
+    over the sources (``_ld_floor``), so it needs no value per vertex.  A
+    labeling ``is_feasible`` rejects raises the same error here.
     """
     _check_labeling(instance, labeling)
     table = CandidateTable(labeling, instance.traversal)
@@ -667,7 +678,27 @@ def _table_pairs(
     instance: Instance, table: CandidateTable, measure: Measure
 ) -> dict[tuple[int, int], int | None] | None:
     """The pair values ``objective`` takes the worst of over a candidate
-    table that is already built, or None when the schedule is infeasible."""
+    table that is already built, or None when the schedule is infeasible.
+
+    Shortest travel and minimum hop decide feasibility from their own
+    fronts, one search per source in order, stopping at the first source
+    whose fronts leave another vertex empty.  Those are the vertices the
+    kernel misses: both walk from time 1 and never re-enter the source, and
+    the departures ``CandidateTable.candidates`` drops arrive no earlier
+    than one it keeps.  The other measures take ``_feasible_arrivals``'
+    runs.
+    """
+    graph = instance.graph
+    if measure in (Measure.SHORTEST_TRAVEL, Measure.MIN_HOP):
+        if _too_sparse(graph):
+            return None
+        pairs = {}
+        for s in sorted(instance.sources):
+            fronts = _cost_fronts(graph, table, s, measure)
+            if fronts.count([]) > 1:  # the source's own front is empty
+                return None
+            pairs.update(((s, v), front[0][0]) for v, front in enumerate(fronts) if v != s)
+        return pairs
     forests = _feasible_arrivals(instance, table)
     if forests is None:
         return None

@@ -15,6 +15,7 @@ from tmbcast.cli import main
 from tmbcast.core import Instance, ParseError, StaticGraph, TraversalSpec, ValidationError
 from tmbcast.distances import Measure
 from tmbcast.fileformat import (
+    parse_cnf,
     parse_instance,
     parse_instance_document,
     parse_labeling,
@@ -585,6 +586,39 @@ def test_undecodable_files_exit_3(capsys, tmp_path, content, error):
     )
     assert (code, payload) == (3, None)
     assert err.startswith(error.format(path=path))
+
+
+def test_crlf_documents_load_the_same_model(tmp_path, network):
+    labels = FIXTURES / "delivery-schedule-ea.json"
+    crlf = {}
+    for name, path in (("network", network), ("labels", labels)):
+        crlf[name] = tmp_path / f"crlf-{name}.json"
+        text = path.read_bytes()
+        assert b"\r" not in text and b"\n" in text
+        crlf[name].write_bytes(text.replace(b"\n", b"\r\n"))
+    assert cli._load_document(str(crlf["network"])) == cli._load_document(str(network))
+    assert cli._load_labeling(str(crlf["labels"])) == cli._load_labeling(str(labels))
+    cnf = "c comment\np cnf 3 2\n1 -2 0\n2 3 0\n"
+    formulas = []
+    for newline in ("\n", "\r\n"):
+        path = tmp_path / "formula.cnf"
+        path.write_bytes(cnf.replace("\n", newline).encode())
+        formulas.append(parse_cnf(cli._read(str(path))))
+    assert formulas[0] == formulas[1]
+
+
+@pytest.mark.parametrize("content", [
+    b'{"names": ["\xff"]}',
+    b"\xef\xbb\xbf" + (FIXTURES / "delivery-network.json").read_bytes(),
+], ids=["invalid-utf-8", "byte-order-mark"])
+def test_unreadable_documents_exit_3_with_one_line(capsys, tmp_path, content):
+    path = tmp_path / "unreadable.json"
+    path.write_bytes(content)
+    code, payload, err = run(
+        capsys, "verify", "--in", str(path), "--labeling", str(path), "--measure", "ea"
+    )
+    assert (code, payload) == (3, None)
+    assert len(err.splitlines()) == 1
 
 
 def test_export_dot_cli(capsys, tmp_path, network):

@@ -423,6 +423,57 @@ def test_ft_objective_takes_each_sources_first_start_from_its_feasibility_run(ob
                       for r in sssp(s, lab, inst, Measure.FASTEST) if r.value is not None)
 
 
+@pytest.fixture
+def front_searches(monkeypatch):
+    """The source of every shortest-travel or minimum-hop front search."""
+    import tmbcast.distances as distances
+
+    searched = []
+    search = distances._cost_fronts
+
+    def run(graph, table, source, *args, **kwargs):
+        searched.append(source)
+        return search(graph, table, source, *args, **kwargs)
+
+    monkeypatch.setattr(distances, "_cost_fronts", run)
+    return searched
+
+
+@pytest.mark.parametrize("measure", [Measure.SHORTEST_TRAVEL, Measure.MIN_HOP])
+def test_st_mh_objective_decides_feasibility_from_its_front_searches(
+        objective_runs, front_searches, measure):
+    inst, lab = tree_schedule(10, (0, 9, 90, 99))
+    objective_runs.clear()
+    got = objective(inst, lab, measure)
+    assert objective_runs == []
+    assert front_searches == sorted(inst.sources)
+    assert got == max(r.value for s in sorted(inst.sources)
+                      for r in sssp(s, lab, inst, measure) if r.value is not None)
+
+
+@pytest.mark.parametrize("measure", [Measure.SHORTEST_TRAVEL, Measure.MIN_HOP])
+def test_st_mh_objective_stops_at_the_first_source_that_misses_a_vertex(
+        objective_runs, front_searches, measure):
+    # On the path 0-1-2-3, source 0 reaches every vertex, source 2 misses
+    # vertex 0 (its edge is labeled before 2 can get there), and source 3
+    # is never searched.
+    graph = StaticGraph(4, ((0, 1), (1, 2), (2, 3)))
+    inst = Instance(graph, frozenset({0, 2, 3}), TraversalSpec.uniform(3, 1), (1, 1, 1), 6)
+    lab = Labeling(((1,), (3,), (5,)))
+    assert objective(inst, lab, measure) is None
+    assert front_searches == [0, 2]
+    assert objective_runs == []
+
+
+@pytest.mark.parametrize("measure", [Measure.SHORTEST_TRAVEL, Measure.MIN_HOP])
+def test_st_mh_objective_on_a_too_sparse_graph_runs_no_search(
+        objective_runs, front_searches, measure):
+    graph = StaticGraph(5, ((0, 1), (2, 3)))
+    inst = Instance(graph, frozenset({0}), TraversalSpec.uniform(2, 1), (1, 1), 4)
+    assert objective(inst, Labeling(((1,), (1,))), measure) is None
+    assert front_searches == [] and objective_runs == []
+
+
 class CountingTable(CandidateTable):
     """A candidate table that counts the edge scans made through it."""
 

@@ -302,6 +302,43 @@ def test_ld_and_ft_objectives_match_the_reference_sweeps(case):
         assert objective(instance, labeling, measure) == want
 
 
+# A path whose second source misses the first, so the search stops there,
+# and a triangle of zero-weight edges every source spans.
+@example((Instance(StaticGraph(4, ((0, 1), (1, 2), (2, 3))), frozenset({0, 2, 3}),
+                   TraversalSpec.uniform(3, 1), (1, 1, 1), 6), Labeling(((1,), (3,), (5,)))))
+@example((Instance(StaticGraph(3, ((0, 1), (0, 2), (1, 2))), frozenset({0, 1}),
+                   TraversalSpec.from_maps([0, 0, 0], {2: {2: 1}}), (2, 2, 2), 3),
+          Labeling(((1, 2), (1, 3), (2,)))))
+@settings(max_examples=400, deadline=None)
+@given(objective_cases())
+def test_st_and_mh_objectives_match_the_reference_searches(case):
+    instance, labeling = case
+    graph = instance.graph
+    table = CandidateTable(labeling, instance.traversal)
+    feasible = all(reference._reaches_all(graph, table, s) for s in instance.sources)
+    for measure in (Measure.SHORTEST_TRAVEL, Measure.MIN_HOP):
+        want = None
+        if feasible:
+            want = max(cost for s in instance.sources
+                       for cost, _ in reference.st_mh_search(graph, table, s, measure).values())
+        assert objective(instance, labeling, measure) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(networks(max_vertices=4), st.data())
+def test_schedule_candidates_match_the_reference(network, data):
+    # Zero weights, overrides at scheduled times and empty rows all occur;
+    # ``lo`` runs from below every label to past tau.
+    graph, traversal, tau = network
+    labeling = data.draw(labelings(graph, tau))
+    for availability in (labeling, labeling.times_by_edge):
+        table = CandidateTable(availability, traversal)
+        for e in range(graph.edge_count):
+            for lo in range(tau + 3):
+                want = reference._min_candidates(labeling, traversal, e, lo)
+                assert list(table.candidates(e, lo)) == [(t, t + w) for t, w in want]
+
+
 @settings(max_examples=200, deadline=None)
 @given(searches(max_vertices=5))
 def test_min_wait_matches_reference(case):
