@@ -20,7 +20,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import chain, count
-from operator import itemgetter
+from operator import ge, itemgetter
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
 
@@ -64,15 +64,22 @@ class NotATree(TmbError):
     """A solver requires the underlying graph to be a tree."""
 
 
+# The brute-force oracle counts its search space exactly up to this size and
+# names a larger one in this bounded form.
+NAMED_SPACE = 10**18
+
+
 class SearchSpaceTooLarge(TmbError):
     """The brute-force search space exceeds the configured limit of its
-    labelings, edges or tau (``cap``), whose value is ``size``."""
+    labelings, edges or tau (``cap``), whose value is ``size``.  The number
+    of labelings, ``cardinality``, is None when it is past ``NAMED_SPACE``."""
 
-    def __init__(self, cardinality: int, limit: int, cap: str = "labelings",
+    def __init__(self, cardinality: int | None, limit: int, cap: str = "labelings",
                  size: int | None = None):
         over = "" if cap == "labelings" else f" and {cap} {size}"
+        count = f"more than {NAMED_SPACE:.0e}" if cardinality is None else cardinality
         super().__init__(
-            f"brute-force search space has {cardinality} labelings{over} "
+            f"brute-force search space has {count} labelings{over} "
             f"({cap} limit {limit})"
         )
         self.cardinality = cardinality
@@ -103,10 +110,14 @@ Time = int
 # Model constructors validate with one plain loop or per-row function per
 # rule, and the first bad item raises; a loop over sorted rows reads each
 # row's last item and looks for the first bad one only when that fails.
-# Only label sets and overrides, most of a document, first meet a bulk
-# accept test over all their exact ints at once: without those two tests the
-# benchmark's ``check`` workload loses about 18% ops/s.  For every other
-# rule a bulk pre-test saved nothing that could be measured end to end.
+# Label sets, overrides and multiplicities, most of a document, first meet a
+# bulk accept test over all their exact ints at once, and the loops run only
+# when it fails: without the first two tests the benchmark's ``check``
+# workload loses about 18% ops/s.  Values the loader has already converted
+# or range-tested (entry columns, defaults, label ints) are not tested
+# again; label rows already strictly increasing, as a canonical document
+# holds them, are kept instead of sorted.  For the other rules a bulk
+# pre-test saved nothing that could be measured end to end.
 
 
 def _within(values: Sequence, lo, hi=None) -> bool:
@@ -210,8 +221,8 @@ class StaticGraph:
 
 
 def _override_row(e, default, items):
-    """Edge ``e``'s override pairs, sorted, and their time -> weight dict;
-    raises on the row's first fault."""
+    """Edge ``e``'s override time -> weight dict, in time order; raises on
+    the row's first fault."""
     if default < 0:
         raise ValidationError(f"edge {e} default weight is negative")
     pairs = tuple(sorted((int(t), int(w)) for t, w in items))
@@ -223,7 +234,7 @@ def _override_row(e, default, items):
             raise ValidationError(f"edge {e} override at time {t} < 1")
         if w < 0:
             raise ValidationError(f"edge {e} override weight negative at {t}")
-    return pairs, index
+    return index
 
 
 @dataclass(frozen=True)
@@ -239,6 +250,11 @@ class TraversalSpec:
     Overrides come as the constructor's rows, one per edge, where a time
     listed twice is a fault, or as ``from_entries``' columns of a document's
     ``[edge, time, weight]`` entries, where the last for an (edge, time) wins.
+    The table is held once, as ``_override_index``: per edge, a time ->
+    weight dict, which is what searches read.  Built from columns, the
+    sorted ``overrides`` rows are derived from it on first read, so checking
+    a schedule never sorts them; ``_latest_override`` is the latest override
+    time (0 when there is none).
     """
 
     defaults: tuple[int, ...]
@@ -261,21 +277,29 @@ class TraversalSpec:
         columns = (edges, times, weights)
         if not set(map(type, chain(*columns))) <= {int}:
             columns = tuple(tuple(map(int, column)) for column in columns)
-        return cls._from_int_columns(edge_count, defaults, columns)
+        if not _within(columns[0], 0, edge_count - 1):
+            raise ValidationError("defaults and overrides must cover the same edges")
+        spec = cls._from_int_columns(edge_count, defaults, columns)
+        # The checks saw the defaults as given, as the constructor's do.
+        object.__setattr__(spec, "defaults", tuple(map(int, defaults)))
+        return spec
 
     @classmethod
     def _from_int_columns(cls, edge_count: int, defaults: Sequence[int],
                           columns: tuple) -> "TraversalSpec":
-        """``from_entries`` past its int test: the equal-length ``(edges,
-        times, weights)`` columns hold exact ints already."""
-        if len(defaults) != edge_count or not _within(columns[0], 0, edge_count - 1):
+        """``from_entries`` past its int and edge tests: the equal-length
+        ``(edges, times, weights)`` columns hold exact ints, every edge in
+        ``0..edge_count - 1``.  The defaults are stored as given, a tuple of
+        exact ints from the loader."""
+        if len(defaults) != edge_count:
             raise ValidationError("defaults and overrides must cover the same edges")
         return object.__new__(cls)._build(defaults, None, columns)
 
     def _build(self, defaults, rows, columns=None) -> "TraversalSpec":
-        """Set the fields from ``rows`` or exact-int entry ``columns``, each
-        edge's time -> weight dict built once.  Past the bulk accept test only
-        non-empty dicts are sorted, else ``_override_row`` builds every row."""
+        """Set the table from ``rows`` or exact-int entry ``columns``: each
+        edge's time -> weight dict is built once, past the bulk accept test
+        or else by ``_override_row``.  The rows path also sorts the dicts
+        into ``overrides``; the columns path leaves that to the first read."""
         index = None
         if columns is not None:
             edges, times, weights = columns
@@ -294,15 +318,21 @@ class TraversalSpec:
                 if not (set(map(type, times)) | set(map(type, weights)) <= {int}
                         and len(times) == sum(map(len, rows))):  # no time twice
                     index = None
-        if (index is not None and _within(defaults, 0) and _within(times, 1)
+        if not (index is not None and _within(defaults, 0) and _within(times, 1)
                 and _within(weights, 0)):
-            norm = tuple([tuple(sorted(row.items())) if row else () for row in index])
-        else:
-            norm, index = tuple(zip(*map(_override_row, count(), defaults, rows))) or ((), ())
-        object.__setattr__(self, "overrides", norm)
+            index = tuple(map(_override_row, count(), defaults, rows))
+            times = tuple(chain.from_iterable(index))
         object.__setattr__(self, "_override_index", index)  # per edge, time -> weight
-        object.__setattr__(self, "defaults", tuple(map(int, defaults)))
+        object.__setattr__(self, "_latest_override", max(times, default=0))
+        if columns is None:
+            object.__setattr__(self, "overrides", self._sorted_rows())
+            defaults = tuple(map(int, defaults))  # the loader's are exact ints already
+        object.__setattr__(self, "defaults", defaults)
         return self
+
+    def _sorted_rows(self) -> tuple[tuple[tuple[Time, int], ...], ...]:
+        """The index as ``overrides`` rows: per edge, its pairs in time order."""
+        return tuple([tuple(sorted(row.items())) if row else () for row in self._override_index])
 
     @classmethod
     def uniform(cls, edge_count: int, weight: int) -> "TraversalSpec":
@@ -319,12 +349,19 @@ class TraversalSpec:
 
     @cached_property
     def _override_departures(self) -> tuple[tuple[tuple[Time, Time], ...], ...]:
-        """Per edge, ``(t, t + weight)`` at each override time."""
-        return tuple(tuple((t, t + w) for t, w in items) for items in self.overrides)
+        """Per edge, ``(t, t + weight)`` at each override time, in time order."""
+        return tuple(tuple([(t, t + w) for t, w in items]) for items in self._sorted_rows())
 
     def weight(self, e: Edge, t: Time) -> int:
         """Evaluated traversal weight ``tr(e, t)``."""
         return self._override_index[e].get(t, self.defaults[e])
+
+
+# A table built from entry columns derives its ``overrides`` rows on first
+# read and keeps them.  The descriptor is set once the dataclass has made the
+# field, as a class attribute in the body would be taken for its default.
+TraversalSpec.overrides = cached_property(TraversalSpec._sorted_rows)
+TraversalSpec.overrides.__set_name__(TraversalSpec, "overrides")
 
 
 def _check_times(label_sets: Sequence[Sequence[Time]], tau: int, what: str) -> None:
@@ -335,21 +372,28 @@ def _check_times(label_sets: Sequence[Sequence[Time]], tau: int, what: str) -> N
             raise ValidationError(f"{what} on edge {e}: time {t} outside 1..{tau}")
 
 
-def _label_rows(rows):
-    """Bulk accept test of ``_label_row`` over every row: the sorted rows
-    when every row is a sized collection of exact ints that passes; None
-    otherwise."""
+def _label_rows(rows, exact=False):
+    """Every row through ``_label_row``, after a bulk accept test: when every
+    row is a sized collection of exact ints (known with ``exact``) of at
+    least 1, tuple or list rows that already increase strictly are kept as
+    they are, and other rows are sorted and must hold no time twice."""
     try:
         counts = tuple(map(len, rows))
         flat = tuple(chain.from_iterable(rows))
     except TypeError:
-        return None
-    if not set(map(type, flat)) <= {int}:
-        return None
-    norm = tuple(map(tuple, map(sorted, rows)))
-    if tuple(map(len, map(set, norm))) == counts and _within(flat, 1):
-        return norm
-    return None
+        counts = None
+    if counts is not None and (exact or set(map(type, flat)) <= {int}) and _within(flat, 1):
+        if set(map(type, rows)) <= {tuple, list}:
+            # Every row increases strictly when each adjacent pair of
+            # ``flat`` that does not is a seam between two rows.
+            filled = tuple(filter(None, rows))
+            seams = map(ge, map(itemgetter(-1), filled), map(itemgetter(0), filled[1:]))
+            if sum(map(ge, flat, flat[1:])) == sum(seams):
+                return tuple(map(tuple, rows))
+        norm = tuple(map(tuple, map(sorted, rows)))
+        if tuple(map(len, map(set, norm))) == counts:
+            return norm
+    return tuple(map(_label_row, count(), rows))
 
 
 def _label_row(e, times):
@@ -373,11 +417,14 @@ class Labeling:
     times_by_edge: tuple[tuple[Time, ...], ...]
 
     def __post_init__(self):
-        rows = tuple(self.times_by_edge)
-        norm = _label_rows(rows)
-        if norm is None:
-            norm = tuple(map(_label_row, count(), rows))
-        object.__setattr__(self, "times_by_edge", norm)
+        object.__setattr__(self, "times_by_edge", _label_rows(tuple(self.times_by_edge)))
+
+    @classmethod
+    def _from_int_rows(cls, rows: Sequence[Sequence[Time]]) -> "Labeling":
+        """``Labeling(rows)`` for rows that hold exact ints, past the int test."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "times_by_edge", _label_rows(rows, exact=True))
+        return self
 
     @classmethod
     def empty(cls, edge_count: int) -> "Labeling":
@@ -444,6 +491,8 @@ Availability = Union[Labeling, FullAvailability]
 
 
 def _check_multiplicity(multiplicity: tuple[int, ...], tau: int) -> None:
+    if _within(multiplicity, 1, tau):
+        return
     for e, mu in enumerate(multiplicity):
         if not (1 <= mu <= tau):
             raise ValidationError(f"multiplicity of edge {e} outside 1..tau")
@@ -472,11 +521,10 @@ def _check_model(model: Instance | ReachFastInstance, rows: Sequence, what: str,
     check_rows(rows, tau)
     if len(model.traversal.defaults) != graph.edge_count:
         raise ValidationError("traversal must cover every edge")
-    # Override rows are sorted by time: a row's last pair has its latest.
-    for e, items in enumerate(model.traversal.overrides):
-        if items and items[-1][0] > tau:
-            t = next(t for t, _ in items if t > tau)
-            raise ValidationError(f"override time {t} on edge {e} beyond tau")
+    if model.traversal._latest_override > tau:
+        for e, row in enumerate(model.traversal._override_index):
+            if late := [t for t in row if t > tau]:
+                raise ValidationError(f"override time {min(late)} on edge {e} beyond tau")
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,13 @@ the validated model.  Reachability is a solver concern.
 Overrides are ``[edge, time, weight]`` entries, the last one for an (edge,
 time) winning: the loader checks their shape and edges, converts them to
 exact ints and hands their columns to ``TraversalSpec``'s entry builder,
-which then skips ``from_entries``' int test (code may pass per-edge rows).
+which then skips ``from_entries``' int and edge tests (code may pass
+per-edge rows).  The table keeps one per-edge time -> weight index; its
+sorted rows are derived when first read (serializing, DOT), so checking a
+schedule never sorts them.  Every value meets one int test or one int():
+labels are tested once and, when a canonical document holds each row in
+increasing order, kept as they are; multiplicities are converted by the
+``Instance`` constructor alone.
 
 Every fault of a document's text raises ``ParseError``: text that is not
 JSON or nests too deeply for the decoder (``RecursionError``), a missing or
@@ -276,11 +282,15 @@ def _override_columns(items: list, edge_count: int, what: str) -> tuple:
 
 
 def _labeling(rows: list, what: str) -> Labeling:
+    """The labeling of ``rows``, each label through int() unless all are
+    exact ints (the one int test of the labels)."""
     try:
         exact = set(map(type, chain.from_iterable(rows))) <= {int}
     except TypeError:  # some entry is not a list
         exact = False
-    return Labeling(rows if exact else tuple(_int_values(row, what) for row in rows))
+    if exact:
+        return Labeling._from_int_rows(rows)
+    return Labeling(tuple(_int_values(row, what) for row in rows))
 
 
 def parse_instance_document(text: str) -> InstanceDocument:
@@ -322,7 +332,10 @@ def parse_instance_document(text: str) -> InstanceDocument:
         mult = _need(payload, "multiplicity", list, what)
         if "labels" in payload:
             raise ParseError(f"{what}: tmb documents do not carry labels")
-        instance = Instance(graph, sources, traversal, _int_values(mult, what), tau)
+        try:  # the constructor's int() over the multiplicities is their one conversion
+            instance = Instance(graph, sources, traversal, mult, tau)
+        except _INT_ERRORS as err:
+            raise ParseError(f"{what}: {err}") from None
     else:
         labels_raw = _need(payload, "labels", list, what)
         if "multiplicity" in payload:

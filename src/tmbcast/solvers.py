@@ -36,6 +36,7 @@ from tmbcast.core import (
     Instance,
     Labeling,
     MultiplicityTooSmall,
+    NAMED_SPACE,
     NotATree,
     SearchSpaceTooLarge,
     StaticGraph,
@@ -362,12 +363,44 @@ def add_super_source(instance: Instance) -> Instance:
 
 
 def search_space_size(instance: Instance) -> int:
+    """The exact number of labelings ``brute_force`` enumerates; its digits
+    grow with tau and the multiplicities (see ``_space_size_within``)."""
     total = 1
     for e in range(instance.graph.edge_count):
         total *= math.comb(
             instance.tau, min(instance.multiplicity[e], instance.tau)
         )
     return total
+
+
+def _space_size_within(instance: Instance, bound: int) -> int | None:
+    """``search_space_size(instance)`` when it is at most ``bound``, else
+    None, building no integer past ``bound`` squared (or ``bound`` times
+    tau): one factor per distinct multiplicity, and a product that stops
+    once past ``bound``."""
+    tau = instance.tau
+    factors = {mu: _comb_within(tau, min(mu, tau), bound) for mu in set(instance.multiplicity)}
+    if None in factors.values():
+        return None
+    total = 1
+    for mu in instance.multiplicity:
+        total *= factors[mu]
+        if total > bound:
+            return None
+    return total
+
+
+def _comb_within(n: int, k: int, bound: int) -> int | None:
+    """``comb(n, k)`` when it is at most ``bound``, else None.  Step ``i``
+    holds ``comb(n - k + i, i)`` with ``k <= n - k``, so each step at least
+    doubles it: at most ``bound.bit_length()`` steps are taken."""
+    k = min(k, n - k)
+    c = 1
+    for i in range(1, k + 1):
+        c = c * (n - k + i) // i
+        if c > bound:
+            return None
+    return c
 
 
 def brute_force(
@@ -392,16 +425,19 @@ def brute_force(
     cross-product order and the best changes only on a strict improvement,
     so the result is the lexicographically first optimal labeling, the one
     the plain enumeration returns.  Raises SearchSpaceTooLarge before
-    searching anything when the cross product exceeds the limits.
+    searching anything when the edges, tau or the cross product, tested in
+    that order, exceed their limits; the cross product is counted only up to
+    ``NAMED_SPACE`` (or the labelings limit, if larger), so a huge one is
+    refused at once.
     """
     limits = limits or OracleLimits()
-    cardinality = search_space_size(instance)
+    cardinality = _space_size_within(instance, max(limits.max_labelings, NAMED_SPACE))
     for cap, size, limit in (
-        ("labelings", cardinality, limits.max_labelings),
         ("edges", instance.graph.edge_count, limits.max_edges),
         ("tau", instance.tau, limits.max_tau),
+        ("labelings", cardinality, limits.max_labelings),
     ):
-        if size > limit:
+        if size is None or size > limit:
             raise SearchSpaceTooLarge(cardinality, limit, cap, size)
 
     trav = instance.traversal

@@ -3,8 +3,11 @@ from __future__ import annotations
 import contextlib
 import gc
 import json
+import os
 import re
 import shutil
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -443,6 +446,30 @@ def test_oracle_space_guard_exit(capsys, network):
     )
     assert code == 6
     assert "SearchSpaceTooLarge" in err
+
+
+# A 4-vertex path whose tau and multiplicities make the cross product huge:
+# counting it exactly overflowed the message (10^9, 10^5) or never finished
+# (10^12, 10^7).  Each run gets its own process and a wall timeout.
+@pytest.mark.parametrize("command", [["oracle"], ["solve", "--oracle"]])
+@pytest.mark.parametrize("tau, mu", [(10**9, 10**5), (10**12, 10**7)])
+def test_oracle_refuses_a_huge_search_space_at_once(tmp_path, command, tau, mu):
+    inst = Instance(StaticGraph(4, ((0, 1), (1, 2), (2, 3))), frozenset({0}),
+                    TraversalSpec.uniform(3, 1), (mu,) * 3, tau)
+    f = tmp_path / "huge.json"
+    f.write_text(serialize_instance(inst))
+    src = str(Path(cli.__file__).parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys; from tmbcast.cli import main; sys.exit(main())",
+         *command, "--measure", "ft", "--in", str(f)],
+        capture_output=True, text=True, timeout=20,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.returncode == 6
+    assert done.stderr.splitlines() == [
+        "SearchSpaceTooLarge: brute-force search space has more than 1e+18 labelings"
+        f" and tau {tau} (tau limit 10)"
+    ]
 
 
 def test_oracle_infeasible_exit(capsys, tmp_path):

@@ -6,7 +6,14 @@ from pathlib import Path
 
 import pytest
 
-from tmbcast.core import Instance, Labeling, ParseError, ValidationError
+from tmbcast.core import (
+    Instance,
+    Labeling,
+    ParseError,
+    StaticGraph,
+    TraversalSpec,
+    ValidationError,
+)
 from tmbcast.fileformat import (
     InstanceDocument,
     export_dot,
@@ -20,6 +27,7 @@ from tmbcast.fileformat import (
 )
 from tmbcast.reductions import CnfFormula, tmb_to_reachfast
 
+import reference_loader as ref
 import worked_example as fig
 import oracles
 
@@ -237,3 +245,73 @@ def test_export_dot_rejects_a_labeling_of_other_edges():
     for lab, count in ((Labeling(rows[:-1]), 9), (Labeling(rows + ((1,),)), 11)):
         with pytest.raises(ValidationError, match=f"labeling covers {count} edges, instance has 10"):
             export_dot(doc, lab)
+
+
+PATH_EDGES = tuple((v, v + 1) for v in range(6))
+
+
+def _path_document(tau, overrides):
+    """A 7-vertex path's instance document (6 edges) with these override
+    entries."""
+    inst = Instance(StaticGraph(7, PATH_EDGES), frozenset({0}),
+                    TraversalSpec.uniform(6, 1), (1,) * 6, tau)
+    doc = json.loads(serialize_instance(inst))
+    doc["overrides"] = overrides
+    return json.dumps(doc)
+
+
+def _path_instance_of_rows(overrides, tau):
+    """The same instance, its overrides given as rows in entry order."""
+    rows = [[] for _ in PATH_EDGES]
+    for e, t, w in overrides:
+        rows[e].append((t, w))
+    return Instance(StaticGraph(7, PATH_EDGES), frozenset({0}),
+                    TraversalSpec((1,) * 6, rows), (1,) * 6, tau)
+
+
+@pytest.mark.parametrize("overrides, want", [
+    # Edge 5's entries come first, and edge 2 lists its later time first.
+    ([[5, 9, 1], [2, 8, 1], [5, 6, 2], [2, 7, 0], [2, 3, 1]], "override time 7 on edge 2"),
+    ([[3, 5, 1], [3, 6, 0]], "override time 6 on edge 3"),
+])
+def test_horizon_fault_names_the_first_edge_and_its_first_late_time(overrides, want):
+    text = _path_document(5, overrides)
+    for build in (
+        lambda: parse_instance_document(text),
+        lambda: ref.parse_instance_document(text),
+        lambda: _path_instance_of_rows(overrides, 5),
+    ):
+        with pytest.raises(ValidationError) as err:
+            build()
+        assert str(err.value) == f"{want} beyond tau"
+
+
+def test_overrides_at_the_horizon_load():
+    doc = parse_instance_document(_path_document(5, [[5, 5, 0], [2, 1, 3]]))
+    assert doc.traversal.overrides == ((), (), ((1, 3),), (), (), ((5, 0),))
+
+
+def test_sorted_label_rows_are_kept_as_given():
+    rows = ((1, 3, 9), (), (2,))
+    labels = Labeling(rows)
+    assert all(kept is given for kept, given in zip(labels.times_by_edge, rows))
+    assert parse_labeling(serialize_labeling(labels)).labels.times_by_edge == rows
+
+
+def test_unsorted_and_faulty_label_rows_load_as_before():
+    def loaded(rows):
+        return parse_labeling(json.dumps({
+            "format": "tmbcast/labeling", "version": 1, "labels": rows})).labels
+
+    assert loaded([[3, 1]]).times_by_edge == ((1, 3),)
+    assert loaded([[4], [7, 2, 5], []]).times_by_edge == ((4,), (2, 5, 7), ())
+    for rows, want in (
+        ([[2, 2]], "edge 0 labels not sorted/duplicate-free"),
+        ([[1], [1, 3, 3]], "edge 1 labels not sorted/duplicate-free"),
+        ([[0]], "edge 0 has a label < 1"),
+        ([[2], [0, 1]], "edge 1 has a label < 1"),
+    ):
+        for load in (loaded, Labeling):
+            with pytest.raises(ValidationError) as err:
+                load(rows)
+            assert str(err.value) == want

@@ -6,9 +6,17 @@ Fed the rows of the winning entries, the row constructor and the verbatim
 reference copy (``reference_loader.TraversalSpec``) must build the same
 fields, and the row constructor the same per-edge time -> weight dicts; on
 a fault all three raise the same exception class and message.
+
+A table built from entries holds only the per-edge dicts and derives its
+sorted rows on first read; it must behave as the row-built table under
+every reader, whichever is first.
 """
 
 from __future__ import annotations
+
+import copy
+import dataclasses
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -114,3 +122,61 @@ def test_entries_reject_defaults_for_other_edges():
     want = made(TraversalSpec, (1,) * 9, ((),) * 10)
     assert want[0] == "raises"
     assert made(TraversalSpec.from_entries, 10, (1,) * 9, (), (), ()) == want
+
+
+def _weights(spec, m):
+    return tuple(spec.weight(e, t) for e in range(m) for t in range(8))
+
+
+def _clone_reads(clone, spec, m):
+    """What a copy shows, its rows read first: they, its weights, and
+    whether it equals the original."""
+    return typed(clone.overrides), _weights(clone, m), clone == spec
+
+
+# Each reader maps a table and its edge count to a value both forms must
+# give alike.
+READERS = {
+    "overrides": lambda spec, m: typed(spec.overrides),
+    "weight": _weights,
+    "departures": lambda spec, m: typed(spec._override_departures),
+    "hash": lambda spec, m: hash(spec),
+    "repr": lambda spec, m: repr(spec),
+    "replace": lambda spec, m: typed(dataclasses.replace(spec, defaults=(0,) * m).overrides),
+    "pickle": lambda spec, m: _clone_reads(pickle.loads(pickle.dumps(spec)), spec, m),
+    "deepcopy": lambda spec, m: _clone_reads(copy.deepcopy(spec), spec, m),
+}
+
+
+@st.composite
+def valid_entries(draw):
+    """(defaults, entries): entries out of order, an (edge, time) repeated
+    with the last winning, edges left without any, zero weights."""
+    m = draw(st.integers(1, 5))
+    defaults = tuple(draw(st.lists(st.integers(0, 3), min_size=m, max_size=m)))
+    entries = draw(st.lists(
+        st.tuples(st.integers(0, m - 1), st.integers(1, 7), st.integers(0, 3)), max_size=12))
+    return defaults, entries
+
+
+@settings(max_examples=300, deadline=None)
+@given(valid_entries(), st.permutations(["==", *READERS]))
+def test_entry_tables_read_like_row_tables(table, order):
+    defaults, entries = table
+    m = len(defaults)
+    lazy = TraversalSpec.from_entries(m, defaults, *zip(*entries))
+    assert "overrides" not in vars(lazy)  # rows are derived on first read
+    winning = [{} for _ in range(m)]
+    for e, t, w in entries:
+        winning[e][t] = w
+    rows = TraversalSpec(defaults, [list(row.items()) for row in winning])
+    for name in order:
+        if name == "==":
+            assert lazy == rows and rows == lazy
+        else:
+            assert READERS[name](lazy, m) == READERS[name](rows, m), name
+    assert typed(lazy._override_index) == typed(rows._override_index)
+    assert lazy._override_departures == tuple(
+        tuple((t, t + w) for t, w in row) for row in rows.overrides)
+    assert lazy._latest_override == rows._latest_override == max(
+        (t for _, t, _ in entries), default=0)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 import random
 import sys
@@ -25,6 +26,7 @@ from tmbcast.solvers import (
     NoTractableRegime,
     OracleLimits,
     SolveStatus,
+    _space_size_within,
     add_super_source,
     approx_ft_mw,
     brute_force,
@@ -603,6 +605,30 @@ def test_brute_force_refusal_names_the_limit_exceeded(limits, named):
         brute_force(inst, EA, limits)
     assert str(err.value) == f"brute-force search space has {named}"
     assert err.value.cardinality == 900
+
+
+def test_bounded_space_size_is_exact_up_to_its_bound():
+    # Paths of 1-3 edges, every multiplicity mix up to tau, bounds around the
+    # exact count: the bounded count is exact at or below its bound, else None.
+    for tau in range(1, 9):
+        for m in (1, 2, 3):
+            graph = StaticGraph(m + 1, tuple((v, v + 1) for v in range(m)))
+            for mult in itertools.product(range(1, tau + 1), repeat=m):
+                inst = Instance(graph, frozenset({0}), TraversalSpec.uniform(m, 1), mult, tau)
+                exact = search_space_size(inst)
+                for bound in {1, exact - 1, exact, exact + 1, 10 * exact}:
+                    want = exact if exact <= bound else None
+                    assert _space_size_within(inst, bound) == want
+
+
+def test_brute_force_names_a_huge_space_in_bounded_form():
+    inst = Instance(StaticGraph(3, ((0, 1), (1, 2))), frozenset({0}),
+                    TraversalSpec.uniform(2, 1), (10**4, 10**4), 10**9)
+    with pytest.raises(SearchSpaceTooLarge) as err:
+        brute_force(inst, EA, OracleLimits(max_edges=2, max_tau=10**9))
+    assert str(err.value) == (
+        "brute-force search space has more than 1e+18 labelings (labelings limit 500000)")
+    assert err.value.cardinality is None
 
 
 def test_brute_force_stops_at_the_first_leaf_that_meets_the_full_graph_value(monkeypatch):
