@@ -979,6 +979,15 @@ def reaches_all(
     traversal: TraversalSpec,
     source: Vertex,
 ) -> bool:
-    """True iff ``source`` temporally reaches every vertex of the graph."""
+    """True iff ``source`` temporally reaches every vertex of the graph.
+
+    Raises ValidationError when the source is not a vertex, or when the
+    labeling or the traversal covers other edges than the graph's."""
+    if not 0 <= source < graph.vertex_count:
+        raise ValidationError(f"source {source} out of range")
+    if isinstance(availability, Labeling):
+        _check_cover(graph, availability)
+    if len(traversal.defaults) != graph.edge_count:
+        raise ValidationError("traversal must cover every edge")
     arrivals, _ = earliest_arrival(graph, CandidateTable(availability, traversal), source)
     return arrivals.count(None) == 1

@@ -23,8 +23,8 @@ and shared by every source and probe:
 * shortest travel / minimum hop: the front search ``_fronts`` keyed by the
   cost (travel or hops), whose first kept state at a vertex has the least
   cost and then the earliest arrival.  It reaches the vertices the kernel
-  reaches, so ``objective`` reads feasibility from its fronts and runs no
-  kernel;
+  reaches, so a schedule's pair values (``_table_pairs``) read feasibility
+  from its fronts and run no kernel;
 * minimum waiting: depth-first enumeration of simple paths with an explicit
   stack (waiting is the one statistic where revisiting a vertex could pay
   off, and the definitions range over simple paths only), pruned from the
@@ -536,7 +536,7 @@ def _chain_path(graph: StaticGraph, source: int, chain: tuple) -> TemporalPath:
 # Public distance operations
 
 
-def _search(graph, table, source, measure: Measure, target: int | None = None, forest=None):
+def _search(graph, table, source, measure: Measure, target: int | None = None):
     """(values, witnesses) of one source.
 
     ``values[v]`` is measure(source, v), None for the source and for
@@ -547,9 +547,7 @@ def _search(graph, table, source, measure: Measure, target: int | None = None, f
     searches stop once it is settled, latest departure is one backward run
     (``core.latest_departure``) and fastest a few forward runs
     (``_fastest_to``) in place of one per candidate first departure, and
-    their witness re-runs the answer's first departure.  ``forest``, the
-    kernel's start-1 run if the caller has it, is passed to ``_fastest``
-    and ``_min_wait_run``.
+    their witness re-runs the answer's first departure.
     """
     if measure is Measure.EARLIEST_ARRIVAL:
         arrivals, parents = earliest_arrival(graph, table, source, stop=target)
@@ -565,10 +563,10 @@ def _search(graph, table, source, measure: Measure, target: int | None = None, f
         value, chains = _latest_departures(graph, table, source)
         return value, lambda vs: {v: _chain_path(graph, source, chains[v]) for v in vs}
     if measure is Measure.FASTEST:
-        duration, start = _fastest(graph, table, source, forest)
+        duration, start = _fastest(graph, table, source)
         return duration, lambda vs: _probe_paths(graph, table, source, start, vs)
     if measure is Measure.MIN_WAIT:
-        best = _min_wait_run(graph, table, source, forest)
+        best = _min_wait_run(graph, table, source)
     else:
         until = None if target is None else {target}
         fronts = _cost_fronts(graph, table, source, measure, until)
@@ -627,25 +625,6 @@ def distance(
     return DistanceResult(values[v], witnesses([v])[v])
 
 
-def _pair_values(
-    instance: Instance, table: CandidateTable, measure: Measure, forests: dict | None = None
-) -> dict[tuple[int, int], int | None]:
-    """measure(s, v) for every source s and every other vertex v (None when
-    unreachable), one search per source, no witnesses (latest departure
-    keeps no chains); ``forests`` are ``_feasible_arrivals``' kernel runs,
-    if the caller has them."""
-    out: dict[tuple[int, int], int | None] = {}
-    for s in sorted(instance.sources):
-        if measure is Measure.LATEST_DEPARTURE:
-            values, _ = _latest_departures(instance.graph, table, s, chains=False)
-        else:
-            values, _ = _search(instance.graph, table, s, measure, forest=forests and forests[s])
-        for v, value in enumerate(values):
-            if v != s:
-                out[(s, v)] = value
-    return out
-
-
 def objective(
     instance: Instance, labeling: Labeling, measure: Measure
 ) -> int | None:
@@ -653,15 +632,12 @@ def objective(
 
     Max over pairs for the minimizing measures, min for latest departure;
     None when some source fails to reach some vertex, found at the first
-    source, in order, that misses one.  Shortest travel and minimum hop
-    read that from their own front searches, one per source (see
-    ``_table_pairs``), and run no kernel.  For the other measures one
-    earliest-arrival search per source decides it first, so an infeasible
-    schedule pays for no measure search; earliest arrival reads its values
-    from those searches, and fastest and minimum waiting take them as their
-    start-1 run.  Latest departure's min over pairs is the least floor L*
-    over the sources (``_ld_floor``), so it needs no value per vertex.  A
-    labeling ``is_feasible`` rejects raises the same error here.
+    source, in order, that misses one.  The pair values come from
+    ``_table_pairs``.  Latest departure's min over pairs is the least floor
+    L* over the sources (``_ld_floor``), so it needs no value per vertex:
+    one kernel run per source decides feasibility first and is the floor
+    search's first run.  A labeling ``is_feasible`` rejects raises the same
+    error here.
     """
     _check_labeling(instance, labeling)
     table = CandidateTable(labeling, instance.traversal)
@@ -676,35 +652,48 @@ def objective(
 
 def _table_pairs(
     instance: Instance, table: CandidateTable, measure: Measure
-) -> dict[tuple[int, int], int | None] | None:
-    """The pair values ``objective`` takes the worst of over a candidate
-    table that is already built, or None when the schedule is infeasible.
-
-    Shortest travel and minimum hop decide feasibility from their own
-    fronts, one search per source in order, stopping at the first source
-    whose fronts leave another vertex empty.  Those are the vertices the
-    kernel misses: both walk from time 1 and never re-enter the source, and
-    the departures ``CandidateTable.candidates`` drops arrive no earlier
-    than one it keeps.  The other measures take ``_feasible_arrivals``'
-    runs.
+) -> dict[tuple[int, int], int] | None:
+    """measure(s, v) for every source s and every other vertex v, in that
+    order, over a built candidate table, or None at the first source that
+    misses a vertex.  Each source's search decides that: earliest arrival's
+    kernel run, latest departure's sweep (whose last run, when a vertex is
+    still missed, is the one from the first candidate) and the
+    shortest-travel and minimum-hop fronts, which reach the kernel's
+    vertices: both walk from time 1 and never re-enter the source, and
+    ``candidates`` drops no departure that arrives before one it keeps.
+    Fastest and minimum waiting take ``_feasible_arrivals``' runs first, as
+    their start-1 runs, so an infeasible schedule pays for neither search.
     """
     graph = instance.graph
-    if measure in (Measure.SHORTEST_TRAVEL, Measure.MIN_HOP):
-        if _too_sparse(graph):
+    if _too_sparse(graph):
+        return None
+    forests = None
+    if measure in (Measure.FASTEST, Measure.MIN_WAIT):
+        forests = _feasible_arrivals(instance, table)
+        if forests is None:
             return None
-        pairs = {}
-        for s in sorted(instance.sources):
+    pairs = {}
+    for s in sorted(instance.sources):
+        if measure is Measure.EARLIEST_ARRIVAL:
+            values = earliest_arrival(graph, table, s)[0]
+        elif measure is Measure.LATEST_DEPARTURE:
+            values = _latest_departures(graph, table, s, chains=False)[0]
+        elif measure is Measure.FASTEST:
+            values = _fastest(graph, table, s, forests[s])[0]
+        elif measure is Measure.MIN_WAIT:
+            best = _min_wait_run(graph, table, s, forests[s])
+            pairs.update({(s, v): best[v][0] for v in range(graph.vertex_count) if v != s})
+            continue
+        else:
             fronts = _cost_fronts(graph, table, s, measure)
             if fronts.count([]) > 1:  # the source's own front is empty
                 return None
-            pairs.update(((s, v), front[0][0]) for v, front in enumerate(fronts) if v != s)
-        return pairs
-    forests = _feasible_arrivals(instance, table)
-    if forests is None:
-        return None
-    if measure is Measure.EARLIEST_ARRIVAL:
-        return {(s, v): a for s, (row, _) in forests.items() for v, a in enumerate(row) if v != s}
-    return _pair_values(instance, table, measure, forests)
+            pairs.update({(s, v): front[0][0] for v, front in enumerate(fronts) if v != s})
+            continue
+        if values.count(None) > 1:  # the source's own entry is None
+            return None
+        pairs.update({(s, v): value for v, value in enumerate(values) if v != s})
+    return pairs
 
 
 # ---------------------------------------------------------------------------

@@ -209,11 +209,10 @@ def serialize_instance(
         "sources": sorted(obj.sources),
         "tau": obj.tau,
         "default_weights": list(obj.traversal.defaults),
-        "overrides": sorted(
-            [e, t, w]
-            for e, items in enumerate(obj.traversal.overrides)
-            for t, w in items
-        ),
+        # Rows in edge order, each in time order: the entries come sorted.
+        "overrides": [
+            [e, t, w] for e, items in enumerate(obj.traversal.overrides) for t, w in items
+        ],
     }
     if obj.kind == "tmb":
         payload["multiplicity"] = list(obj.multiplicity)

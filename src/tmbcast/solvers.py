@@ -52,7 +52,6 @@ from tmbcast.distances import (
     Measure,
     _STATISTIC,
     _ld_floor,
-    _pair_values,
     _table_pairs,
     ft_mw_bounds,
 )
@@ -78,8 +77,8 @@ class SolveResult:
     vertices (``sssp`` or ``distance`` on the labeling gives a witness
     path).  A schedule written from trees takes the values from the tree
     paths when they are exact (one tree, or earliest arrival; see
-    ``_from_trees``); the others' values come from a search of the
-    schedule, or from the oracle's own.
+    ``_from_trees``); the others' values come from ``_table_pairs`` on the
+    schedule (for the oracle, from the search it made of its best labeling).
     """
 
     labeling: Labeling
@@ -139,7 +138,7 @@ def _full_graph_trees(instance: Instance, measure: Measure) -> list[Tsot]:
 
 def _tree_pairs(trees: list[Tsot], measure: Measure) -> dict[tuple[int, int], int]:
     """measure(root, v) for every tree's root and every other vertex, in
-    ``_pair_values``' order (roots ascending as given, then vertices), on a
+    ``_table_pairs``' order (roots ascending as given, then vertices), on a
     schedule where each tree path is the vertex's only temporal path or,
     for earliest arrival, the earliest one: the path's ``Tsot.path_stats``
     read as ``Measure.statistic`` reads ``core.path_stats``."""
@@ -157,10 +156,11 @@ def _finish(instance, labeling, measure, regime, status=SolveStatus.OPTIMAL,
     """The result for ``labeling``, a feasible schedule.  ``pairs`` are its
     pair values, ints, when the caller already has them: from the oracle's
     search, or from the trees the schedule was written from
-    (``_from_trees``).  Without them, one search per source on the schedule
-    finds them: the tree regime, and multi-source latest departure."""
+    (``_from_trees``).  Without them, ``_table_pairs`` searches the
+    schedule, one search per source: the tree regime, and multi-source
+    latest departure."""
     if pairs is None:
-        pairs = _pair_values(instance, CandidateTable(labeling, instance.traversal), measure)
+        pairs = _table_pairs(instance, CandidateTable(labeling, instance.traversal), measure)
     return SolveResult(
         labeling=labeling,
         objective=measure.worst(pairs.values()),
@@ -266,8 +266,10 @@ def tree_mu_diagnostic(instance: Instance) -> bool:
 def solve_tree(instance: Instance, measure: Measure) -> SolveResult:
     """Optimal multi-source schedule on trees with multiplicities >= 2.
 
-    Per-source optimal schedules are merged per edge: sources on each side
-    of the edge share one slot, and the slot keeps their latest label.
+    Per-source optimal schedules are merged per edge and direction: the
+    sources on each side of an edge share one slot, which keeps their
+    latest label.  A source's tree crosses the edge from the endpoint on
+    its side, the parent vertex of its tree entry for the edge.
     """
     _require_measure(measure, _EXACT_MEASURES, "solve_tree")
     graph = instance.graph
@@ -276,32 +278,11 @@ def solve_tree(instance: Instance, measure: Measure) -> SolveResult:
     for e, mu in enumerate(instance.multiplicity):
         if mu < 2:
             raise MultiplicityTooSmall(f"edge {e} has multiplicity {mu} < 2")
-    sources = sorted(instance.sources)
-    per_source_label = {
-        s: tree.tree_edges() for s, tree in zip(sources, _full_graph_trees(instance, measure))
-    }
-
-    # A source traverses edge {u, v} in direction u -> v exactly when it
-    # lies on the u side of the split T - e.  Comparing the source's
-    # distances to u and to v classifies the same way, except that
-    # zero-weight edges can tie the two distances and mis-bucket the
-    # source, so the split itself is used: the subtree below the edge,
-    # rooted at vertex 0, and the rest.
-    lower, number, size = _rooted(graph)
-    table: list[tuple[int, ...]] = []
-    for e in range(graph.edge_count):
-        c = lower[e]
-        first, end = number[c], number[c] + size[c]
-        below = 0
-        above = 0
-        for s in sources:
-            label = per_source_label[s][e]
-            if first <= number[s] < end:
-                below = max(below, label)
-            else:
-                above = max(above, label)
-        table.append(tuple(sorted({t for t in (below, above) if t > 0})))
-    labeling = Labeling(tuple(table))
+    slots: list[dict[int, int]] = [{} for _ in range(graph.edge_count)]
+    for tree in _full_graph_trees(instance, measure):
+        for e, t, u in filter(None, tree.parent):  # the root's entry is None
+            slots[e][u] = max(t, slots[e].get(u, 0))
+    labeling = Labeling(tuple(tuple(sorted(set(slot.values()))) for slot in slots))
     return _finish(instance, labeling, measure, regime="tree")
 
 

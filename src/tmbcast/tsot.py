@@ -111,7 +111,8 @@ class Tsot:
         linear in the vertex count.
         """
         root, parent = self.root, self.parent
-        if len(parent) != graph.vertex_count or parent[root] is not None:
+        if (len(parent) != graph.vertex_count or not 0 <= root < len(parent)
+                or parent[root] is not None):
             return False
         try:
             self.tree_edges()

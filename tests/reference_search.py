@@ -33,10 +33,11 @@ differential tests can compare old and new.
   fastest search ``distances._fastest_to`` and the backward search
   ``core.latest_departure``;
 * ``solve_tree``, which flooded the tree once per edge to find the sources
-  on each side of it, by the ``solvers.solve_tree`` that roots the tree once;
+  on each side of it, by the ``solvers.solve_tree`` that reads each
+  source's side from the parent endpoints of its tree;
 * ``tree_mu_diagnostic``, which rooted the tree with its own search, parent
   map and per-vertex source counts, by the ``solvers.tree_mu_diagnostic``
-  that counts sources in preorder ranges of the rooting ``solve_tree`` uses;
+  that counts sources in preorder ranges of one rooting (``solvers._rooted``);
 * ``_reaches_all``, which the brute-force copy decides feasibility with, by
   ``core.reaches_all``, into which it was folded;
 * ``_latest_departure_to`` with ``_free_run``, which bisected over start
@@ -44,7 +45,10 @@ differential tests can compare old and new.
   backward search ``core.latest_departure`` and ``distances._ld_floor``;
 * ``_worst``, the worst pair value or None when some pair is unreached,
   which the brute-force copy reads infeasibility from, by
-  ``Measure.worst`` over the pair values of a feasible schedule.
+  ``Measure.worst`` over the pair values of a feasible schedule;
+* ``_pair_values``, one search per source of a schedule, built here from
+  the copies above, by ``distances._table_pairs``, whose searches also
+  decide feasibility.
 
 The recursive searches' depth grows with the path length and the depth-first
 ones take exponential time, so only small instances may be given to them.
@@ -81,7 +85,6 @@ from tmbcast.core import (
 from tmbcast.distances import (
     Measure,
     _first_departure_times,
-    _pair_values,
     _parent_chain,
     _parent_paths,
 )
@@ -634,6 +637,34 @@ def nonseparating_paths(graph: StaticGraph, s1: int, s2: int):
     yield from extend([s1], [])
 
 
+def _pair_values(
+    instance: Instance, labeling: Labeling, measure: Measure
+) -> dict[tuple[int, int], int | None]:
+    """measure(s, v) for every source s and every other vertex v (None when
+    unreachable), sources ascending, then vertices, from this file's own
+    searches: its kernel, latest-departure probes, fastest probes,
+    recursive minimum-waiting search and Pareto search."""
+    graph = instance.graph
+    table = CandidateTable(labeling, instance.traversal)
+    out: dict[tuple[int, int], int | None] = {}
+    for s in sorted(instance.sources):
+        others = [v for v in range(graph.vertex_count) if v != s]
+        if measure is Measure.EARLIEST_ARRIVAL:
+            values = earliest_arrival(graph, table, s)[0]
+        elif measure is Measure.LATEST_DEPARTURE:
+            values = _latest_departures(graph, table, s, others)
+        elif measure is Measure.FASTEST:
+            values = _fastest(graph, table, s)[0]
+        else:
+            if measure is Measure.MIN_WAIT:
+                best = _min_wait_run(graph, labeling, instance.traversal, s)
+            else:
+                best = st_mh_search(graph, table, s, measure)
+            values = [best[v][0] if v in best else None for v in range(graph.vertex_count)]
+        out.update(((s, v), values[v]) for v in others)
+    return out
+
+
 def _worst(measure: Measure, values: Iterable[int | None]) -> int | None:
     """The measure's worst case over pair values; None if any is None."""
     values = list(values)
@@ -675,16 +706,19 @@ def brute_force(
 
     best_value: int | None = None
     best_table: tuple | None = None
+    best_pairs: dict | None = None
     for table in itertools.product(*per_edge):
         candidates = CandidateTable(table, trav)
         if not all(_reaches_all(graph, candidates, s) for s in sources):
             continue
-        value = _worst(measure, _pair_values(instance, candidates, measure).values())
+        pairs = _pair_values(instance, Labeling(table), measure)
+        value = _worst(measure, pairs.values())
         if value is None:
             continue
         if best_value is None or measure.better(value, best_value):
             best_value = value
             best_table = table
+            best_pairs = pairs
 
     if best_value is None:
         return SolveResult(
@@ -694,7 +728,7 @@ def brute_force(
             status=SolveStatus.INFEASIBLE,
             regime="oracle",
         )
-    return _finish(instance, Labeling(best_table), measure, regime="oracle")
+    return _finish(instance, Labeling(best_table), measure, regime="oracle", pairs=best_pairs)
 
 
 def _latest_departures_with_chains(
@@ -803,7 +837,8 @@ def solve_tree(instance: Instance, measure: Measure) -> SolveResult:
                 t2 = max(t2, label)
         table.append(tuple(sorted({t for t in (t1, t2) if t > 0})))
     labeling = Labeling(tuple(table))
-    return _finish(instance, labeling, measure, regime="tree")
+    return _finish(instance, labeling, measure, regime="tree",
+                   pairs=_pair_values(instance, labeling, measure))
 
 
 def tree_mu_diagnostic(instance: Instance) -> bool:

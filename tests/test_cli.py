@@ -62,6 +62,18 @@ def test_verify_worked_example(capsys, network):
         assert payload["objective"] == want
 
 
+@pytest.mark.parametrize("measure, want", [("ea", 4), ("ld", 3)])
+def test_solve_on_a_tree_matches_the_oracle(capsys, measure, want):
+    # Three sources with multiplicity 2 on a 6-vertex tree: only the tree
+    # regime applies, and the oracle's search space has 7,776 labelings.
+    tree = str(FIXTURES / "tree-network.json")
+    code, solved, _ = run(capsys, "solve", "--in", tree, "--measure", measure)
+    assert (code, solved["regime"], solved["status"]) == (0, "tree", "optimal")
+    code, oracle, _ = run(capsys, "oracle", "--in", tree, "--measure", measure)
+    assert (code, oracle["status"]) == (0, "optimal")
+    assert solved["objective"] == oracle["objective"] == want
+
+
 def test_verify_infeasible_exit_code(capsys, network, tmp_path):
     bad = tmp_path / "bad.json"
     from tmbcast.core import Labeling

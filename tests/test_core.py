@@ -313,6 +313,20 @@ def test_full_matches_materialized_reachability():
             ) == reaches_all(inst.graph, materialized, inst.traversal, s)
 
 
+def test_reaches_all_rejects_a_source_or_cover_that_does_not_fit_the_graph():
+    graph = StaticGraph(3, ((0, 1), (1, 2)))
+    trav = TraversalSpec.uniform(2, 1)
+    labeling = Labeling(((1,), (2,)))
+    assert reaches_all(graph, labeling, trav, 0)
+    for source in (7, -1):
+        with pytest.raises(ValidationError, match=f"source {source} out of range"):
+            reaches_all(graph, labeling, trav, source)
+    with pytest.raises(ValidationError, match="labeling covers 1 edges, instance has 2"):
+        reaches_all(graph, Labeling(((1,),)), trav, 0)
+    with pytest.raises(ValidationError, match="traversal must cover every edge"):
+        reaches_all(graph, FullAvailability(3), TraversalSpec.uniform(1, 1), 0)
+
+
 # ---------------------------------------------------------------------------
 # is_feasible
 

@@ -26,6 +26,7 @@ from tmbcast.distances import (
     Measure,
     _first_departure_times,
     _min_wait_run,
+    _table_pairs,
     distance,
     ft_mw_bounds,
     objective,
@@ -421,6 +422,35 @@ def test_ft_objective_takes_each_sources_first_start_from_its_feasibility_run(ob
         ["feasible"] * 4 + ["earliest_arrival"] * (sum(starts) - 4))
     assert got == max(r.value for s in sorted(inst.sources)
                       for r in sssp(s, lab, inst, Measure.FASTEST) if r.value is not None)
+
+
+def test_ld_pair_values_run_each_sources_sweep_and_no_feasibility_run(objective_runs):
+    inst, lab = tree_schedule(10, (0, 9, 90, 99))
+    table = CandidateTable(lab, inst.traversal)
+    objective_runs.clear()
+    pairs = _table_pairs(inst, table, Measure.LATEST_DEPARTURE)
+    runs = [name for name, _ in objective_runs]
+    # Per source, one run from each candidate first departure, latest
+    # first, down to the source's least value; nothing runs before them.
+    sweeps = 0
+    for s in sorted(inst.sources):
+        floor = min(pairs[s, v] for v in range(inst.graph.vertex_count) if v != s)
+        sweeps += sum(t >= floor for t in _first_departure_times(inst.graph, table, s))
+    assert runs == ["earliest_arrival"] * sweeps
+    assert list(pairs.values()) == [
+        r.value for s in sorted(inst.sources)
+        for v, r in enumerate(sssp(s, lab, inst, Measure.LATEST_DEPARTURE)) if v != s]
+
+
+def test_ld_pair_values_stop_at_the_second_source_when_it_misses_a_vertex(objective_runs):
+    # On the path 0-1-2-3, source 0's one candidate reaches every vertex;
+    # source 2's candidates, 5 then 3, both miss vertex 0, so source 3
+    # (one more candidate) is never searched.
+    graph = StaticGraph(4, ((0, 1), (1, 2), (2, 3)))
+    inst = Instance(graph, frozenset({0, 2, 3}), TraversalSpec.uniform(3, 1), (1, 1, 1), 6)
+    table = CandidateTable(Labeling(((1,), (3,), (5,))), inst.traversal)
+    assert _table_pairs(inst, table, Measure.LATEST_DEPARTURE) is None
+    assert [name for name, _ in objective_runs] == ["earliest_arrival"] * 3
 
 
 @pytest.fixture

@@ -69,7 +69,7 @@ def test_reference_search_keeps_its_own_reachability_and_latest_departure(name):
 # import would tie the reference to code that may change under it; the
 # list may only shrink.
 PRIVATE_IMPORTS_ALLOWED = {
-    "_NEVER", "_time", "_first_departure_times", "_pair_values", "_parent_chain",
+    "_NEVER", "_time", "_first_departure_times", "_parent_chain",
     "_parent_paths", "_EXACT_MEASURES", "_finish", "_full_graph_trees",
     "_require_measure", "_resolve",
 }

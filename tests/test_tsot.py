@@ -253,6 +253,7 @@ def test_is_valid_rejects_misplaced_parent_entries():
     assert not Tsot(0, (None, (0, 1, 0)), trav).is_valid(graph)  # one vertex short
     assert not Tsot(1, (None, (0, 1, 0), (1, 2, 1)), trav).is_valid(graph)  # root has a parent
     assert not Tsot(0, (None, None, (1, 2, 1)), trav).is_valid(graph)  # vertex 1 has none
+    assert not Tsot(5, (None, (0, 1, 0), (1, 2, 1)), trav).is_valid(graph)  # root not a vertex
 
 
 def test_is_valid_rejects_a_reused_edge():
