@@ -18,10 +18,10 @@ from __future__ import annotations
 import heapq
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import chain, count
 from operator import ge, itemgetter
-from typing import Callable, Iterable, Mapping, Sequence, Union
+from typing import Callable, Container, Iterable, Mapping, Sequence, Union
 
 
 class TmbError(Exception):
@@ -203,21 +203,26 @@ class StaticGraph:
                     return e
         raise ValidationError(f"no edge {key}")
 
-    def is_connected(self) -> bool:
-        if self.vertex_count == 1:
-            return True
-        seen = {0}
-        stack = [0]
-        while stack:
-            v = stack.pop()
-            for _, w in self.adjacency[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == self.vertex_count
-
     def is_tree(self) -> bool:
-        return self.edge_count == self.vertex_count - 1 and self.is_connected()
+        """True iff the graph is connected and has one edge fewer than
+        vertices."""
+        return self.edge_count == self.vertex_count - 1 and connected_after_removal(self, ())
+
+
+def connected_after_removal(graph: StaticGraph, removed_edges: Container[Edge]) -> bool:
+    """Is the graph on all vertices connected once the edges in
+    ``removed_edges`` (any container of edge ids) are dropped?  A depth-first
+    search from vertex 0 that never crosses a removed edge."""
+    seen = [False] * graph.vertex_count
+    seen[0] = True
+    stack = [0]
+    adjacency = graph.adjacency
+    while stack:
+        for e, w in adjacency[stack.pop()]:
+            if not seen[w] and e not in removed_edges:
+                seen[w] = True
+                stack.append(w)
+    return all(seen)
 
 
 def _override_row(e, default, items):
@@ -364,12 +369,12 @@ TraversalSpec.overrides = cached_property(TraversalSpec._sorted_rows)
 TraversalSpec.overrides.__set_name__(TraversalSpec, "overrides")
 
 
-def _check_times(label_sets: Sequence[Sequence[Time]], tau: int, what: str) -> None:
+def _check_times(label_sets: Sequence[Sequence[Time]], tau: int) -> None:
     # The label sets of a ``Labeling`` are sorted and hold no time below 1.
     for e, times in enumerate(label_sets):
         if times and times[-1] > tau:
             t = next(t for t in times if t > tau)
-            raise ValidationError(f"{what} on edge {e}: time {t} outside 1..{tau}")
+            raise ValidationError(f"label on edge {e}: time {t} outside 1..{tau}")
 
 
 def _label_rows(rows, exact=False):
@@ -447,6 +452,8 @@ class Labeling:
         return self.times_by_edge[e]
 
     def available(self, e: Edge, t: Time) -> bool:
+        if not 0 <= e < len(self.times_by_edge):  # a negative id would wrap
+            raise ValidationError(f"no edge {e}")
         times = self.times_by_edge[e]
         i = bisect_left(times, t)
         return i < len(times) and times[i] == t
@@ -562,9 +569,7 @@ class ReachFastInstance:
 
     def __post_init__(self):
         object.__setattr__(self, "sources", frozenset(self.sources))
-        _check_model(
-            self, self.labels.times_by_edge, "labels", partial(_check_times, what="label")
-        )
+        _check_model(self, self.labels.times_by_edge, "labels", _check_times)
 
 
 @dataclass(frozen=True)
@@ -612,8 +617,9 @@ class PathStats:
 def path_stats(path: TemporalPath, traversal: TraversalSpec) -> PathStats:
     """Departure/arrival/duration/travel/waiting/hops of a temporal path.
 
-    Raises InvalidPath if the steps are not time-respecting, i.e. some step
-    departs before the previous one arrives.
+    Raises ValidationError for a step on an edge the traversal does not
+    cover, and InvalidPath if the steps are not time-respecting, i.e. some
+    step departs before the previous one arrives.
     """
     departure = path.steps[0][1]
     arrival = departure
@@ -621,6 +627,8 @@ def path_stats(path: TemporalPath, traversal: TraversalSpec) -> PathStats:
     waiting = 0
     first = True
     for e, t in path.steps:
+        if not 0 <= e < len(traversal.defaults):  # a negative id would wrap
+            raise ValidationError(f"no edge {e}")
         if not first:
             if t < arrival:
                 raise InvalidPath(
@@ -937,7 +945,7 @@ def _check_labeling(instance: Instance, labeling: Labeling, quota: bool = True) 
         for e, (times, mu) in enumerate(zip(labeling.times_by_edge, instance.multiplicity)):
             if len(times) > mu:
                 raise MultiplicityViolation(f"edge {e} has {len(times)} labels, multiplicity {mu}")
-    _check_times(labeling.times_by_edge, instance.tau, "label")
+    _check_times(labeling.times_by_edge, instance.tau)
 
 
 def is_feasible(instance: Instance, labeling: Labeling) -> bool:

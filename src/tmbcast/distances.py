@@ -773,10 +773,13 @@ def _max_stats(graph: StaticGraph, table: CandidateTable, source: int):
 def ft_mw_bounds(source: int, instance: Instance) -> Bounds:
     """Duration and waiting extremes from ``source`` in the full temporal graph.
 
-    Raises Unreachable when some vertex admits no temporal path from the
-    source even with every edge available at every time.
+    Raises ValidationError when the source is not a vertex, and Unreachable
+    when some vertex admits no temporal path from the source even with every
+    edge available at every time.
     """
     graph = instance.graph
+    if not (0 <= source < graph.vertex_count):
+        raise ValidationError(f"source {source} out of range")
     if _too_sparse(graph):
         raise Unreachable(f"source {source} cannot reach every vertex of "
                           f"{graph.vertex_count}: too few edges ({graph.edge_count})")

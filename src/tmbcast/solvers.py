@@ -213,54 +213,29 @@ def solve_multi_full_mu(instance: Instance, measure: Measure) -> SolveResult:
                        "multi-source-full-mu")
 
 
-def _rooted(graph: StaticGraph) -> tuple[list[int], list[int], list[int]]:
-    """The tree rooted at vertex 0: each edge's lower endpoint (the one
-    farther from vertex 0), each vertex's preorder number and its subtree
-    size.  Preorder numbers each subtree's vertices contiguously, so ``x``
-    lies in the subtree of ``c`` exactly when its number falls in
-    ``number[c] .. number[c] + size[c] - 1``."""
-    n = graph.vertex_count
-    lower = [0] * graph.edge_count
-    up = [0] * n  # each vertex's parent; the only neighbour met before it
-    order: list[int] = []
-    number = [0] * n
-    stack = [0]
-    while stack:
-        x = stack.pop()
-        number[x] = len(order)
-        order.append(x)
-        for e, y in graph.incident(x):
-            if y != up[x]:
-                up[y] = x
-                lower[e] = y
-                stack.append(y)
-    size = [1] * n
-    for x in reversed(order[1:]):
-        size[up[x]] += size[x]
-    return lower, number, size
-
-
 def tree_mu_diagnostic(instance: Instance) -> bool:
     """Weaker tree condition: multiplicity >= 2 on every source-to-source path.
 
-    Advisory only; the tree solver itself insists on >= 2 everywhere.
+    The edges on some source-to-source path are those left once every leaf
+    that is not a source is removed, again until no such leaf is left; with
+    one source, none is left.  Advisory only; the tree solver itself insists
+    on >= 2 everywhere.
     """
     graph = instance.graph
     if not graph.is_tree():
         raise NotATree("diagnostic applies to trees only")
-    # An edge lies on a source-to-source path iff both sides of the split
-    # contain a source: some, but not all, lie in the subtree below it.
-    lower, number, size = _rooted(graph)
-    is_source = [0] * graph.vertex_count
-    for s in instance.sources:
-        is_source[number[s]] = 1
-    sources_before = list(itertools.accumulate(is_source, initial=0))  # by preorder number
-    total = len(instance.sources)
-    for e, c in enumerate(lower):
-        below = sources_before[number[c] + size[c]] - sources_before[number[c]]
-        if 0 < below < total and instance.multiplicity[e] < 2:
-            return False
-    return True
+    sources = instance.sources
+    degree = list(map(len, graph.adjacency))
+    kept = [True] * graph.edge_count
+    leaves = [v for v, d in enumerate(degree) if d == 1 and v not in sources]
+    while leaves:
+        for e, w in graph.adjacency[leaves.pop()]:
+            if kept[e]:  # the leaf's one edge left
+                kept[e] = False
+                degree[w] -= 1
+                if degree[w] == 1 and w not in sources:
+                    leaves.append(w)
+    return all(mu >= 2 for mu, keep in zip(instance.multiplicity, kept) if keep)
 
 
 def solve_tree(instance: Instance, measure: Measure) -> SolveResult:

@@ -159,9 +159,12 @@ def build_ea_tsot(
     Defaults to the full temporal graph for plain instances and to the given
     labels for the shifting formulation.  ``forest`` is the kernel's
     ``(arrivals, parents)`` from ``start``, if the caller has it.  Raises
-    Unreachable when the root cannot reach some vertex.
+    ValidationError when the root is not a vertex, and Unreachable when it
+    cannot reach some vertex.
     """
     graph, trav, avail = _resolve(instance, availability)
+    if not 0 <= root < graph.vertex_count:  # a negative id would wrap
+        raise ValidationError(f"no vertex {root}")
     arrivals, parents = forest or earliest_arrival(
         graph, CandidateTable(avail, trav), root, start=start)
     parent: list[tuple[int, int, int] | None] = [None] * graph.vertex_count

@@ -37,7 +37,10 @@ differential tests can compare old and new.
   source's side from the parent endpoints of its tree;
 * ``tree_mu_diagnostic``, which rooted the tree with its own search, parent
   map and per-vertex source counts, by the ``solvers.tree_mu_diagnostic``
-  that counts sources in preorder ranges of one rooting (``solvers._rooted``);
+  that strips every leaf that is not a source until none is left;
+* ``connected_after_removal``, a union-find over the edges not removed, by
+  the depth-first search ``core.connected_after_removal``, which also
+  decides ``StaticGraph.is_tree``.  ``nonseparating_paths`` calls this copy;
 * ``_reaches_all``, which the brute-force copy decides feasibility with, by
   ``core.reaches_all``, into which it was folded;
 * ``_latest_departure_to`` with ``_free_run``, which bisected over start
@@ -50,6 +53,11 @@ differential tests can compare old and new.
   the copies above, by ``distances._table_pairs``, whose searches also
   decide feasibility.
 
+It also keeps verbatim copies of the library helpers that the copies above
+call: ``distances._first_departure_times``, ``_parent_chain``,
+``_parent_paths`` with ``_chain_path``, and ``tsot._resolve``.  A change to
+those helpers does not reach the reference.
+
 The recursive searches' depth grows with the path length and the depth-first
 ones take exponential time, so only small instances may be given to them.
 """
@@ -60,7 +68,7 @@ import heapq
 import itertools
 from bisect import bisect_left
 from collections import deque
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 from tmbcast.core import (
     Availability,
@@ -82,12 +90,7 @@ from tmbcast.core import (
     _NEVER,
     _time,
 )
-from tmbcast.distances import (
-    Measure,
-    _first_departure_times,
-    _parent_chain,
-    _parent_paths,
-)
+from tmbcast.distances import Measure
 from tmbcast.solvers import (
     _EXACT_MEASURES,
     OracleLimits,
@@ -98,8 +101,61 @@ from tmbcast.solvers import (
     _require_measure,
     search_space_size,
 )
-from tmbcast.reductions import connected_after_removal
-from tmbcast.tsot import Tsot, _resolve
+from tmbcast.tsot import Tsot
+
+
+def _first_departure_times(
+    graph: StaticGraph, table: CandidateTable, source: int
+) -> Sequence[int]:
+    """Distinct times at which some edge incident to ``source`` is available,
+    ascending."""
+    if table.tau is not None:
+        return range(1, table.tau + 1) if graph.incident(source) else []
+    out: set[int] = set()
+    for e, _ in graph.incident(source):
+        out.update(t for t, _ in table.departures[e])
+    return sorted(out)
+
+
+def _parent_chain(parents: list, links: dict, v: int) -> tuple:
+    """Linked step list of ``v``'s path in a parent forest, memoized in
+    ``links`` (vertex -> chain), which starts out holding the root."""
+    climbed = []
+    while v not in links:
+        climbed.append(v)
+        v = parents[v][0]
+    chain = links[v]
+    for w in reversed(climbed):
+        _, e, t = parents[w]
+        chain = links[w] = (e, t, chain)
+    return chain
+
+
+def _parent_paths(graph, parents, source, vertices) -> dict[int, TemporalPath]:
+    """Paths of ``vertices`` in one kernel run's parent forest."""
+    links = {source: None}
+    return {v: _chain_path(graph, source, _parent_chain(parents, links, v)) for v in vertices}
+
+
+def _chain_path(graph: StaticGraph, source: int, chain: tuple) -> TemporalPath:
+    """The path of a linked step list ``(edge, time, previous)``."""
+    steps = []
+    while chain is not None:
+        e, t, chain = chain
+        steps.append((e, t))
+    return TemporalPath.from_steps(graph, source, steps[::-1])
+
+
+def _resolve(source_of_labels: Union[Instance, ReachFastInstance], availability):
+    if availability is not None:
+        return source_of_labels.graph, source_of_labels.traversal, availability
+    if isinstance(source_of_labels, ReachFastInstance):
+        return source_of_labels.graph, source_of_labels.traversal, source_of_labels.labels
+    return (
+        source_of_labels.graph,
+        source_of_labels.traversal,
+        source_of_labels.full_availability(),
+    )
 
 
 def _min_candidates(
@@ -606,6 +662,28 @@ def build_ld_tsot(
         tuple(parent.get(v) for v in range(graph.vertex_count)),
         trav,
     )
+
+
+def connected_after_removal(graph: StaticGraph, removed_edges: set[int]) -> bool:
+    """Is the graph on all vertices connected once these edges are dropped?"""
+    n = graph.vertex_count
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    comps = n
+    for e, (u, v) in enumerate(graph.edges):
+        if e in removed_edges:
+            continue
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            parent[ru] = rv
+            comps -= 1
+    return comps == 1
 
 
 def nonseparating_paths(graph: StaticGraph, s1: int, s2: int):

@@ -68,6 +68,9 @@ def test_tree_detection():
     assert StaticGraph(3, ((0, 1), (1, 2))).is_tree()
     assert not StaticGraph(3, ((0, 1),)).is_tree()
     assert not StaticGraph(3, ((0, 1), (1, 2), (0, 2))).is_tree()
+    # n - 1 edges, but a triangle and an isolated vertex.
+    assert not StaticGraph(4, ((0, 1), (1, 2), (0, 2))).is_tree()
+    assert StaticGraph(1, ()).is_tree()
 
 
 def test_labeling_rejects_nonpositive_times():
@@ -200,6 +203,18 @@ def test_path_stats_rejects_time_violation():
     path = TemporalPath.from_steps(graph, 0, [(0, 3), (1, 4)])
     with pytest.raises(InvalidPath):
         path_stats(path, trav)
+
+
+def test_path_stats_and_available_reject_an_edge_outside_the_graph():
+    # Python reads a negative id from the end of the edge list.
+    trav = TraversalSpec.uniform(2, 1)
+    lab = Labeling(((1,), (2,)))
+    for e in (-1, 7):
+        path = TemporalPath((0, 1), ((e, 2),))
+        with pytest.raises(ValidationError, match=f"no edge {e}"):
+            path_stats(path, trav)
+        with pytest.raises(ValidationError, match=f"no edge {e}"):
+            lab.available(e, 2)
 
 
 @settings(max_examples=200, deadline=None)

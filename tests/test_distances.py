@@ -74,6 +74,10 @@ def test_vertices_outside_the_graph_are_rejected():
         sssp(-1, full, inst, Measure.EARLIEST_ARRIVAL)
     with pytest.raises(ValidationError, match="vertex out of range"):
         distance(0, 7, full, inst, Measure.EARLIEST_ARRIVAL)
+    # Python reads a negative id from the end of the vertex list.
+    for source in (-1, 7):
+        with pytest.raises(ValidationError, match=f"source {source} out of range"):
+            ft_mw_bounds(source, inst)
 
 
 def test_worked_example_ea_to_last_vertex():

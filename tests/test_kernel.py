@@ -2,7 +2,7 @@
 search, the shortest-travel and minimum-hop front search, the one-target
 fastest and latest-departure searches, the backward latest-departure
 search, the certificate maxima, the latest-departure floor and trees, the
-nonseparating-path search, the tree solver and the branch-and-bound oracle
+connectivity test, the nonseparating-path search, the tree solver and the branch-and-bound oracle
 against the code they replaced (``reference_search``), and of reachability
 against exhaustive enumeration."""
 
@@ -24,6 +24,7 @@ from tmbcast.core import (
     TmbError,
     TraversalSpec,
     Unreachable,
+    connected_after_removal,
     earliest_arrival,
     latest_departure,
     path_stats,
@@ -542,6 +543,17 @@ def test_ld_floor_and_tree_match_the_reference_sweep(case):
 
 @settings(max_examples=300, deadline=None)
 @given(st.data())
+def test_connected_after_removal_matches_reference(data):
+    graph, _, _ = data.draw(networks(max_vertices=7, max_edges=12))
+    drop = data.draw(st.lists(st.booleans(), min_size=graph.edge_count,
+                              max_size=graph.edge_count))
+    removed = {e for e, dropped in enumerate(drop) if dropped}
+    assert connected_after_removal(graph, removed) == reference.connected_after_removal(
+        graph, removed)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
 def test_nonseparating_path_matches_reference(data):
     graph, _, _ = data.draw(networks(max_vertices=7, max_edges=12))
     s1, s2 = data.draw(st.tuples(*[st.integers(0, graph.vertex_count - 1)] * 2))
@@ -589,6 +601,15 @@ def test_solve_tree_matches_reference(instance, measure):
     assert got == want
 
 
+# One source: no edge lies between two sources.
+@example(Instance(StaticGraph(4, ((0, 1), (1, 2), (2, 3))), frozenset({1}),
+                  TraversalSpec.uniform(3, 1), (1, 1, 1), 3))
+# Every vertex a source: every edge counts, the middle one has mu 1.
+@example(Instance(StaticGraph(4, ((0, 1), (1, 2), (2, 3))), frozenset({0, 1, 2, 3}),
+                  TraversalSpec.uniform(3, 1), (2, 1, 2), 3))
+# A star whose leaves are the sources: every edge counts, the last has mu 1.
+@example(Instance(StaticGraph(5, ((0, 1), (0, 2), (0, 3), (0, 4))), frozenset({1, 2, 3, 4}),
+                  TraversalSpec.uniform(4, 1), (2, 2, 2, 1), 3))
 @settings(max_examples=300, deadline=None)
 @given(tree_instances(max_vertices=10, min_multiplicity=1))
 def test_tree_mu_diagnostic_matches_reference(instance):

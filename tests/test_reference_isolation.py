@@ -1,8 +1,9 @@
 """``tests/reference_search.py`` keeps its own copies of the old
-earliest-arrival kernel, minimum-waiting search, reachability test and
-latest-departure bisection and never reaches the library's searches: a
-reference that called ``tmbcast``'s would follow them when they change, and
-every differential test over it would compare the new code with itself."""
+earliest-arrival kernel, minimum-waiting search, reachability test,
+connectivity test and latest-departure bisection and never reaches the
+library's searches: a reference that called ``tmbcast``'s would follow them
+when they change, and every differential test over it would compare the new
+code with itself."""
 
 from __future__ import annotations
 
@@ -56,7 +57,8 @@ def test_reference_search_keeps_its_own_min_wait_search():
 
 
 @pytest.mark.parametrize("name", [
-    "_reaches_all", "latest_departure", "_latest_departure_to", "_free_run"])
+    "_reaches_all", "latest_departure", "_latest_departure_to", "_free_run",
+    "connected_after_removal"])
 def test_reference_search_keeps_its_own_reachability_and_latest_departure(name):
     tree = ast.parse(REFERENCE.read_text(encoding="utf-8"))
     assert kernel_imports(tree, name) == []
@@ -69,9 +71,8 @@ def test_reference_search_keeps_its_own_reachability_and_latest_departure(name):
 # import would tie the reference to code that may change under it; the
 # list may only shrink.
 PRIVATE_IMPORTS_ALLOWED = {
-    "_NEVER", "_time", "_first_departure_times", "_parent_chain",
-    "_parent_paths", "_EXACT_MEASURES", "_finish", "_full_graph_trees",
-    "_require_measure", "_resolve",
+    "_NEVER", "_time", "_EXACT_MEASURES", "_finish", "_full_graph_trees",
+    "_require_measure",
 }
 
 

@@ -233,6 +233,16 @@ def test_is_valid_rejects_an_edge_id_outside_the_graph():
     assert not Tsot(0, (None, (1, 2, 2), (9, 1, 0)), trav).is_valid(graph)
 
 
+def test_builders_reject_a_root_outside_the_graph():
+    # Python reads a negative id from the end of the vertex list.
+    graph = StaticGraph(3, ((0, 1), (1, 2)))
+    inst = Instance(graph, frozenset({0}), TraversalSpec.uniform(2, 1), (1, 1), 5)
+    for root in (-1, 7):
+        for build in (build_ea_tsot, build_ld_tsot):
+            with pytest.raises(ValidationError, match=f"no vertex {root}"):
+                build(root, inst)
+
+
 def test_to_labeling_rejects_negative_edge_ids():
     # Read from the end of the table, -2 and -1 labeled edges 0 and 1.
     trav = TraversalSpec.uniform(2, 1)
