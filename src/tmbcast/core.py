@@ -449,12 +449,12 @@ class Labeling:
         return len(self.times_by_edge)
 
     def times(self, e: Edge) -> tuple[Time, ...]:
+        if not 0 <= e < len(self.times_by_edge):  # a negative id would wrap
+            raise ValidationError(f"no edge {e}")
         return self.times_by_edge[e]
 
     def available(self, e: Edge, t: Time) -> bool:
-        if not 0 <= e < len(self.times_by_edge):  # a negative id would wrap
-            raise ValidationError(f"no edge {e}")
-        times = self.times_by_edge[e]
+        times = self.times(e)
         i = bisect_left(times, t)
         return i < len(times) and times[i] == t
 

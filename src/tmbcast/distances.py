@@ -31,6 +31,12 @@ and shared by every source and probe:
   start by the largest waiting of a path in the start-1 earliest-arrival
   forest.
 
+``objective`` under fastest and minimum waiting reads the same start-1 run
+of each source, which decides feasibility, as a bound on the source's worst
+pair (the latest arrival minus the first candidate departure, and the
+forest's largest waiting), and searches the sources in decreasing bound
+until the next bound does not exceed the worst value found.
+
 The certificate's maxima (the longest duration and the longest waiting of a
 simple temporal path to each vertex) take one pair of front searches per
 target ``v``: a simple path to ``v`` is a prefix to a neighbour ``u`` that
@@ -632,22 +638,60 @@ def objective(
 
     Max over pairs for the minimizing measures, min for latest departure;
     None when some source fails to reach some vertex, found at the first
-    source, in order, that misses one.  The pair values come from
-    ``_table_pairs``.  Latest departure's min over pairs is the least floor
-    L* over the sources (``_ld_floor``), so it needs no value per vertex:
-    one kernel run per source decides feasibility first and is the floor
-    search's first run.  A labeling ``is_feasible`` rejects raises the same
-    error here.
+    source, in order, that misses one.  Earliest arrival, shortest travel
+    and minimum hop read the pair values of ``_table_pairs``.  The other
+    three take one kernel run per source first, which decides feasibility
+    and serves as each source's start-1 run.  Latest departure's min over
+    pairs is the least floor L* over the sources (``_ld_floor``, whose
+    first run that is), so it needs no value per vertex.  Fastest and
+    minimum waiting search only the sources whose start-1 run bounds their
+    worst pair above the worst one found so far (``_worst_by_bound``).  A
+    labeling ``is_feasible`` rejects raises the same error here.
     """
     _check_labeling(instance, labeling)
     table = CandidateTable(labeling, instance.traversal)
-    if measure is not Measure.LATEST_DEPARTURE:
+    if measure not in (Measure.LATEST_DEPARTURE, Measure.FASTEST, Measure.MIN_WAIT):
         pairs = _table_pairs(instance, table, measure)
         return None if pairs is None else measure.worst(pairs.values())
     forests = _feasible_arrivals(instance, table)
     if forests is None:
         return None
-    return min(_ld_floor(instance.graph, table, s, run)[0] for s, run in forests.items())
+    if measure is Measure.LATEST_DEPARTURE:
+        return min(_ld_floor(instance.graph, table, s, run)[0] for s, run in forests.items())
+    return _worst_by_bound(instance.graph, table, forests, measure)
+
+
+def _worst_by_bound(graph: StaticGraph, table: CandidateTable, forests: dict,
+                    measure: Measure) -> int:
+    """The largest fastest or minimum-waiting value over every (source,
+    other vertex) pair of a feasible schedule, given each source's start-1
+    kernel run in ``forests``.
+
+    A source's run bounds its worst pair from above.  Its forest paths are
+    simple paths, so no vertex's least waiting exceeds the largest waiting
+    among them (``_forest_waiting``).  It is also the run from the source's
+    first candidate departure t0, which reaches each vertex ``v`` at its
+    arrival ``a_v`` on a path departing at t0 or later, so ft(s, v) <=
+    a_v - t0.  The sources are searched in decreasing bound, ties in source
+    order, until the next bound does not exceed the worst value found.
+    """
+    bounds = {}
+    for s, (arrivals, parents) in forests.items():
+        if measure is Measure.MIN_WAIT:
+            bounds[s] = _forest_waiting(arrivals, parents, s)
+        else:
+            bounds[s] = (max(a for a in arrivals if a is not None)
+                         - _first_departure_times(graph, table, s)[0])
+    worst = -1  # below every duration and waiting: the first source is searched
+    for s in sorted(bounds, key=bounds.get, reverse=True):  # stable: ties keep source order
+        if bounds[s] <= worst:
+            break
+        if measure is Measure.MIN_WAIT:
+            value = max(w for w, _ in _min_wait_run(graph, table, s, forests[s]).values())
+        else:
+            value = max(d for d in _fastest(graph, table, s, forests[s])[0] if d is not None)
+        worst = max(worst, value)
+    return worst
 
 
 def _table_pairs(

@@ -662,8 +662,12 @@ def find_nonseparating_path(graph: StaticGraph, s1: int, s2: int):
     Paths through internal vertices of degree two are skipped outright:
     removing both their edges isolates them.  The search keeps an explicit
     stack of adjacency iterators, so its depth is not bounded by the
-    interpreter's recursion limit.
+    interpreter's recursion limit.  Raises ValidationError when ``s1`` or
+    ``s2`` is not a vertex.
     """
+    for v in (s1, s2):
+        if not 0 <= v < graph.vertex_count:
+            raise ValidationError(f"no vertex {v}")
     if s1 == s2:
         return ((s1,), ()) if connected_after_removal(graph, ()) else None
     degree = [len(graph.incident(v)) for v in range(graph.vertex_count)]

@@ -215,6 +215,8 @@ def test_path_stats_and_available_reject_an_edge_outside_the_graph():
             path_stats(path, trav)
         with pytest.raises(ValidationError, match=f"no edge {e}"):
             lab.available(e, 2)
+        with pytest.raises(ValidationError, match=f"no edge {e}"):
+            lab.times(e)
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import itertools
 import math
 import random
 import time
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tmbcast.core import (
     CandidateTable,
@@ -420,12 +423,76 @@ def test_ft_objective_takes_each_sources_first_start_from_its_feasibility_run(ob
     got = objective(inst, lab, Measure.FASTEST)
     runs = [name for name, _ in objective_runs]
     table = CandidateTable(lab, inst.traversal)
-    starts = [len(_first_departure_times(inst.graph, table, s)) for s in sorted(inst.sources)]
-    # Every candidate first departure but the first takes its own run.
-    assert runs == (
-        ["feasible"] * 4 + ["earliest_arrival"] * (sum(starts) - 4))
+    starts = {s: len(_first_departure_times(inst.graph, table, s)) for s in sorted(inst.sources)}
+    assert starts == {0: 4, 9: 5, 90: 5, 99: 4}
+    # The start-1 runs bound the sources' worst pairs by 25, 23, 23 and 25.
+    # Source 0, first of the largest bound, attains 25, so no other source
+    # can raise it: only source 0's other candidate first departures run.
+    assert runs == ["feasible"] * 4 + ["earliest_arrival"] * (starts[0] - 1)
     assert got == max(r.value for s in sorted(inst.sources)
                       for r in sssp(s, lab, inst, Measure.FASTEST) if r.value is not None)
+
+
+def test_mw_objective_searches_only_the_sources_whose_bound_can_raise_the_worst(monkeypatch):
+    import tmbcast.distances as distances
+
+    inst, lab = tree_schedule(10, (0, 9, 90, 99))
+    searched = []
+    search = distances._min_wait_run
+
+    def counting(graph, table, source, forest=None):
+        searched.append(source)
+        return search(graph, table, source, forest)
+
+    monkeypatch.setattr(distances, "_min_wait_run", counting)
+    got = objective(inst, lab, Measure.MIN_WAIT)
+    # The start-1 forests' largest waitings are 3, 0, 0 and 0; source 0
+    # attains 3, so the minimum-waiting search runs once.
+    assert searched == [0]
+    assert got == 3 == max(r.value for s in sorted(inst.sources)
+                           for r in sssp(s, lab, inst, Measure.MIN_WAIT) if r.value is not None)
+
+
+@st.composite
+def schedules(draw):
+    """1 to 3 sources on 2 to 5 vertices with zero weights, weights past
+    the horizon and overrides at 1 and at tau, and a schedule of up to two
+    labels per edge; empty label sets make many schedules infeasible."""
+    n = draw(st.integers(2, 5))
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, min_size=n - 1, max_size=7))
+    tau = draw(st.integers(1, 6))
+    weights = st.integers(0, tau + 2)
+    defaults = [draw(weights) for _ in edges]
+    overrides = {e: draw(st.dictionaries(st.sampled_from((1, tau)), weights, max_size=2))
+                 for e in range(len(edges))}
+    sources = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=3))
+    quota = min(2, tau)
+    rows = [tuple(sorted(draw(st.sets(st.integers(1, tau), max_size=quota)))) for _ in edges]
+    instance = Instance(StaticGraph(n, tuple(edges)), frozenset(sources),
+                        TraversalSpec.from_maps(defaults, overrides), (quota,) * len(edges), tau)
+    return instance, Labeling(tuple(rows))
+
+
+def two_source_case(n, edges, weights, sources, rows, tau):
+    return (Instance(StaticGraph(n, edges), frozenset(sources), TraversalSpec.from_maps(weights, {}),
+                     (2,) * len(edges), tau), Labeling(rows))
+
+
+# Under ft, sources 1 and 2 both have bound 3; source 1, searched first,
+# attains 1 and source 2 attains 3.
+@example(two_source_case(3, ((0, 1), (1, 2)), (1, 1), (1, 2), ((3,), (1,)), 3))
+# A first-searched source whose bound 3 overstates its worst 1, while the
+# other source, bound 2, attains 2: under ft, then under mw.
+@example(two_source_case(3, ((0, 1), (0, 2)), (1, 0), (0, 2), ((1, 5), (4, 6)), 6))
+@example(two_source_case(4, ((0, 2), (1, 3), (1, 2)), (3, 1, 0), (1, 3), ((5,), (2, 4), (2, 4)), 5))
+@settings(max_examples=300, deadline=None)
+@given(schedules())
+def test_ft_and_mw_objectives_match_the_worst_reference_pair(case):
+    instance, labeling = case
+    for measure in (Measure.FASTEST, Measure.MIN_WAIT):
+        pairs = reference._pair_values(instance, labeling, measure)
+        assert objective(instance, labeling, measure) == reference._worst(measure, pairs.values())
 
 
 def test_ld_pair_values_run_each_sources_sweep_and_no_feasibility_run(objective_runs):

@@ -402,6 +402,15 @@ def test_nonseparating_path_tracks_satisfiability():
             assert connected_after_removal(gadget.instance.graph, set(edges))
 
 
+def test_nonseparating_path_rejects_a_vertex_outside_the_graph():
+    # Python reads a negative id from the end of the vertex list.
+    graph = StaticGraph(3, ((0, 1), (1, 2)))
+    for s1, s2, bad in ((5, 5, 5), (0, 7, 7), (0, -1, -1), (-1, 2, -1)):
+        with pytest.raises(ValidationError, match=f"no vertex {bad}"):
+            find_nonseparating_path(graph, s1, s2)
+    assert find_nonseparating_path(graph, 1, 1) == ((1,), ())
+
+
 def test_two_source_more_sources_witness():
     formula = CnfFormula(1, ((1, 1, 1),))
     for count in (3, 4, 5, 7):
