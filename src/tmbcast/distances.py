@@ -583,6 +583,17 @@ def _search(graph, table, source, measure: Measure, target: int | None = None):
     return values, lambda vs: {v: _chain_path(graph, source, best[v][1]) for v in vs}
 
 
+def _availability_table(instance: Instance, availability: Availability) -> CandidateTable:
+    """The candidate table of a checked availability: a labeling as
+    ``is_feasible`` checks it, quota aside, and a full graph whose horizon
+    must be the instance's tau."""
+    if isinstance(availability, Labeling):
+        _check_labeling(instance, availability, quota=False)
+    elif availability.tau != instance.tau:
+        raise ValidationError(f"full availability horizon {availability.tau} is not tau {instance.tau}")
+    return CandidateTable(availability, instance.traversal)
+
+
 def sssp(
     source: int,
     availability: Availability,
@@ -592,14 +603,14 @@ def sssp(
     """Single-source distance vector; entry ``v`` realizes measure(source, v).
 
     A labeling raises ValidationError as ``is_feasible`` does, except that
-    its quota is not checked: a distance is defined on any schedule.
+    its quota is not checked: a distance is defined on any schedule.  A
+    ``FullAvailability`` whose horizon is not the instance's tau raises
+    ValidationError too, as a label past tau does.
     """
     graph = instance.graph
     if not (0 <= source < graph.vertex_count):
         raise ValidationError(f"source {source} out of range")
-    if isinstance(availability, Labeling):
-        _check_labeling(instance, availability, quota=False)
-    table = CandidateTable(availability, instance.traversal)
+    table = _availability_table(instance, availability)
     values, witnesses = _search(graph, table, source, measure)
     paths = witnesses([v for v, value in enumerate(values) if value is not None])
     return tuple(
@@ -615,16 +626,14 @@ def distance(
     instance: Instance,
     measure: Measure,
 ) -> DistanceResult:
-    """Optimum of the measure over all temporal paths from u to v.  A
-    labeling is checked as in ``sssp``."""
+    """Optimum of the measure over all temporal paths from u to v.  The
+    availability is checked as in ``sssp``."""
     graph = instance.graph
     if not (0 <= u < graph.vertex_count and 0 <= v < graph.vertex_count):
         raise ValidationError("vertex out of range")
     if u == v:
         raise SameVertex(f"distance between {u} and itself is undefined")
-    if isinstance(availability, Labeling):
-        _check_labeling(instance, availability, quota=False)
-    table = CandidateTable(availability, instance.traversal)
+    table = _availability_table(instance, availability)
     values, witnesses = _search(graph, table, u, measure, target=v)
     if values[v] is None:
         return UNREACHED

@@ -8,8 +8,9 @@ Tractable regimes (earliest-arrival and latest-departure objectives only):
 * any number of sources when every multiplicity is at least the source
   count: each edge inherits the label it gets in any of the per-source
   trees;
-* trees with every multiplicity at least two: per-source solutions merged
-  edge by edge, keeping the latest label per traversal direction.
+* trees with multiplicity at least two on every edge between two sources
+  (the sources' subtree, see ``_thin_source_edge``): per-source solutions
+  merged edge by edge, keeping the latest label per traversal direction.
 
 The brute-force oracle searches, per edge, the subsets of the horizon of
 size exactly ``min(mu, tau)``: extra labels only ever help, so maximal label
@@ -213,18 +214,16 @@ def solve_multi_full_mu(instance: Instance, measure: Measure) -> SolveResult:
                        "multi-source-full-mu")
 
 
-def tree_mu_diagnostic(instance: Instance) -> bool:
-    """Weaker tree condition: multiplicity >= 2 on every source-to-source path.
+def _thin_source_edge(instance: Instance) -> int | None:
+    """The first edge, in id order, between two sources whose multiplicity
+    is below 2, or None; the graph must be a tree.
 
-    The edges on some source-to-source path are those left once every leaf
-    that is not a source is removed, again until no such leaf is left; with
-    one source, none is left.  Advisory only; the tree solver itself insists
-    on >= 2 everywhere.
+    The edges between two sources, those on some source-to-source path,
+    are the ones left once every leaf that is not a source is removed,
+    again until no such leaf is left: the sources' subtree.  With one
+    source, none is left.
     """
-    graph = instance.graph
-    if not graph.is_tree():
-        raise NotATree("diagnostic applies to trees only")
-    sources = instance.sources
+    graph, sources = instance.graph, instance.sources
     degree = list(map(len, graph.adjacency))
     kept = [True] * graph.edge_count
     leaves = [v for v, d in enumerate(degree) if d == 1 and v not in sources]
@@ -235,24 +234,38 @@ def tree_mu_diagnostic(instance: Instance) -> bool:
                 degree[w] -= 1
                 if degree[w] == 1 and w not in sources:
                     leaves.append(w)
-    return all(mu >= 2 for mu, keep in zip(instance.multiplicity, kept) if keep)
+    return next((e for e, mu in enumerate(instance.multiplicity) if kept[e] and mu < 2), None)
+
+
+def tree_mu_diagnostic(instance: Instance) -> bool:
+    """The tree regime's condition: multiplicity >= 2 on every edge between
+    two sources (see ``solve_tree``).  Raises NotATree off trees."""
+    if not instance.graph.is_tree():
+        raise NotATree("diagnostic applies to trees only")
+    return _thin_source_edge(instance) is None
 
 
 def solve_tree(instance: Instance, measure: Measure) -> SolveResult:
-    """Optimal multi-source schedule on trees with multiplicities >= 2.
+    """Optimal multi-source schedule on trees with multiplicity >= 2 on
+    every edge between two sources (``tree_mu_diagnostic``).
 
     Per-source optimal schedules are merged per edge and direction: the
     sources on each side of an edge share one slot, which keeps their
     latest label.  A source's tree crosses the edge from the endpoint on
-    its side, the parent vertex of its tree entry for the edge.
+    its side, the parent vertex of its tree entry for the edge.  With every
+    multiplicity at least 2 the merge is optimal.  An edge off the sources'
+    subtree has every source on one side, so every tree crosses it from the
+    same endpoint and the merge writes one label there.  The schedule is
+    thus the one written with those quotas raised to 2, which is optimal
+    there; raising a quota cannot worsen the optimum and the schedule fits
+    the original quotas, so it is optimal for the instance as given.
     """
     _require_measure(measure, _EXACT_MEASURES, "solve_tree")
     graph = instance.graph
     if not graph.is_tree():
         raise NotATree("solve_tree needs the underlying graph to be a tree")
-    for e, mu in enumerate(instance.multiplicity):
-        if mu < 2:
-            raise MultiplicityTooSmall(f"edge {e} has multiplicity {mu} < 2")
+    if (e := _thin_source_edge(instance)) is not None:
+        raise MultiplicityTooSmall(f"edge {e} lies between two sources and has multiplicity 1 < 2")
     slots: list[dict[int, int]] = [{} for _ in range(graph.edge_count)]
     for tree in _full_graph_trees(instance, measure):
         for e, t, u in filter(None, tree.parent):  # the root's entry is None
@@ -461,9 +474,7 @@ def pick_regime(instance: Instance, measure: Measure) -> str:
             return "single-source"
         if all(mu >= len(instance.sources) for mu in instance.multiplicity):
             return "multi-source-full-mu"
-        if instance.graph.is_tree() and all(
-            mu >= 2 for mu in instance.multiplicity
-        ):
+        if instance.graph.is_tree() and _thin_source_edge(instance) is None:
             return "tree"
     raise NoTractableRegime(
         f"no exact polynomial regime for measure {measure.code} on this instance"

@@ -37,7 +37,8 @@ differential tests can compare old and new.
   source's side from the parent endpoints of its tree;
 * ``tree_mu_diagnostic``, which rooted the tree with its own search, parent
   map and per-vertex source counts, by the ``solvers.tree_mu_diagnostic``
-  that strips every leaf that is not a source until none is left;
+  that strips every leaf that is not a source until none is left (in
+  ``solvers._thin_source_edge``, the tree regime's test);
 * ``connected_after_removal``, a union-find over the edges not removed, by
   the depth-first search ``core.connected_after_removal``, which also
   decides ``StaticGraph.is_tree``.  ``nonseparating_paths`` calls this copy;
@@ -922,7 +923,7 @@ def solve_tree(instance: Instance, measure: Measure) -> SolveResult:
 def tree_mu_diagnostic(instance: Instance) -> bool:
     """Weaker tree condition: multiplicity >= 2 on every source-to-source path.
 
-    Advisory only; the tree solver itself insists on >= 2 everywhere.
+    This copy's ``solve_tree`` still insists on >= 2 everywhere.
     """
     graph = instance.graph
     if not graph.is_tree():

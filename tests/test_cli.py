@@ -74,6 +74,22 @@ def test_solve_on_a_tree_matches_the_oracle(capsys, measure, want):
     assert solved["objective"] == oracle["objective"] == want
 
 
+@pytest.mark.parametrize("measure, want", [("ea", 4), ("ld", 3)])
+def test_solve_on_a_tree_with_one_label_off_the_sources_subtree(capsys, tmp_path, measure, want):
+    # The same tree with multiplicity 1 on edge 1 (hub-shop), which no
+    # source-to-source path crosses: still the tree regime, and the
+    # written schedule fits the quota and attains the oracle's objective.
+    tree = str(FIXTURES / "tree-network-leaf.json")
+    schedule = str(tmp_path / "schedule.json")
+    code, solved, _ = run(capsys, "solve", "--in", tree, "--measure", measure, "--out", schedule)
+    assert (code, solved["regime"], solved["status"], solved["objective"]) == (0, "tree", "optimal", want)
+    code, verified, _ = run(capsys, "verify", "--in", tree, "--labeling", schedule,
+                            "--measure", measure)
+    assert (code, verified["objective"]) == (0, want)
+    code, oracle, _ = run(capsys, "oracle", "--in", tree, "--measure", measure)
+    assert (code, oracle["objective"]) == (0, want)
+
+
 def test_verify_infeasible_exit_code(capsys, network, tmp_path):
     bad = tmp_path / "bad.json"
     from tmbcast.core import Labeling

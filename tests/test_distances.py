@@ -83,6 +83,21 @@ def test_vertices_outside_the_graph_are_rejected():
             ft_mw_bounds(source, inst)
 
 
+def test_full_availability_must_share_the_instance_horizon():
+    # Unit weights on the path 0-1-2 with tau 3: a full graph to 100 would
+    # answer ld(0, 2) = 99, outside 1..tau, where a label past tau is
+    # rejected.
+    graph = StaticGraph(3, ((0, 1), (1, 2)))
+    inst = Instance(graph, frozenset({0}), TraversalSpec.uniform(2, 1), (1, 1), 3)
+    for tau in (2, 100):
+        for measure in ALL_MEASURES:
+            with pytest.raises(ValidationError, match=f"horizon {tau} is not tau 3"):
+                distance(0, 2, FullAvailability(tau), inst, measure)
+            with pytest.raises(ValidationError, match=f"horizon {tau} is not tau 3"):
+                sssp(0, FullAvailability(tau), inst, measure)
+    assert distance(0, 2, FullAvailability(3), inst, Measure.LATEST_DEPARTURE).value == 2
+
+
 def test_worked_example_ea_to_last_vertex():
     inst = fig.build_instance()
     res = distance(fig.M, fig.V1, fig.LABELING_EA, inst, Measure.EARLIEST_ARRIVAL)

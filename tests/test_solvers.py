@@ -6,6 +6,8 @@ import random
 import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tmbcast.core import (
     FullAvailability,
@@ -490,6 +492,63 @@ def test_tree_mu_diagnostic():
         graph, frozenset({0, 2}), TraversalSpec.uniform(3, 1), (1, 2, 2), 3
     )
     assert not tree_mu_diagnostic(inst2)
+
+
+def between_two_sources(inst, e):
+    """Whether both sides of the tree split at edge ``e`` hold a source."""
+    u, _ = inst.graph.edges[e]
+    side, stack = {u}, [u]
+    while stack:
+        for f, w in inst.graph.incident(stack.pop()):
+            if f != e and w not in side:
+                side.add(w)
+                stack.append(w)
+    return bool(inst.sources & side) and bool(inst.sources - side)
+
+
+@st.composite
+def random_trees(draw):
+    """``oracles.random_instance`` on trees: n 3-7, tau 2-5, 2-3 sources and
+    quotas of 1 or 2."""
+    n, tau, source_count = draw(st.integers(3, 7)), draw(st.integers(2, 5)), draw(st.integers(2, 3))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    return oracles.random_instance(rng, n=n, tau=tau, mu_choices=(1, 2),
+                                   source_count=source_count, tree=True)
+
+
+# Sources 0 and 2 on the path 0-1-2, and quota 1 on the leaf edge 1-3.
+@example(Instance(StaticGraph(4, ((0, 1), (1, 2), (1, 3))), frozenset({0, 2}),
+                  TraversalSpec.uniform(3, 1), (2, 2, 1), 3), EA)
+# Quota 1 on the edge between the sources 0 and 2, and on the leaf edge.
+@example(Instance(StaticGraph(4, ((0, 1), (1, 2), (1, 3))), frozenset({0, 2}),
+                  TraversalSpec.uniform(3, 1), (2, 1, 1), 3), LD)
+@settings(max_examples=600, deadline=None)
+@given(random_trees(), st.sampled_from([EA, LD]))
+def test_tree_regime_under_its_diagnostic_matches_the_oracle(inst, measure):
+    # The tree regime holds exactly when no edge between two sources has
+    # quota 1.  An instance that fails it must be refused, and is then
+    # solved with those quotas raised to 2 and every other quota kept.
+    thin = [e for e, mu in enumerate(inst.multiplicity) if mu == 1 and between_two_sources(inst, e)]
+    assert tree_mu_diagnostic(inst) == (not thin)
+    if thin:
+        with pytest.raises(MultiplicityTooSmall, match=f"edge {thin[0]} lies between two sources"):
+            solve_tree(inst, measure)
+        # Two or more sources, and an edge with quota 1 < |S|: neither the
+        # single-source nor the full-quota regime applies either.
+        with pytest.raises(NoTractableRegime):
+            pick_regime(inst, measure)
+        multiplicity = tuple(2 if e in thin else mu for e, mu in enumerate(inst.multiplicity))
+        inst = Instance(inst.graph, inst.sources, inst.traversal, multiplicity, inst.tau)
+    assert pick_regime(inst, measure) in ("multi-source-full-mu", "tree")
+    # At most 6 edges with 10 label sets each: the whole space fits the cap.
+    want = brute_force(inst, measure, OracleLimits(max_labelings=10**6))
+    if want.status is SolveStatus.INFEASIBLE:
+        with pytest.raises(Unreachable):
+            solve_tree(inst, measure)
+        return
+    got = solve_tree(inst, measure)
+    assert (got.status, got.objective) == (SolveStatus.OPTIMAL, want.objective), inst
+    check_result_invariants(inst, got, measure)
 
 
 # ---------------------------------------------------------------------------
