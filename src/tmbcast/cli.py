@@ -7,7 +7,9 @@ Exit codes are part of the contract:
   1  unexpected internal error
   2  usage error (bad flags or arguments)
   3  parse or validation error in an input file
-  4  verification failed: infeasible labeling or multiplicity violation
+  4  verification failed: infeasible labeling or multiplicity violation,
+     or the oracle (oracle, or solve's --oracle fallback) proves the
+     instance infeasible
   5  no tractable regime applies, and no fallback does: solve --approx
      applies to one source under ft/mw, else solve --oracle runs if given
   6  brute-force search space exceeds the configured limit
@@ -18,6 +20,7 @@ Exit codes are part of the contract:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import gc
 import json
@@ -139,15 +142,6 @@ def _load_labeling(path: str) -> Labeling:
     return parse_labeling(_read(path)).labels
 
 
-def _labeling_provenance(result, measure: Measure) -> dict:
-    return {
-        "solver": result.regime,
-        "measure": measure.code,
-        "objective": result.objective,
-        "status": result.status.value,
-    }
-
-
 def _steps_json(doc: InstanceDocument, witness) -> list:
     return [
         {
@@ -179,27 +173,7 @@ def cmd_solve(args) -> None:
             result = brute_force(instance, measure, _limits(args))
         else:
             raise
-    payload = {
-        "command": "solve",
-        "measure": measure.code,
-        "regime": result.regime,
-        "status": result.status.value,
-        "objective": result.objective,
-    }
-    if result.bounds is not None:
-        payload["bounds"] = {
-            "ft_min": result.bounds.ft_min,
-            "ft_max": result.bounds.ft_max,
-            "mw_min": result.bounds.mw_min,
-            "mw_max": result.bounds.mw_max,
-        }
-    if args.out:
-        _write(
-            args.out,
-            serialize_labeling(result.labeling, _labeling_provenance(result, measure)),
-        )
-        payload["labeling_file"] = args.out
-    _emit(payload)
+    _report(args, {"command": "solve", "regime": result.regime}, measure, result)
 
 
 def _limits(args) -> OracleLimits:
@@ -212,20 +186,25 @@ def cmd_oracle(args) -> None:
     doc, instance = _load_tmb(args.input)
     measure = Measure(args.measure)
     result = brute_force(instance, measure, _limits(args))
-    payload = {
-        "command": "oracle",
-        "measure": measure.code,
-        "status": result.status.value,
-        "objective": result.objective,
-    }
-    if args.out and result.status is not SolveStatus.INFEASIBLE:
-        _write(
-            args.out,
-            serialize_labeling(result.labeling, _labeling_provenance(result, measure)),
-        )
+    _report(args, {"command": "oracle"}, measure, result)
+
+
+def _report(args, payload: dict, measure: Measure, result) -> None:
+    """The tail of ``solve`` and ``oracle``: the command's own keys in
+    ``payload`` plus the result's measure, status, objective and bounds; the
+    schedule goes to ``--out`` only when there is one, and an infeasible
+    result exits 4."""
+    infeasible = result.status is SolveStatus.INFEASIBLE
+    payload.update(measure=measure.code, status=result.status.value, objective=result.objective)
+    if result.bounds is not None:
+        payload["bounds"] = dataclasses.asdict(result.bounds)
+    if args.out and not infeasible:
+        provenance = {"solver": result.regime, "measure": measure.code,
+                      "objective": result.objective, "status": result.status.value}
+        _write(args.out, serialize_labeling(result.labeling, provenance))
         payload["labeling_file"] = args.out
     _emit(payload)
-    if result.status is SolveStatus.INFEASIBLE:
+    if infeasible:
         raise _Exit(4)
 
 

@@ -113,11 +113,14 @@ Time = int
 # Label sets, overrides and multiplicities, most of a document, first meet a
 # bulk accept test over all their exact ints at once, and the loops run only
 # when it fails: without the first two tests the benchmark's ``check``
-# workload loses about 18% ops/s.  Values the loader has already converted
-# or range-tested (entry columns, defaults, label ints) are not tested
-# again; label rows already strictly increasing, as a canonical document
-# holds them, are kept instead of sorted.  For the other rules a bulk
-# pre-test saved nothing that could be measured end to end.
+# workload loses about 18% ops/s.  The override test serves two kinds of
+# traffic: ``TraversalSpec``'s rows serve direct construction (the benchmark
+# corpus's set-up, generators, tests), and the entries path serves the
+# loader.  Values the loader has already converted or range-tested (entry
+# columns, defaults, label ints) are not tested again; label rows already
+# strictly increasing, as a canonical document holds them, are kept instead
+# of sorted.  For the other rules a bulk pre-test saved nothing that could
+# be measured end to end.
 
 
 def _within(values: Sequence, lo, hi=None) -> bool:
@@ -256,9 +259,9 @@ class TraversalSpec:
     listed twice is a fault, or as ``from_entries``' columns of a document's
     ``[edge, time, weight]`` entries, where the last for an (edge, time) wins.
     The table is held once, as ``_override_index``: per edge, a time ->
-    weight dict, which is what searches read.  Built from columns, the
-    sorted ``overrides`` rows are derived from it on first read, so checking
-    a schedule never sorts them; ``_latest_override`` is the latest override
+    weight dict, which is what searches read.  On either path the sorted
+    ``overrides`` rows are derived from it on first read, so checking a
+    schedule never sorts them; ``_latest_override`` is the latest override
     time (0 when there is none).
     """
 
@@ -303,8 +306,8 @@ class TraversalSpec:
     def _build(self, defaults, rows, columns=None) -> "TraversalSpec":
         """Set the table from ``rows`` or exact-int entry ``columns``: each
         edge's time -> weight dict is built once, past the bulk accept test
-        or else by ``_override_row``.  The rows path also sorts the dicts
-        into ``overrides``; the columns path leaves that to the first read."""
+        or else by ``_override_row``.  Either way the sorted ``overrides``
+        rows are left to their first read."""
         index = None
         if columns is not None:
             edges, times, weights = columns
@@ -330,7 +333,7 @@ class TraversalSpec:
         object.__setattr__(self, "_override_index", index)  # per edge, time -> weight
         object.__setattr__(self, "_latest_override", max(times, default=0))
         if columns is None:
-            object.__setattr__(self, "overrides", self._sorted_rows())
+            del self.__dict__["overrides"]  # the rows as given: derived again on first read
             defaults = tuple(map(int, defaults))  # the loader's are exact ints already
         object.__setattr__(self, "defaults", defaults)
         return self
@@ -355,15 +358,17 @@ class TraversalSpec:
     @cached_property
     def _override_departures(self) -> tuple[tuple[tuple[Time, Time], ...], ...]:
         """Per edge, ``(t, t + weight)`` at each override time, in time order."""
-        return tuple(tuple([(t, t + w) for t, w in items]) for items in self._sorted_rows())
+        return tuple(tuple([(t, t + w) for t, w in items]) for items in self.overrides)
 
     def weight(self, e: Edge, t: Time) -> int:
         """Evaluated traversal weight ``tr(e, t)``."""
+        if not 0 <= e < len(self.defaults):  # a negative id would wrap
+            raise ValidationError(f"no edge {e}")
         return self._override_index[e].get(t, self.defaults[e])
 
 
-# A table built from entry columns derives its ``overrides`` rows on first
-# read and keeps them.  The descriptor is set once the dataclass has made the
+# A table derives its ``overrides`` rows from the index on first read and
+# keeps them.  The descriptor is set once the dataclass has made the
 # field, as a class attribute in the body would be taken for its default.
 TraversalSpec.overrides = cached_property(TraversalSpec._sorted_rows)
 TraversalSpec.overrides.__set_name__(TraversalSpec, "overrides")

@@ -73,6 +73,7 @@ from tmbcast.core import (
     Instance,
     Labeling,
     PathStats,
+    ReachFastInstance,
     SameVertex,
     StaticGraph,
     TemporalPath,
@@ -583,15 +584,23 @@ def _search(graph, table, source, measure: Measure, target: int | None = None):
     return values, lambda vs: {v: _chain_path(graph, source, best[v][1]) for v in vs}
 
 
-def _availability_table(instance: Instance, availability: Availability) -> CandidateTable:
-    """The candidate table of a checked availability: a labeling as
-    ``is_feasible`` checks it, quota aside, and a full graph whose horizon
-    must be the instance's tau."""
-    if isinstance(availability, Labeling):
-        _check_labeling(instance, availability, quota=False)
-    elif availability.tau != instance.tau:
-        raise ValidationError(f"full availability horizon {availability.tau} is not tau {instance.tau}")
-    return CandidateTable(availability, instance.traversal)
+def _availability_table(model: Instance | ReachFastInstance,
+                        availability: Availability | None = None) -> CandidateTable:
+    """The candidate table of the model's availability, checked: the one
+    owner of that rule.  None stands for the model's own, the full temporal
+    graph of an ``Instance`` or the labels of a ``ReachFastInstance``, which
+    its constructor checked.  A labeling must pass ``core._check_labeling``
+    without the quota (cover, then labels within ``1..tau``) and a
+    ``FullAvailability`` must have the model's tau, else ValidationError."""
+    if availability is None:
+        availability = (model.labels if isinstance(model, ReachFastInstance)
+                        else model.full_availability())
+    elif isinstance(availability, Labeling):
+        _check_labeling(model, availability, quota=False)
+    elif availability.tau != model.tau:
+        raise ValidationError(
+            f"full availability horizon {availability.tau} is not tau {model.tau}")
+    return CandidateTable(availability, model.traversal)
 
 
 def sssp(
@@ -836,7 +845,7 @@ def ft_mw_bounds(source: int, instance: Instance) -> Bounds:
     if _too_sparse(graph):
         raise Unreachable(f"source {source} cannot reach every vertex of "
                           f"{graph.vertex_count}: too few edges ({graph.edge_count})")
-    table = CandidateTable(instance.full_availability(), instance.traversal)
+    table = _availability_table(instance)
     # Later starts reach a subset of what the start-1 run reaches (FIFO), so
     # that one run decides reachability before any sweep over 1..tau.
     forest = earliest_arrival(graph, table, source)

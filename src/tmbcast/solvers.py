@@ -52,6 +52,7 @@ from tmbcast.distances import (
     Bounds,
     Measure,
     _STATISTIC,
+    _availability_table,
     _ld_floor,
     _table_pairs,
     ft_mw_bounds,
@@ -122,7 +123,7 @@ def _full_graph_trees(instance: Instance, measure: Measure) -> list[Tsot]:
     sources = sorted(instance.sources)
     if _too_sparse(instance.graph):
         raise Unreachable(_UNREACHABLE.format(sources[0]))
-    table = CandidateTable(instance.full_availability(), instance.traversal)
+    table = _availability_table(instance)
     trees = []
     for s in sources:
         start, forest = 1, None
@@ -334,19 +335,14 @@ def add_super_source(instance: Instance) -> Instance:
 def search_space_size(instance: Instance) -> int:
     """The exact number of labelings ``brute_force`` enumerates; its digits
     grow with tau and the multiplicities (see ``_space_size_within``)."""
-    total = 1
-    for e in range(instance.graph.edge_count):
-        total *= math.comb(
-            instance.tau, min(instance.multiplicity[e], instance.tau)
-        )
-    return total
+    return _space_size_within(instance, math.inf)
 
 
-def _space_size_within(instance: Instance, bound: int) -> int | None:
-    """``search_space_size(instance)`` when it is at most ``bound``, else
-    None, building no integer past ``bound`` squared (or ``bound`` times
-    tau): one factor per distinct multiplicity, and a product that stops
-    once past ``bound``."""
+def _space_size_within(instance: Instance, bound: int | float) -> int | None:
+    """The product over the edges of ``comb(tau, min(mu, tau))`` when it is
+    at most ``bound`` (always, for ``math.inf``), else None, building no
+    integer past ``bound`` squared (or ``bound`` times tau): one factor per
+    distinct multiplicity, and a product that stops once past ``bound``."""
     tau = instance.tau
     factors = {mu: _comb_within(tau, min(mu, tau), bound) for mu in set(instance.multiplicity)}
     if None in factors.values():

@@ -25,7 +25,6 @@ from typing import Union
 
 from tmbcast.core import (
     Availability,
-    CandidateTable,
     Instance,
     Labeling,
     ReachFastInstance,
@@ -35,7 +34,7 @@ from tmbcast.core import (
     ValidationError,
     earliest_arrival,
 )
-from tmbcast.distances import _latest_departures
+from tmbcast.distances import _availability_table, _latest_departures
 
 
 @dataclass(frozen=True)
@@ -134,18 +133,6 @@ class Tsot:
                    for entry in parent)
 
 
-def _resolve(source_of_labels: Union[Instance, ReachFastInstance], availability):
-    if availability is not None:
-        return source_of_labels.graph, source_of_labels.traversal, availability
-    if isinstance(source_of_labels, ReachFastInstance):
-        return source_of_labels.graph, source_of_labels.traversal, source_of_labels.labels
-    return (
-        source_of_labels.graph,
-        source_of_labels.traversal,
-        source_of_labels.full_availability(),
-    )
-
-
 def build_ea_tsot(
     root: int,
     instance: Union[Instance, ReachFastInstance],
@@ -158,15 +145,17 @@ def build_ea_tsot(
 
     Defaults to the full temporal graph for plain instances and to the given
     labels for the shifting formulation.  ``forest`` is the kernel's
-    ``(arrivals, parents)`` from ``start``, if the caller has it.  Raises
-    ValidationError when the root is not a vertex, and Unreachable when it
-    cannot reach some vertex.
+    ``(arrivals, parents)`` from ``start``, if the caller has it; without
+    it, ``_availability_table`` checks the availability (a labeling's cover
+    and labels within ``1..tau``, a full graph's horizon).  Raises
+    ValidationError when the root is not a vertex or that check fails, and
+    Unreachable when the root cannot reach some vertex.
     """
-    graph, trav, avail = _resolve(instance, availability)
+    graph = instance.graph
     if not 0 <= root < graph.vertex_count:  # a negative id would wrap
         raise ValidationError(f"no vertex {root}")
     arrivals, parents = forest or earliest_arrival(
-        graph, CandidateTable(avail, trav), root, start=start)
+        graph, _availability_table(instance, availability), root, start=start)
     parent: list[tuple[int, int, int] | None] = [None] * graph.vertex_count
     for v in range(graph.vertex_count):
         if v == root:
@@ -175,7 +164,7 @@ def build_ea_tsot(
             raise Unreachable(f"root {root} cannot reach vertex {v}")
         u, e, t = parents[v]
         parent[v] = (e, t, u)
-    return Tsot(root, tuple(parent), trav)
+    return Tsot(root, tuple(parent), instance.traversal)
 
 
 def build_ld_tsot(
@@ -183,9 +172,13 @@ def build_ld_tsot(
     instance: Union[Instance, ReachFastInstance],
     availability: Availability | None = None,
 ) -> Tsot:
-    """Tree whose every latest departure is at least the graph's worst one."""
-    graph, trav, avail = _resolve(instance, availability)
-    table = CandidateTable(avail, trav)
+    """Tree whose every latest departure is at least the graph's worst one.
+
+    The availability defaults and is checked by ``_availability_table`` as
+    in ``build_ea_tsot``.  Raises Unreachable when the root cannot reach
+    some vertex."""
+    graph, trav = instance.graph, instance.traversal
+    table = _availability_table(instance, availability)
     others = [v for v in range(graph.vertex_count) if v != root]
     latest, chains = _latest_departures(graph, table, root)
     for v in others:

@@ -56,8 +56,9 @@ differential tests can compare old and new.
 
 It also keeps verbatim copies of the library helpers that the copies above
 call: ``distances._first_departure_times``, ``_parent_chain``,
-``_parent_paths`` with ``_chain_path``, and ``tsot._resolve``.  A change to
-those helpers does not reach the reference.
+``_parent_paths`` with ``_chain_path``, and ``tsot._resolve`` (since folded
+into ``distances._availability_table``, which also checks the
+availability).  A change to those helpers does not reach the reference.
 
 The recursive searches' depth grows with the path length and the depth-first
 ones take exponential time, so only small instances may be given to them.

@@ -500,7 +500,11 @@ def test_oracle_refuses_a_huge_search_space_at_once(tmp_path, command, tau, mu):
     ]
 
 
-def test_oracle_infeasible_exit(capsys, tmp_path):
+# Both ways to the oracle share one report: an instance it proves infeasible
+# exits 4 and writes no schedule.
+@pytest.mark.parametrize("command", [["oracle"], ["solve", "--oracle"]],
+                         ids=["oracle", "solve-oracle"])
+def test_oracle_infeasible_exit(capsys, tmp_path, command):
     from tmbcast.core import Instance, StaticGraph, TraversalSpec
 
     inst = Instance(
@@ -512,9 +516,14 @@ def test_oracle_infeasible_exit(capsys, tmp_path):
     )
     f = tmp_path / "inst.json"
     f.write_text(serialize_instance(inst))
-    code, payload, _ = run(capsys, "oracle", "--measure", "ea", "--in", str(f))
+    out = tmp_path / "schedule.json"
+    code, payload, _ = run(capsys, *command, "--measure", "ea", "--in", str(f), "--out", str(out))
     assert code == 4
-    assert payload["status"] == "infeasible"
+    want = {"command": command[0], "measure": "ea", "status": "infeasible", "objective": None}
+    if command[0] == "solve":
+        want["regime"] = "oracle"
+    assert payload == want
+    assert not out.exists()
 
 
 def test_oracle_out_writes_a_labeling_verify_accepts(capsys, tmp_path):
@@ -685,6 +694,9 @@ def test_export_dot_cli(capsys, tmp_path, network):
     )
     assert code == 0
     assert out.read_text().startswith("graph tmbcast {")
+    code, payload, err = run(capsys, "export-dot", "--in", str(network), "--out", str(tmp_path))
+    assert (code, payload) == (3, None)
+    assert err.startswith(f"cannot write {tmp_path}: ")
 
 
 def test_help_documents_exit_codes(capsys):

@@ -62,6 +62,8 @@ def test_graph_normalizes_endpoint_order():
     assert g.edges == ((0, 2), (1, 2))
     assert g.other_endpoint(0, 2) == 0
     assert g.edge_id(2, 1) == 1
+    with pytest.raises(ValidationError, match="vertex 1 is not an endpoint of edge 0"):
+        g.other_endpoint(0, 1)
 
 
 def test_tree_detection():
@@ -76,6 +78,23 @@ def test_tree_detection():
 def test_labeling_rejects_nonpositive_times():
     with pytest.raises(ValidationError):
         Labeling(((0,),))
+
+
+def test_labeling_rejects_rows_and_edges_that_do_not_fit():
+    # A bare time as a row raises what the reference raises.
+    def made(cls):
+        try:
+            return cls((5,)).times_by_edge
+        except Exception as err:  # the class and the message are compared
+            return type(err), str(err)
+
+    assert made(Labeling) == made(ref.Labeling)
+    assert made(Labeling)[0] is TypeError
+    for e in (-1, 2):  # a negative id would wrap
+        with pytest.raises(ValidationError, match=f"edge {e} outside 0..1"):
+            Labeling.from_dict(2, {e: (1,)})
+    with pytest.raises(ValidationError, match="labelings cover different edge sets"):
+        Labeling(((1,),)).union(Labeling(((1,), (2,))))
 
 
 # Edges whose endpoints are not exact ints, or that come as lists, a triple
@@ -116,6 +135,7 @@ def test_graph_matches_the_reference_on_other_values(make_edges):
     lambda: [iter([(2, -1)]), 5],
     lambda: [iter([(3, 1), (2, 1)]), iter([])],
     lambda: ["ab", ()],
+    lambda: [((2, 1), (2, 3)), ()],  # "edge 0 has duplicate override times"
 ])
 def test_traversal_with_odd_rows_matches_the_reference(make_rows):
     def made(cls):
@@ -153,6 +173,12 @@ def test_traversal_from_other_values_matches_the_exact_int_build():
                 assert got.candidates(e, lo) == want.candidates(e, lo)
 
 
+def test_instance_rejects_a_traversal_of_other_edges():
+    graph = StaticGraph(3, ((0, 1), (1, 2)))
+    with pytest.raises(ValidationError, match="traversal must cover every edge"):
+        Instance(graph, frozenset({0}), TraversalSpec.uniform(1, 1), (1, 1), 3)
+
+
 def test_instance_rejects_a_single_vertex():
     with pytest.raises(ValidationError, match="two vertices"):
         Instance(StaticGraph(1, ()), frozenset({0}), TraversalSpec.uniform(0, 1), (), 3)
@@ -173,6 +199,13 @@ def test_instance_rejects_override_beyond_tau():
 
 # ---------------------------------------------------------------------------
 # path_stats
+
+
+def test_temporal_path_needs_a_step_and_one_vertex_more():
+    with pytest.raises(ValidationError, match="at least one step"):
+        TemporalPath((0,), ())
+    with pytest.raises(ValidationError, match="one more entry than steps"):
+        TemporalPath((0, 1, 2), ((0, 1),))
 
 
 def test_path_stats_single_step():
@@ -217,6 +250,8 @@ def test_path_stats_and_available_reject_an_edge_outside_the_graph():
             lab.available(e, 2)
         with pytest.raises(ValidationError, match=f"no edge {e}"):
             lab.times(e)
+        with pytest.raises(ValidationError, match=f"no edge {e}"):
+            trav.weight(e, 2)
 
 
 @settings(max_examples=200, deadline=None)
@@ -267,6 +302,19 @@ def test_validate_path_rejects_nonsimple():
     lab = Labeling(((1,), (2,), (3,)))
     path = TemporalPath((0, 1, 2, 0), ((0, 1), (1, 2), (2, 3)))
     assert not validate_path(path, lab, trav, graph)
+    # Simple in its vertices, but edge 0 twice.
+    assert not validate_path(TemporalPath((0, 1, 2), ((0, 1), (0, 2))), lab, trav, graph)
+
+
+def test_validate_path_rejects_steps_off_the_graph():
+    graph = StaticGraph(3, ((0, 1), (1, 2)))
+    trav = TraversalSpec.uniform(2, 1)
+    lab = Labeling(((1,), (2,)))
+    for path in (
+        TemporalPath((0, 1), ((5, 1),)),  # no edge 5
+        TemporalPath((0, 2), ((0, 1),)),  # edge 0 joins 0 and 1
+    ):
+        assert not validate_path(path, lab, trav, graph)
 
 
 def test_validate_path_worked_example():

@@ -61,6 +61,9 @@ def test_single_edge_all_six_measures():
         res = distance(0, 1, lab, inst, m)
         assert res.value == expected[m.code]
         assert validate_path(res.witness, lab, inst.traversal, inst.graph)
+        assert Measure.from_code(m.code.upper()) is m
+    with pytest.raises(ValidationError, match="unknown measure 'zz'"):
+        Measure.from_code("zz")
 
 
 def test_distance_rejects_same_vertex():

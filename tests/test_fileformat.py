@@ -69,6 +69,11 @@ def test_instance_round_trip_bytes():
         text2 = serialize_instance(rf)
         assert parse_instance(text2) == rf
         assert serialize_instance(parse_instance(text2)) == text2
+        # Each document gives only the model of its own kind.
+        with pytest.raises(ValidationError, match="document holds a reachfast instance"):
+            parse_instance_document(text2).to_instance()
+        with pytest.raises(ValidationError, match="document holds a tmb instance"):
+            parse_instance_document(text).to_reachfast()
 
 
 def test_labeling_round_trip_bytes():
@@ -180,6 +185,13 @@ def test_parse_cnf_errors():
     ):
         with pytest.raises(ParseError):
             parse_cnf(text)
+    for text, message in (
+        ("p cnf 1 1\np cnf 1 1\n1 0\n", "line 2: duplicate header"),
+        ("p cnf one 1\n1 0\n", "line 1: header counts must be integers"),
+        ("p cnf 1 0\n", "line 1: header counts must be positive"),
+    ):
+        with pytest.raises(ParseError, match=message):
+            parse_cnf(text)
 
 
 def test_parse_cnf_comments_and_final_clause():
@@ -221,6 +233,9 @@ def test_export_dot():
     dot = export_dot(doc)
     assert dot.startswith("graph tmbcast {")
     assert '0 -- 1 [label="(1,1) (12,1)"];' in dot
+    plain = InstanceDocument(Instance(StaticGraph(2, ((0, 1),)), frozenset({0}),
+                                      TraversalSpec.uniform(1, 3), (1,), 2))
+    assert '0 -- 1 [label="w=3"];' in export_dot(plain)
     assert "doublecircle" in dot
     dot2 = export_dot(doc, fig.LABELING_EA)
     assert "t=1 " in dot2

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -51,6 +52,13 @@ def test_formula_validation():
         CnfFormula(1, ((0,),))
     with pytest.raises(ValidationError):
         CnfFormula(1, ((2,),))
+    for count, clauses, message in (
+        (0, ((1,),), "formula needs at least one variable"),
+        (1, ((1,), ()), "clause 1 is empty"),
+        (1, (), "formula needs at least one clause"),
+    ):
+        with pytest.raises(ValidationError, match=message):
+            CnfFormula(count, clauses)
     f = CnfFormula(2, ((1, -2), (2,)))
     assert f.clause_count == 2
     assert not f.is_three_sat()
@@ -58,6 +66,10 @@ def test_formula_validation():
 
 def test_exhaustive_sat_check():
     assert CnfFormula(1, ((1,),)).satisfiable()
+    with pytest.raises(ValidationError, match="assignment misses variable 2"):
+        CnfFormula(2, ((1, 2),)).evaluate({1: True})
+    with pytest.raises(ValidationError, match="limited to 20 variables"):
+        CnfFormula(21, ((21,),)).satisfying_assignment()
     assert not CnfFormula(1, ((1,), (-1,))).satisfiable()
     f = CnfFormula(2, ((1, 2), (-1,), (-2,)))
     assert not f.satisfiable()
@@ -271,6 +283,12 @@ def test_gadget_witness_rejects_bad_assignment():
     gadget = gen_single_source_gadget(formula, GadgetParams(FT, 2))
     with pytest.raises(UnsatisfiedClause):
         gadget_labeling_from_assignment(gadget, {1: False})
+    # Each witness builder takes only its own kind of gadget.
+    two_source = gen_two_source_gadget(CnfFormula(1, ((1, 1, 1),)))
+    with pytest.raises(ValidationError, match="needs a sat gadget"):
+        gadget_labeling_from_assignment(two_source, {1: True})
+    with pytest.raises(ValidationError, match="needs a two-source gadget"):
+        two_source_witness_labeling(gadget, {1: True})
 
 
 def test_ft_gadget_bounds_and_certificate():
@@ -320,6 +338,8 @@ def test_gadget_structure():
     restricted = [e for e, mu in enumerate(inst.multiplicity) if mu == 1]
     assert len(restricted) == 2
     assert inst.tau == 1 + 4 + 1 + 1  # max override a+4, weight 1
+    with pytest.raises(ValidationError, match="gadget values must separate yes from no"):
+        dataclasses.replace(gadget, no_value_lower_bound=gadget.yes_value)
 
 
 # ---------------------------------------------------------------------------
@@ -331,6 +351,8 @@ def test_two_source_rejects_bad_formulas():
         gen_two_source_gadget(CnfFormula(2, ((1, 2),)))
     with pytest.raises(ContradictoryClause):
         gen_two_source_gadget(CnfFormula(2, ((1, -1, 2),)))
+    with pytest.raises(InvalidParams, match="at least two sources"):
+        gen_two_source_gadget(CnfFormula(1, ((1, 1, 1),)), source_count=1)
 
 
 def test_two_source_structure_counts():

@@ -243,6 +243,24 @@ def test_builders_reject_a_root_outside_the_graph():
                 build(root, inst)
 
 
+def test_builders_reject_what_sssp_rejects():
+    # Unit weights on the path 0-1-2 with tau 5: one row short, one row too
+    # many, a label past tau, and a full graph of another horizon.
+    graph = StaticGraph(3, ((0, 1), (1, 2)))
+    inst = Instance(graph, frozenset({0}), TraversalSpec.uniform(2, 1), (1, 1), 5)
+    for availability, message in (
+        (Labeling(((1,),)), "labeling covers 1 edges, instance has 2"),
+        (Labeling(((1,), (3,), (4,))), "labeling covers 3 edges, instance has 2"),
+        (Labeling(((1,), (9,))), "label on edge 1: time 9 outside 1..5"),
+        (FullAvailability(100), "full availability horizon 100 is not tau 5"),
+    ):
+        with pytest.raises(ValidationError, match=message):
+            sssp(0, availability, inst, Measure.EARLIEST_ARRIVAL)
+        for build in (build_ea_tsot, build_ld_tsot):
+            with pytest.raises(ValidationError, match=message):
+                build(0, inst, availability)
+
+
 def test_to_labeling_rejects_negative_edge_ids():
     # Read from the end of the table, -2 and -1 labeled edges 0 and 1.
     trav = TraversalSpec.uniform(2, 1)
