@@ -361,6 +361,17 @@ def cmd_export_dot(args) -> None:
 # Parser
 
 
+def _limit(text: str) -> int:
+    """An oracle limit: an int of at least 0, else a usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, not {value}")
+    return value
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: building it costs more
@@ -377,9 +388,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--measure", required=True, choices=[m.code for m in measures])
 
     def add_limits(p):
-        p.add_argument("--max-labelings", type=int, default=OracleLimits.max_labelings)
-        p.add_argument("--max-edges", type=int, default=OracleLimits.max_edges)
-        p.add_argument("--max-tau", type=int, default=OracleLimits.max_tau)
+        p.add_argument("--max-labelings", type=_limit, default=OracleLimits.max_labelings)
+        p.add_argument("--max-edges", type=_limit, default=OracleLimits.max_edges)
+        p.add_argument("--max-tau", type=_limit, default=OracleLimits.max_tau)
 
     p = sub.add_parser("solve", help="dispatch to the applicable exact solver")
     add_measure(p)

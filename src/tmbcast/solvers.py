@@ -20,6 +20,8 @@ node's undecided edges carry every time in ``1..tau``; since feasibility
 and every pair optimum are monotone under added labels, the node's
 objective bounds every labeling below it.  Infeasible nodes and nodes whose
 bound is not strictly better than the best labeling so far are pruned.
+Until a labeling is held, only feasibility can prune, so the internal
+nodes visited before then are tested for feasibility alone.
 Leaves come in lexicographic order and only a strict improvement replaces
 the best, so the answer and its tie-break are those of the full
 enumeration.
@@ -46,6 +48,7 @@ from tmbcast.core import (
     Unreachable,
     ValidationError,
     WrongSourceCount,
+    _feasible_arrivals,
     _too_sparse,
 )
 from tmbcast.distances import (
@@ -380,13 +383,18 @@ def brute_force(
     ``min(mu, tau)`` in lexicographic order.  The search fixes the edges
     with a single such subset, then assigns the others depth first in that
     order, the undecided edges carrying every time in ``1..tau``.  Each node
-    evaluates its partial labeling once: feasibility and the objective.
-    Every completion's labels are a subset of the node's, and feasibility
-    and every pair optimum only improve when labels are added, so the
-    node's value bounds every completion's and equals it at a leaf.  A node
-    is pruned when it is infeasible or its value is not strictly better
-    than the best labeling found so far; the search ends once that best
-    equals the root's value, which nothing can beat.  Leaves are visited in
+    evaluates its partial labeling once.  Every completion's labels are a
+    subset of the node's, and feasibility and every pair optimum only
+    improve when labels are added, so the node's value bounds every
+    completion's and equals it at a leaf.  A node is pruned when it is
+    infeasible or its value is not strictly better than the best labeling
+    found so far; the search ends once that best equals the root's value,
+    which nothing can beat.  The root (whose value is that ceiling), every
+    leaf and every node after the first best is held get their pair values
+    from ``_table_pairs``.  An internal node before then can only be pruned
+    as infeasible, so it takes ``_feasible_arrivals``' start-1 kernel run
+    per source, which decides feasibility as ``_table_pairs`` does and
+    stops at the first source that misses a vertex.  Leaves are visited in
     cross-product order and the best changes only on a strict improvement,
     so the result is the lexicographically first optimal labeling, the one
     the plain enumeration returns.  Raises SearchSpaceTooLarge before
@@ -438,6 +446,11 @@ def brute_force(
         nxt[depth] = i + 1
         table[e] = per_edge[e][i]
         leaf = depth + 1 == len(free)
+        if best_value is None and not leaf:
+            # With nothing held the prune test reads feasibility alone.
+            if _feasible_arrivals(instance, CandidateTable(table, trav)) is not None:
+                nxt.append(0)
+            continue
         bound, pairs = evaluate()
         if bound is None or (
             best_value is not None and not measure.better(bound, best_value)

@@ -476,6 +476,24 @@ def test_oracle_space_guard_exit(capsys, network):
     assert "SearchSpaceTooLarge" in err
 
 
+# A negative or non-integer limit is a usage error; 0 is a limit.
+@pytest.mark.parametrize("command", [["oracle"], ["solve", "--oracle"]],
+                         ids=["oracle", "solve-oracle"])
+@pytest.mark.parametrize("flag", ["--max-labelings", "--max-edges", "--max-tau"])
+@pytest.mark.parametrize("value, message", [
+    ("-1", "must be at least 0, not -1"),
+    ("x", "invalid int value: 'x'"),
+])
+def test_oracle_rejects_a_negative_limit(capsys, network, command, flag, value, message):
+    with pytest.raises(SystemExit) as stop:
+        main([*command, "--measure", "ea", "--in", str(network), flag, value])
+    assert stop.value.code == 2
+    assert f"argument {flag}: {message}\n" in capsys.readouterr().err
+    code, _, err = run(capsys, *command, "--measure", "ea", "--in", str(network), flag, "0")
+    assert code == 6
+    assert "SearchSpaceTooLarge" in err
+
+
 # A 4-vertex path whose tau and multiplicities make the cross product huge:
 # counting it exactly overflowed the message (10^9, 10^5) or never finished
 # (10^12, 10^7).  Each run gets its own process and a wall timeout.
@@ -505,17 +523,7 @@ def test_oracle_refuses_a_huge_search_space_at_once(tmp_path, command, tau, mu):
 @pytest.mark.parametrize("command", [["oracle"], ["solve", "--oracle"]],
                          ids=["oracle", "solve-oracle"])
 def test_oracle_infeasible_exit(capsys, tmp_path, command):
-    from tmbcast.core import Instance, StaticGraph, TraversalSpec
-
-    inst = Instance(
-        StaticGraph(3, ((0, 1), (1, 2))),
-        frozenset({0, 2}),
-        TraversalSpec.uniform(2, 1),
-        (1, 1),
-        3,
-    )
-    f = tmp_path / "inst.json"
-    f.write_text(serialize_instance(inst))
+    f = FIXTURES / "two-source-path.json"  # sources at both ends, one label per edge
     out = tmp_path / "schedule.json"
     code, payload, _ = run(capsys, *command, "--measure", "ea", "--in", str(f), "--out", str(out))
     assert code == 4

@@ -636,9 +636,11 @@ def oracle_instances(draw, max_labelings=400):
 
 
 # A single-choice edge (mu = tau) between two branching ones; two sources
-# that no labeling serves (one label per edge on a path); and two sources
-# on zero-weight edges with optimal labelings after the first one, which a
-# search replacing its best on a tie would return.
+# that no labeling serves (one label per edge on a path), under a measure
+# whose pair search decides feasibility by itself and under the two that
+# run the kernel first; and two sources on zero-weight edges with optimal
+# labelings after the first one, which a search replacing its best on a tie
+# would return.
 @example(
     Instance(StaticGraph(4, ((0, 1), (1, 2), (2, 3))), frozenset({0}),
              TraversalSpec.from_maps([1, 0, 2], {1: {2: 3}}), (1, 3, 2), 3),
@@ -648,6 +650,16 @@ def oracle_instances(draw, max_labelings=400):
     Instance(StaticGraph(3, ((0, 1), (1, 2))), frozenset({0, 2}),
              TraversalSpec.uniform(2, 1), (1, 1), 3),
     Measure.EARLIEST_ARRIVAL,
+)
+@example(
+    Instance(StaticGraph(3, ((0, 1), (1, 2))), frozenset({0, 2}),
+             TraversalSpec.uniform(2, 1), (1, 1), 3),
+    Measure.FASTEST,
+)
+@example(
+    Instance(StaticGraph(3, ((0, 1), (1, 2))), frozenset({0, 2}),
+             TraversalSpec.uniform(2, 1), (1, 1), 3),
+    Measure.MIN_WAIT,
 )
 @example(
     Instance(StaticGraph(4, ((0, 2), (0, 3), (2, 3), (1, 2))), frozenset({0, 1}),
@@ -662,3 +674,4 @@ def test_brute_force_matches_reference(instance, measure):
     assert (got.status, got.objective, got.labeling.times_by_edge) == (
         want.status, want.objective, want.labeling.times_by_edge
     )
+    assert got.per_source_distances == want.per_source_distances

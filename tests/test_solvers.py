@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -24,6 +25,7 @@ from tmbcast.core import (
     is_feasible,
 )
 from tmbcast.distances import Bounds, Measure, distance, ft_mw_bounds, objective, sssp
+from tmbcast.fileformat import parse_instance_document
 from tmbcast.solvers import (
     NoTractableRegime,
     OracleLimits,
@@ -640,6 +642,30 @@ def test_brute_force_infeasible():
     result = brute_force(inst, EA)
     assert result.status is SolveStatus.INFEASIBLE
     assert result.objective is None
+
+
+@pytest.mark.parametrize("measure", list(Measure))
+def test_brute_force_tests_feasibility_alone_until_it_holds_a_schedule(monkeypatch, measure):
+    import tmbcast.solvers as solvers
+
+    # The path 0-1-2 with one label per edge and sources at both ends: no
+    # labeling serves both.  Only edge 0 at time 2 leaves a feasible
+    # internal node, and each of its three leaves is infeasible.
+    fixture = Path(__file__).parent / "fixtures" / "two-source-path.json"
+    inst = parse_instance_document(fixture.read_text()).to_instance()
+    searched = []
+    pair_search = solvers._table_pairs
+
+    def counting(instance, table, measure):
+        searched.append(measure)
+        return pair_search(instance, table, measure)
+
+    monkeypatch.setattr(solvers, "_table_pairs", counting)
+    result = brute_force(inst, measure)
+    assert result.status is SolveStatus.INFEASIBLE
+    # The root and the three leaves; the internal nodes, held by no
+    # schedule, only test feasibility.
+    assert len(searched) == 4
 
 
 def test_brute_force_space_guard():
