@@ -260,7 +260,8 @@ class TraversalSpec:
     ``[edge, time, weight]`` entries, where the last for an (edge, time) wins.
     The table is held once, as ``_override_index``: per edge, a time ->
     weight dict, which is what searches read.  On either path the sorted
-    ``overrides`` rows are derived from it on first read, so checking a
+    ``overrides`` rows, and the full temporal graph's sorted
+    ``_override_times``, are derived from it on first read, so checking a
     schedule never sorts them; ``_latest_override`` is the latest override
     time (0 when there is none).
     """
@@ -356,9 +357,10 @@ class TraversalSpec:
         return cls.from_entries(len(defaults), defaults, *zip(*entries))
 
     @cached_property
-    def _override_departures(self) -> tuple[tuple[tuple[Time, Time], ...], ...]:
-        """Per edge, ``(t, t + weight)`` at each override time, in time order."""
-        return tuple(tuple([(t, t + w) for t, w in items]) for items in self.overrides)
+    def _override_times(self) -> tuple[tuple[Time, ...], ...]:
+        """Per edge, its override times in ascending order: the departures
+        the full temporal graph lists before its default slot."""
+        return tuple([tuple(sorted(row)) if row else () for row in self._override_index])
 
     def weight(self, e: Edge, t: Time) -> int:
         """Evaluated traversal weight ``tr(e, t)``."""
@@ -685,22 +687,25 @@ def validate_path(
 
 
 class CandidateTable:
-    """Per-edge departures of one (availability, traversal) pair, built once
-    and shared by every search over the pair: every source, every
+    """Per-edge departure times of one (availability, traversal) pair, built
+    once and shared by every search over the pair: every source, every
     latest-departure or fastest probe.
 
-    ``departures[e]`` lists ``(t, t + tr(e, t))`` in ascending ``t`` over the
-    edge's scheduled times (for a labeling) or its override times (for the
-    full temporal graph, computed once per traversal).  On the full temporal
-    graph (``tau`` not None) the edge also departs at its default weight at
-    the first non-override time at or after the current arrival.  A labeling
-    may also be given as per-edge tuples already sorted and duplicate-free,
-    as the brute-force oracle enumerates them.  On a labeling, ``times[e]``
-    holds the edge's scheduled times, and ``plain[e]`` is true when none of
-    them is an override time, so every departure has the default weight.
+    ``times[e]`` lists the edge's departure times in ascending order: its
+    scheduled times on a labeling, as given, or its override times on the
+    full temporal graph (``tau`` not None, computed once per traversal),
+    where the edge also departs at its default weight at the first
+    non-override time at or after the current arrival.  A departure at
+    ``t`` arrives at ``t + overrides[e].get(t, defaults[e])``, where
+    ``overrides`` is the traversal's per-edge time -> weight index, and
+    searches compute that where they read a departure.  A labeling may also
+    be given as per-edge tuples already sorted and duplicate-free, as the
+    brute-force oracle enumerates them.  On a labeling, ``plain[e]`` is true
+    when none of the edge's times is an override time, so every departure
+    has the default weight.
     """
 
-    __slots__ = ("departures", "tau", "defaults", "overrides", "times", "plain")
+    __slots__ = ("tau", "defaults", "overrides", "times", "plain")
 
     def __init__(self, availability: Availability | Sequence[tuple[Time, ...]],
                  traversal: TraversalSpec):
@@ -708,27 +713,16 @@ class CandidateTable:
         self.overrides = traversal._override_index
         if isinstance(availability, FullAvailability):
             self.tau = availability.tau
-            self.departures = traversal._override_departures
+            self.times = traversal._override_times
             return
         if isinstance(availability, Labeling):
             availability = availability.times_by_edge
         self.tau = None
         self.times = tuple(availability)
-        self.departures = []
-        self.plain = []
-        for times, per_edge, default in zip(self.times, self.overrides, self.defaults):
-            row = []
-            plain = True
-            for t in times:
-                if t in per_edge:
-                    row.append((t, t + per_edge[t]))
-                    plain = False
-                else:
-                    row.append((t, t + default))
-            self.departures.append(row)
-            self.plain.append(plain)
+        self.plain = [not per_edge or per_edge.keys().isdisjoint(times)
+                      for times, per_edge in zip(self.times, self.overrides)]
 
-    def candidates(self, e: Edge, lo: Time) -> Sequence[tuple[Time, Time]]:
+    def candidates(self, e: Edge, lo: Time) -> list[tuple[Time, Time]]:
         """(departure, arrival) pairs worth trying at or after ``lo`` when
         minimizing, in the order searches try them.
 
@@ -740,40 +734,42 @@ class CandidateTable:
         labeling's ``plain`` edge that is the first scheduled time at or
         after ``lo`` alone.
         """
-        departures = self.departures[e]
+        times = self.times[e]
         per_edge = self.overrides[e]
+        default = self.defaults[e]
         if self.tau is None:
-            i = bisect_left(self.times[e], lo)
+            i = bisect_left(times, lo)
             if self.plain[e]:
-                return departures[i:i + 1]
+                return [(t, t + default) for t in times[i:i + 1]]
             out = []
             saw_default = False
-            for t, arrival in departures[i:]:
-                if t not in per_edge:
+            for t in times[i:]:
+                w = per_edge.get(t)
+                if w is None:
                     if saw_default:
                         continue
                     saw_default = True
-                out.append((t, arrival))
+                    w = default
+                out.append((t, t + w))
             return out
         if lo > self.tau:
             return []
-        departures = departures[bisect_left(departures, lo, key=_time):]
+        out = [(t, t + per_edge[t]) for t in times[bisect_left(times, lo):]]
         t = lo
         while t in per_edge:
             t += 1
         if t <= self.tau:
-            return [*departures, (t, t + self.defaults[e])]
-        return departures
+            out.append((t, t + default))
+        return out
 
-    def available(self, e: Edge) -> Sequence[tuple[Time, Time]]:
+    def available(self, e: Edge) -> list[tuple[Time, Time]]:
         """Every available (departure, arrival) pair of the edge."""
-        if self.tau is None:
-            return self.departures[e]
         weight = self.overrides[e].get
-        return [(t, t + weight(t, self.defaults[e])) for t in range(1, self.tau + 1)]
+        default = self.defaults[e]
+        times = self.times[e] if self.tau is None else range(1, self.tau + 1)
+        return [(t, t + weight(t, default)) for t in times]
 
 
-_time = itemgetter(0)  # bisection key of a (departure, arrival) pair
 _NEVER = float("inf")
 
 
@@ -792,12 +788,14 @@ def earliest_arrival(
     None for the source and for unreached vertices; ``parents[v]`` is
     ``(previous vertex, edge, departure)``, and the parent forest realizes
     the arrivals.  Within an edge the departure is the first of
-    ``table.candidates`` with the least arrival; the scan stops once a
-    departure time reaches the best arrival so far, and a labeling's
-    ``plain`` edge needs none: its first departure at or after the current
-    arrival is that one.  With ``stop`` the run
-    ends once that vertex is settled: its arrival and its path in the forest
-    are final, other entries may not be.
+    ``table.candidates`` with the least arrival, read in place: the scan
+    runs up the edge's ``table.times`` from the current arrival, computing
+    each arrival from the override index, and stops once a departure time
+    reaches the best arrival so far; on the full temporal graph the default
+    slot comes last and wins no tie.  A labeling's ``plain`` edge needs no
+    scan: its first time at or after the current arrival is that departure.
+    With ``stop`` the run ends once that vertex is settled: its arrival and
+    its path in the forest are final, other entries may not be.
 
     This one mode serves every first-departure search.  Waiting is allowed,
     so arrivals never fall as ``start`` grows (FIFO; Dean 2004): a vertex's
@@ -807,13 +805,12 @@ def earliest_arrival(
     """
     n = graph.vertex_count
     adjacency = graph.adjacency
-    all_departures = table.departures
+    all_times = table.times
     tau = table.tau
     full = tau is not None
     overrides = table.overrides
     defaults = table.defaults
     plain = () if full else table.plain
-    all_times = table.times if plain else ()
     arrival: list = [_NEVER] * n
     parents: list = [None] * n
     done = [False] * n
@@ -834,30 +831,33 @@ def earliest_arrival(
         for e, w in adjacency[u]:
             if done[w]:
                 continue
-            departures = all_departures[e]
+            times = all_times[e]
             if plain and plain[e]:
-                i = bisect_left(all_times[e], now)
-                if i == len(departures):
+                i = bisect_left(times, now)
+                if i == len(times):
                     continue
-                best_t, best = departures[i]
+                best_t = times[i]
+                best = best_t + defaults[e]
             else:
-                if departures and departures[0][0] < now:
-                    departures = departures[bisect_left(departures, now, key=_time):]
+                if times and times[0] < now:
+                    times = times[bisect_left(times, now):]
                 best = _NEVER
-                for t, a in departures:
+                per_edge = overrides[e]
+                default = defaults[e]
+                for t in times:
                     if t >= best:
                         break
+                    a = t + per_edge.get(t, default)
                     if a < best:
                         best = a
                         best_t = t
-            if full:
-                t = now
-                per_edge = overrides[e]
-                while t in per_edge:
-                    t += 1
-                if t <= tau and t + defaults[e] < best:
-                    best = t + defaults[e]
-                    best_t = t
+                if full:
+                    t = now
+                    while t in per_edge:
+                        t += 1
+                    if t <= tau and t + default < best:
+                        best = t + default
+                        best_t = t
             if best < arrival[w]:
                 arrival[w] = best
                 parents[w] = (u, e, best_t)
@@ -879,8 +879,8 @@ def latest_departure(
     latest time is the latest departure from it on a walk that still
     reaches ``target``; the target's is unbounded.  Relaxing edge ``e`` from
     a settled vertex with latest time ``Y`` gives the latest available
-    ``t`` with ``t + tr(e, t) <= Y``: a scan down the edge's departures at
-    or before ``Y``, and on the full temporal graph also the latest
+    ``t`` with ``t + tr(e, t) <= Y``: a scan down the edge's ``table.times``
+    at or before ``Y``, and on the full temporal graph also the latest
     non-override time up to ``min(tau, Y - default)``.  The run ends when
     the source pops, its latest time the answer; the source is never
     expanded, so no walk passes through it.  The walks are those of
@@ -888,7 +888,7 @@ def latest_departure(
     run reaches ``target``.
     """
     adjacency = graph.adjacency
-    all_departures = table.departures
+    all_times = table.times
     tau = table.tau
     full = tau is not None
     overrides = table.overrides
@@ -910,23 +910,24 @@ def latest_departure(
             if done[x]:
                 continue
             best = 0
+            per_edge = overrides[e]
+            default = defaults[e]
             if full:
-                t = min(tau, deadline - defaults[e])
-                per_edge = overrides[e]
+                t = min(tau, deadline - default)
                 while t in per_edge:
                     t -= 1
                 if t > 0:
                     best = t
-            departures = all_departures[e]
-            i = len(departures)
-            if i and departures[-1][0] > deadline:
-                i = bisect_right(departures, deadline, key=_time)
+            times = all_times[e]
+            i = len(times)
+            if i and times[-1] > deadline:
+                i = bisect_right(times, deadline)
             while i:
                 i -= 1
-                t, a = departures[i]
+                t = times[i]
                 if t <= best:
                     break
-                if a <= deadline:
+                if t + per_edge.get(t, default) <= deadline:
                     best = t
                     break
             if best > latest[x]:

@@ -1,7 +1,13 @@
 """The six temporal distance measures and the bound quantities for FT/MW.
 
 Every search reads one ``core.CandidateTable``, built once per availability
-and shared by every source and probe:
+and shared by every source and probe.  It holds each edge's departure
+times and the traversal's override index, and a search computes a
+departure's arrival where it reads one: the kernels, the front search on a
+labeling's ``plain`` edges and on the full temporal graph, the
+minimum-waiting search on ``plain`` edges and the certificate maxima read
+the times in place, and the rest take ``candidates``, built on demand.
+The searches are:
 
 * earliest arrival: one run of the kernel ``core.earliest_arrival``,
   stopped at the target when there is one;
@@ -82,7 +88,6 @@ from tmbcast.core import (
     _NEVER,
     _check_labeling,
     _feasible_arrivals,
-    _time,
     _too_sparse,
     earliest_arrival,
     latest_departure,
@@ -178,7 +183,7 @@ def _first_departure_times(
         return range(1, table.tau + 1) if graph.incident(source) else []
     out: set[int] = set()
     for e, _ in graph.incident(source):
-        out.update(t for t, _ in table.departures[e])
+        out.update(table.times[e])
     return sorted(out)
 
 
@@ -385,6 +390,8 @@ def _fronts(graph: StaticGraph, table: CandidateTable, closed: Iterable[int],
     each of those vertices has its least-key state (the set is consumed).
     """
     adjacency = graph.adjacency
+    all_times, overrides, defaults, tau = table.times, table.overrides, table.defaults, table.tau
+    plain = () if tau is not None else table.plain
     best = [_NEVER] * graph.vertex_count
     for v in closed:
         best[v] = -1  # every arrival is dominated: never entered
@@ -413,11 +420,38 @@ def _fronts(graph: StaticGraph, table: CandidateTable, closed: Iterable[int],
         chains.append(chain)
         base = key + hop
         for e, y in adjacency[x]:
-            if best[y] <= arrival:
+            limit = best[y]
+            if limit <= arrival:
                 continue  # no step from here can arrive earlier
-            for t, reach in table.candidates(e, arrival):
-                if reach < best[y] and reach <= cap:
+            # ``table.candidates(e, arrival)``, read in place on a plain
+            # labeling edge and on the full temporal graph.
+            if tau is not None:
+                if arrival > tau:
+                    continue
+                times = all_times[e]
+                per_edge = overrides[e]
+                for t in times[bisect_left(times, arrival):]:
+                    reach = t + per_edge[t]
+                    if reach < limit and reach <= cap:
+                        push(heap, (base + reach - t if travel else base, reach, y, e, t, here))
+                t = arrival
+                while t in per_edge:
+                    t += 1
+                reach = t + defaults[e]
+                if t <= tau and reach < limit and reach <= cap:
                     push(heap, (base + reach - t if travel else base, reach, y, e, t, here))
+            elif plain[e]:
+                times = all_times[e]
+                i = bisect_left(times, arrival)
+                if i < len(times):
+                    t = times[i]
+                    reach = t + defaults[e]
+                    if reach < limit and reach <= cap:
+                        push(heap, (base + reach - t if travel else base, reach, y, e, t, here))
+            else:
+                for t, reach in table.candidates(e, arrival):
+                    if reach < limit and reach <= cap:
+                        push(heap, (base + reach - t if travel else base, reach, y, e, t, here))
     return fronts
 
 
@@ -494,15 +528,26 @@ def _min_wait_run(
     bound = _forest_waiting(arrivals, parents, source) + 1
     worst: list[tuple[int, int]] = []  # (-waiting, v); stale entries dropped lazily
 
+    all_times, defaults = table.times, table.defaults
+    plain = () if table.tau is not None else table.plain
+
     def moves(v: int, arrival: int, waited: int, first: bool):
-        return iter([
-            (w, e, t, reach, waited if first else waited + t - arrival)
-            for e, w in adjacency[v]
-            if not on_path[w]
-            for t, reach in (
-                table.available(e) if first else table.candidates(e, arrival)
-            )
-        ])
+        out = []
+        for e, w in adjacency[v]:
+            if on_path[w]:
+                continue
+            if first:
+                out += [(w, e, t, reach, waited) for t, reach in table.available(e)]
+            elif plain and plain[e]:  # ``table.candidates``, read in place
+                times = all_times[e]
+                i = bisect_left(times, arrival)
+                if i < len(times):
+                    t = times[i]
+                    out.append((w, e, t, t + defaults[e], waited + t - arrival))
+            else:
+                out += [(w, e, t, reach, waited + t - arrival)
+                        for t, reach in table.candidates(e, arrival)]
+        return iter(out)
 
     stack = [(moves(source, 1, 0, True), None, source)]
     while stack:
@@ -779,10 +824,10 @@ def _max_stats(graph: StaticGraph, table: CandidateTable, source: int):
     """
     adjacency = graph.adjacency
     tau = table.tau
-    defaults, overrides, departures = table.defaults, table.overrides, table.departures
+    defaults, overrides, all_times = table.defaults, table.overrides, table.times
     starts = {1}
     for e, _ in adjacency[source]:
-        for t, _ in departures[e]:
+        for t in all_times[e]:
             starts.update((t, t + 1))
     seeds = [
         (t0, reach, w, e, t0, 0)
@@ -801,8 +846,8 @@ def _max_stats(graph: StaticGraph, table: CandidateTable, source: int):
 
     def last_arrival(e: int, a: int) -> int:
         """Latest arrival over the edge's departures in a..tau."""
-        later = departures[e][bisect_left(departures[e], a, key=_time):]
-        reach = max((reach for _, reach in later), default=-1)
+        times, per_edge = all_times[e], overrides[e]
+        reach = max((t + per_edge[t] for t in times[bisect_left(times, a):]), default=-1)
         if last_default[e] >= a:
             reach = max(reach, last_default[e] + defaults[e])
         return reach

@@ -24,9 +24,11 @@ increasing order, kept as they are; multiplicities are converted by the
 
 Every fault of a document's text raises ``ParseError``: text that is not
 JSON or nests too deeply for the decoder (``RecursionError``), a missing or
-mistyped field, and every value int() rejects with ``TypeError``,
-``ValueError`` or ``OverflowError`` (a string, null, a list, NaN, an
-infinity).  Values that convert but break a model rule raise
+mistyped field (true or false where an int belongs), an edge, override or
+label row that is a string or an object (Python would read its
+characters or keys as values), and every value int() rejects with
+``TypeError``, ``ValueError`` or ``OverflowError`` (a string, null, a list,
+NaN, an infinity).  Values that convert but break a model rule raise
 ``ValidationError`` from the constructors.
 """
 
@@ -175,18 +177,21 @@ def _canonical_value(value) -> str:
     if kind is list and value:
         kinds = set(map(type, value))
         if kinds <= {int}:
-            items = map(repr, value)
+            text = ",\n    ".join(map(repr, value))
         elif kinds == {str}:
-            items = map(encode_basestring_ascii, value)
+            text = ",\n    ".join(map(encode_basestring_ascii, value))
         elif kinds == {list} and set(map(type, chain.from_iterable(value))) <= {int}:
-            items = (
-                "[\n      " + ",\n      ".join(map(repr, row)) + "\n    ]" if row else "[]"
-                for row in value
-            )
+            # One "%d" (an int's repr) per int, laid out per row length, and
+            # one format call over every int.
+            lengths = tuple(map(len, value))
+            layout = {n: "[\n      " + ",\n      ".join(["%d"] * n) + "\n    ]" if n else "[]"
+                      for n in set(lengths)}
+            text = ",\n    ".join(map(layout.__getitem__, lengths))
+            text %= tuple(chain.from_iterable(value))
         else:
-            items = None
-        if items is not None:
-            return "[\n    " + ",\n    ".join(items) + "\n  ]"
+            text = None
+        if text is not None:
+            return "[\n    " + text + "\n  ]"
     return json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n  ")
 
 
@@ -228,10 +233,12 @@ def serialize_instance(
 
 
 def _need(payload: dict, key: str, kinds, what: str):
+    """``payload[key]``, of one of ``kinds``; JSON's true and false are not
+    ints here, though Python's bools are."""
     if key not in payload:
         raise ParseError(f"{what}: missing field {key!r}")
     value = payload[key]
-    if not isinstance(value, kinds):
+    if not isinstance(value, kinds) or type(value) is bool:
         raise ParseError(f"{what}: field {key!r} has the wrong type")
     return value
 
@@ -259,19 +266,24 @@ def _int_values(values: list, what: str) -> tuple[int, ...]:
 def _override_columns(items: list, edge_count: int, what: str) -> tuple:
     """The edge, time and weight columns of ``[edge, time, weight]`` entries,
     exact ints through int() (the one int test of the entries); ParseError
-    names the first entry that is not three values int() accepts or whose
+    names the first entry that is not an array of three values int() accepts
+    (a string or an object is not one, though Python iterates both) or whose
     edge is not one of the document's."""
     try:
-        flat = tuple(chain.from_iterable(items)) if set(map(len, items)) <= {3} else None
+        flat = None
+        if set(map(type, items)) <= {list} and set(map(len, items)) <= {3}:
+            flat = tuple(chain.from_iterable(items))
         if flat is not None and not set(map(type, flat)) <= {int}:
             flat = tuple(map(int, flat))
-    except _INT_ERRORS:  # some entry is not a list, or some value not a number
+    except _INT_ERRORS:  # some value is not a number
         flat = None
     columns = None if flat is None else (flat[0::3], flat[1::3], flat[2::3])
     if columns is None or not _within(columns[0], 0, edge_count - 1):
         # Name the first bad entry; for JSON values one always is.
         for item in items:
             try:
+                if type(item) is not list:
+                    raise TypeError
                 e, t, w = (int(x) for x in item)
             except _INT_ERRORS:
                 raise ParseError(f"{what}: overrides must be [edge, time, weight]") from None
@@ -282,7 +294,10 @@ def _override_columns(items: list, edge_count: int, what: str) -> tuple:
 
 def _labeling(rows: list, what: str) -> Labeling:
     """The labeling of ``rows``, each label through int() unless all are
-    exact ints (the one int test of the labels)."""
+    exact ints (the one int test of the labels).  A string or object row is
+    a ParseError: Python would read its characters or keys as labels."""
+    if set(map(type, rows)) & {str, dict}:
+        raise ParseError(f"{what}: label rows must be arrays of integers")
     try:
         exact = set(map(type, chain.from_iterable(rows))) <= {int}
     except TypeError:  # some entry is not a list
@@ -309,6 +324,8 @@ def parse_instance_document(text: str) -> InstanceDocument:
     defaults = _need(payload, "default_weights", list, what)
     overrides_raw = _need(payload, "overrides", list, what)
     try:
+        if not set(map(type, edges_raw)) <= {list}:  # "01" would unpack to 0, 1
+            raise TypeError
         edges = tuple((int(u), int(v)) for u, v in edges_raw)
     except _INT_ERRORS:
         raise ParseError(f"{what}: edges must be pairs of integers") from None

@@ -52,7 +52,14 @@ differential tests can compare old and new.
   ``Measure.worst`` over the pair values of a feasible schedule;
 * ``_pair_values``, one search per source of a schedule, built here from
   the copies above, by ``distances._table_pairs``, whose searches also
-  decide feasibility.
+  decide feasibility;
+* ``CandidateTable``, which built a ``(departure, arrival)`` pair per label
+  (and, on the full temporal graph, per override time) with the
+  ``_time`` bisection key, and the searches that read those pairs,
+  ``latest_departure`` and the front search ``_fronts`` with
+  ``_cost_fronts``, by the ``core.CandidateTable`` that keeps each edge's
+  departure times and computes an arrival where a search reads one.  Every
+  search here takes this file's table, so no reference reads the library's.
 
 It also keeps verbatim copies of the library helpers that the copies above
 call: ``distances._first_departure_times``, ``_parent_chain``,
@@ -68,13 +75,13 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import deque
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence, Union
 
 from tmbcast.core import (
     Availability,
-    CandidateTable,
     Edge,
     FullAvailability,
     Instance,
@@ -90,7 +97,6 @@ from tmbcast.core import (
     Unreachable,
     Vertex,
     _NEVER,
-    _time,
 )
 from tmbcast.distances import Measure
 from tmbcast.solvers import (
@@ -104,6 +110,99 @@ from tmbcast.solvers import (
     search_space_size,
 )
 from tmbcast.tsot import Tsot
+
+
+class CandidateTable:
+    """Per-edge departures of one (availability, traversal) pair, built once
+    and shared by every search over the pair: every source, every
+    latest-departure or fastest probe.
+
+    ``departures[e]`` lists ``(t, t + tr(e, t))`` in ascending ``t`` over the
+    edge's scheduled times (for a labeling) or its override times (for the
+    full temporal graph, computed once per traversal).  On the full temporal
+    graph (``tau`` not None) the edge also departs at its default weight at
+    the first non-override time at or after the current arrival.  A labeling
+    may also be given as per-edge tuples already sorted and duplicate-free,
+    as the brute-force oracle enumerates them.  On a labeling, ``times[e]``
+    holds the edge's scheduled times, and ``plain[e]`` is true when none of
+    them is an override time, so every departure has the default weight.
+    """
+
+    __slots__ = ("departures", "tau", "defaults", "overrides", "times", "plain")
+
+    def __init__(self, availability: Availability | Sequence[tuple[Time, ...]],
+                 traversal: TraversalSpec):
+        self.defaults = traversal.defaults
+        self.overrides = traversal._override_index
+        if isinstance(availability, FullAvailability):
+            self.tau = availability.tau
+            self.departures = tuple(
+                tuple([(t, t + w) for t, w in items]) for items in traversal.overrides)
+            return
+        if isinstance(availability, Labeling):
+            availability = availability.times_by_edge
+        self.tau = None
+        self.times = tuple(availability)
+        self.departures = []
+        self.plain = []
+        for times, per_edge, default in zip(self.times, self.overrides, self.defaults):
+            row = []
+            plain = True
+            for t in times:
+                if t in per_edge:
+                    row.append((t, t + per_edge[t]))
+                    plain = False
+                else:
+                    row.append((t, t + default))
+            self.departures.append(row)
+            self.plain.append(plain)
+
+    def candidates(self, e: Edge, lo: Time) -> Sequence[tuple[Time, Time]]:
+        """(departure, arrival) pairs worth trying at or after ``lo`` when
+        minimizing, in the order searches try them.
+
+        A later departure at the default weight costs the same travel, waits
+        longer and arrives later than an earlier one, so only the first
+        default-weight departure at or after ``lo`` is kept: on a labeling
+        the scheduled times minus later default-weight ones, on the full
+        temporal graph the override times, then that default slot.  On a
+        labeling's ``plain`` edge that is the first scheduled time at or
+        after ``lo`` alone.
+        """
+        departures = self.departures[e]
+        per_edge = self.overrides[e]
+        if self.tau is None:
+            i = bisect_left(self.times[e], lo)
+            if self.plain[e]:
+                return departures[i:i + 1]
+            out = []
+            saw_default = False
+            for t, arrival in departures[i:]:
+                if t not in per_edge:
+                    if saw_default:
+                        continue
+                    saw_default = True
+                out.append((t, arrival))
+            return out
+        if lo > self.tau:
+            return []
+        departures = departures[bisect_left(departures, lo, key=_time):]
+        t = lo
+        while t in per_edge:
+            t += 1
+        if t <= self.tau:
+            return [*departures, (t, t + self.defaults[e])]
+        return departures
+
+    def available(self, e: Edge) -> Sequence[tuple[Time, Time]]:
+        """Every available (departure, arrival) pair of the edge."""
+        if self.tau is None:
+            return self.departures[e]
+        weight = self.overrides[e].get
+        return [(t, t + weight(t, self.defaults[e])) for t in range(1, self.tau + 1)]
+
+
+_time = itemgetter(0)  # bisection key of a (departure, arrival) pair
 
 
 def _first_departure_times(
@@ -1014,3 +1113,147 @@ def _latest_departure_to(graph, table, source: int, target: int | None = None) -
         else:
             lo = bisect_left(times, first)
     return times[lo]
+
+
+def latest_departure(
+    graph: StaticGraph,
+    table: CandidateTable,
+    source: Vertex,
+    target: Vertex,
+) -> Time | None:
+    """ld(source, target): the latest first departure of a walk from
+    ``source`` to ``target``, or None when there is none.
+
+    Dijkstra backward from ``target`` over (latest time, vertex), latest
+    first (Wu et al., "Path Problems in Temporal Graphs", 2014).  A vertex's
+    latest time is the latest departure from it on a walk that still
+    reaches ``target``; the target's is unbounded.  Relaxing edge ``e`` from
+    a settled vertex with latest time ``Y`` gives the latest available
+    ``t`` with ``t + tr(e, t) <= Y``: a scan down the edge's departures at
+    or before ``Y``, and on the full temporal graph also the latest
+    non-override time up to ``min(tau, Y - default)``.  The run ends when
+    the source pops, its latest time the answer; the source is never
+    expanded, so no walk passes through it.  The walks are those of
+    ``earliest_arrival``, so the answer is the latest start whose forward
+    run reaches ``target``.
+    """
+    adjacency = graph.adjacency
+    all_departures = table.departures
+    tau = table.tau
+    full = tau is not None
+    overrides = table.overrides
+    defaults = table.defaults
+    latest = [0] * graph.vertex_count  # every departure is at 1 or later
+    done = [False] * graph.vertex_count
+    heap: list[tuple[float, Vertex]] = [(-_NEVER, target)]
+    pop = heapq.heappop
+    push = heapq.heappush
+    while heap:
+        key, y = pop(heap)
+        if done[y]:
+            continue
+        if y == source:
+            return -key
+        done[y] = True
+        deadline = -key
+        for e, x in adjacency[y]:
+            if done[x]:
+                continue
+            best = 0
+            if full:
+                t = min(tau, deadline - defaults[e])
+                per_edge = overrides[e]
+                while t in per_edge:
+                    t -= 1
+                if t > 0:
+                    best = t
+            departures = all_departures[e]
+            i = len(departures)
+            if i and departures[-1][0] > deadline:
+                i = bisect_right(departures, deadline, key=_time)
+            while i:
+                i -= 1
+                t, a = departures[i]
+                if t <= best:
+                    break
+                if a <= deadline:
+                    best = t
+                    break
+            if best > latest[x]:
+                latest[x] = best
+                push(heap, (-best, x))
+    return None
+
+
+_KEEP, _TRAVEL, _HOP = range(3)  # key steps of _fronts
+
+
+def _fronts(graph: StaticGraph, table: CandidateTable, closed: Iterable[int],
+            seeds: list[tuple], step: int, until: set[int] | None = None,
+            cap: float = _NEVER) -> list[list]:
+    """Per-vertex Pareto fronts of (key, arrival), both minimized, over the
+    temporal walks that start with one of ``seeds`` and never enter a
+    vertex of ``closed``.
+
+    ``seeds`` are the first steps as ``(key, arrival, vertex, edge, time,
+    0)``.  A later step keeps the key (``_KEEP``), adds its traversal time
+    (``_TRAVEL``) or adds one (``_HOP``), and is taken only when it arrives
+    by ``cap``; a state that arrives past tau has no departures.  Keys and
+    arrivals never decrease along a walk, so states pop in (key, arrival)
+    order: a vertex's front grows by ascending key and strictly descending
+    arrival, and a state is kept and expanded only when it arrives before
+    every earlier one there.  A walk back to a vertex is never kept, so the
+    front entries ``(key, arrival, chain)`` carry simple paths as linked
+    step lists (see ``_chain_path``).  With ``until`` the search stops once
+    each of those vertices has its least-key state (the set is consumed).
+    """
+    adjacency = graph.adjacency
+    best = [_NEVER] * graph.vertex_count
+    for v in closed:
+        best[v] = -1  # every arrival is dominated: never entered
+    fronts: list[list] = [[] for _ in range(graph.vertex_count)]
+    # Chains of the kept states; a heap entry names its parent's chain by index,
+    # so the heap never compares two chains.
+    chains: list[tuple | None] = [None]
+    travel = step == _TRAVEL
+    hop = 1 if step == _HOP else 0
+    heap = list(seeds)
+    heapq.heapify(heap)
+    pop = heapq.heappop
+    push = heapq.heappush
+    while heap:
+        key, arrival, x, e, t, parent = pop(heap)
+        if arrival >= best[x]:
+            continue
+        best[x] = arrival
+        chain = (e, t, chains[parent])
+        fronts[x].append((key, arrival, chain))
+        if until is not None:
+            until.discard(x)
+            if not until:
+                break
+        here = len(chains)
+        chains.append(chain)
+        base = key + hop
+        for e, y in adjacency[x]:
+            if best[y] <= arrival:
+                continue  # no step from here can arrive earlier
+            for t, reach in table.candidates(e, arrival):
+                if reach < best[y] and reach <= cap:
+                    push(heap, (base + reach - t if travel else base, reach, y, e, t, here))
+    return fronts
+
+
+def _cost_fronts(graph: StaticGraph, table: CandidateTable, source: int,
+                 measure: Measure, until: set[int] | None = None) -> list[list]:
+    """``_fronts`` keyed by travel (shortest travel) or by hops (minimum
+    hop) over the walks from ``source``, starting at time 1, that never
+    re-enter it.  A vertex's first entry has its least cost and, among the
+    paths of that cost, the earliest arrival."""
+    travel = measure is Measure.SHORTEST_TRAVEL
+    seeds = [
+        (reach - t if travel else 1, reach, w, e, t, 0)
+        for e, w in graph.adjacency[source]
+        for t, reach in table.candidates(e, 1)
+    ]
+    return _fronts(graph, table, (source,), seeds, _TRAVEL if travel else _HOP, until)

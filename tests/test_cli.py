@@ -646,6 +646,30 @@ def test_malformed_values_are_parse_errors(capsys, tmp_path, network, key, at, v
     assert err.startswith("ParseError: ")
 
 
+# JSON values Python would read as rows or ints: a string row unpacks to
+# its characters, and true is the int 1.  Each is a parse error naming its
+# field, in the two-source path network or, for "labels", in its schedule.
+@pytest.mark.parametrize("key, value, error", [
+    ("edges", ["01", "12"], "instance document: edges must be pairs of integers"),
+    ("overrides", ["113"], "instance document: overrides must be [edge, time, weight]"),
+    ("labels", ["12", [3]], "labeling document: label rows must be arrays of integers"),
+    ("tau", True, "instance document: field 'tau' has the wrong type"),
+    ("vertices", True, "instance document: field 'vertices' has the wrong type"),
+])
+def test_string_rows_and_boolean_ints_are_parse_errors(capsys, tmp_path, key, value, error):
+    network = json.loads((FIXTURES / "two-source-path.json").read_text())
+    labeling = {"format": "tmbcast/labeling", "version": 1, "labels": [[1], [3]]}
+    (labeling if key == "labels" else network)[key] = value
+    paths = []
+    for name, doc in (("network", network), ("labeling", labeling)):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps(doc))
+    code, payload, err = run(capsys, "verify", "--in", str(paths[0]),
+                             "--labeling", str(paths[1]), "--measure", "ea")
+    assert (code, payload) == (3, None)
+    assert err.strip() == f"ParseError: {error}"
+
+
 @pytest.mark.parametrize("content, error", [
     ('{"names": ["K\u00f6ln"]}'.encode("latin-1"), "cannot read {path}: 'utf-8' codec can't"),
     (b"[" * 200_000 + b"]" * 200_000, "ParseError: instance document: nested too deeply"),

@@ -166,7 +166,8 @@ def test_traversal_from_other_values_matches_the_exact_int_build():
     for availability in (Labeling(((1, 2, 3), (4,), (2, 6))), FullAvailability(tau)):
         got = CandidateTable(availability, loose)
         want = CandidateTable(availability, exact)
-        assert got.departures == want.departures
+        assert got.times == want.times
+        assert {type(t) for row in got.times for t in row} == {int}
         for e in range(3):
             assert got.available(e) == want.available(e)
             for lo in range(1, tau + 2):

@@ -111,10 +111,10 @@ def test_earliest_arrival_matches_reference(case):
     assert {v: a for v, a in enumerate(arrivals) if a is not None} == want_arrivals
     assert {v: p for v, p in enumerate(parents) if p is not None} == want_parents
     assert earliest_arrival(graph, table, source, start) == reference.earliest_arrival(
-        graph, table, source, start=start)
+        graph, reference.CandidateTable(availability, traversal), source, start=start)
     if isinstance(availability, Labeling):
         raw = CandidateTable(availability.times_by_edge, traversal)
-        assert raw.departures == table.departures
+        assert (raw.times, raw.plain) == (table.times, table.plain)
 
 
 @settings(max_examples=300, deadline=None)
@@ -160,13 +160,14 @@ def test_free_start_is_the_least_exact_start_at_or_after_it(case):
 def test_one_target_ft_ld_match_reference(case):
     graph, traversal, availability, source, _ = case
     table = CandidateTable(availability, traversal)
+    ref_table = reference.CandidateTable(availability, traversal)
     others = [v for v in range(graph.vertex_count) if v != source]
-    duration, start = reference._fastest(graph, table, source)
-    latest, chains = reference._latest_departures_with_chains(graph, table, source, others)
-    arrivals, parents = reference.earliest_arrival(graph, table, source)
+    duration, start = reference._fastest(graph, ref_table, source)
+    latest, chains = reference._latest_departures_with_chains(graph, ref_table, source, others)
+    arrivals, parents = reference.earliest_arrival(graph, ref_table, source)
     want = {
         Measure.FASTEST: (duration, reference._probe_paths(
-            graph, table, source, start, [v for v in others if duration[v] is not None])),
+            graph, ref_table, source, start, [v for v in others if duration[v] is not None])),
         Measure.LATEST_DEPARTURE: (latest, {
             v: _chain_path(graph, source, chains[v]) for v in others if latest[v] is not None}),
         Measure.EARLIEST_ARRIVAL: (arrivals, {
@@ -217,7 +218,7 @@ def pair_queries(draw):
 @given(pair_queries())
 def test_one_target_distance_matches_sssp_and_an_unstopped_rerun(case):
     instance, availability, u, v = case
-    table = CandidateTable(availability, instance.traversal)
+    table = reference.CandidateTable(availability, instance.traversal)
     for measure in (Measure.LATEST_DEPARTURE, Measure.FASTEST):
         got = distance(u, v, availability, instance, measure)
         assert got == sssp(u, availability, instance, measure)[v]
@@ -249,11 +250,12 @@ def test_one_target_distance_matches_sssp_and_an_unstopped_rerun(case):
 def test_backward_ld_and_floor_match_the_reference_bisection(case):
     graph, traversal, availability, source, _ = case
     table = CandidateTable(availability, traversal)
+    ref_table = reference.CandidateTable(availability, traversal)
     for v in range(graph.vertex_count):
         if v != source:
-            want = reference._latest_departure_to(graph, table, source, v)
+            want = reference._latest_departure_to(graph, ref_table, source, v)
             assert latest_departure(graph, table, source, v) == want
-    want = reference._latest_departure_to(graph, table, source)
+    want = reference._latest_departure_to(graph, ref_table, source)
     floor = _ld_floor(graph, table, source)
     if want is None:
         assert floor is None
@@ -267,7 +269,7 @@ def test_backward_ld_and_floor_match_the_reference_bisection(case):
 def test_fastest_from_the_start_1_run_matches_reference(case):
     graph, traversal, availability, source, _ = case
     table = CandidateTable(availability, traversal)
-    want = reference._fastest(graph, table, source)
+    want = reference._fastest(graph, reference.CandidateTable(availability, traversal), source)
     assert _fastest(graph, table, source) == want
     # The start-1 run stands in for the run from the first candidate.
     assert _fastest(graph, table, source, earliest_arrival(graph, table, source)) == want
@@ -289,7 +291,7 @@ def objective_cases(draw):
 def test_ld_and_ft_objectives_match_the_reference_sweeps(case):
     instance, labeling = case
     graph = instance.graph
-    table = CandidateTable(labeling, instance.traversal)
+    table = reference.CandidateTable(labeling, instance.traversal)
     feasible = all(reference._reaches_all(graph, table, s) for s in instance.sources)
     pairs = {Measure.LATEST_DEPARTURE: [], Measure.FASTEST: []}
     for s in instance.sources:
@@ -315,7 +317,7 @@ def test_ld_and_ft_objectives_match_the_reference_sweeps(case):
 def test_st_and_mh_objectives_match_the_reference_searches(case):
     instance, labeling = case
     graph = instance.graph
-    table = CandidateTable(labeling, instance.traversal)
+    table = reference.CandidateTable(labeling, instance.traversal)
     feasible = all(reference._reaches_all(graph, table, s) for s in instance.sources)
     for measure in (Measure.SHORTEST_TRAVEL, Measure.MIN_HOP):
         want = None
@@ -386,7 +388,7 @@ def test_seeded_min_wait_matches_the_unseeded_search(case):
     graph, traversal, availability, source = case
     table = CandidateTable(availability, traversal)
     assert _min_wait_run(graph, table, source) == reference._min_wait_run_unseeded(
-        graph, table, source)
+        graph, reference.CandidateTable(availability, traversal), source)
 
 
 # A zero-weight triangle, an arrival past tau on the full temporal graph,
@@ -402,15 +404,16 @@ def test_seeded_min_wait_matches_the_unseeded_search(case):
 def test_st_mh_match_reference(case):
     graph, traversal, availability, source, _ = case
     table = CandidateTable(availability, traversal)
+    ref_table = reference.CandidateTable(availability, traversal)
     for measure in (Measure.SHORTEST_TRAVEL, Measure.MIN_HOP):
         fronts = _cost_fronts(graph, table, source, measure)
-        frontier = reference._pareto_run(graph, table, source, measure is Measure.MIN_HOP)
+        frontier = reference._pareto_run(graph, ref_table, source, measure is Measure.MIN_HOP)
         assert {v: [(k, a) for k, a, _ in front] for v, front in enumerate(fronts) if front} == {
             v: sorted((s.cost, s.arrival) for s in states)
             for v, states in frontier.items() if v != source and states
         }
         values, witnesses = _search(graph, table, source, measure)
-        want = reference.st_mh_search(graph, table, source, measure)
+        want = reference.st_mh_search(graph, ref_table, source, measure)
         assert {v: x for v, x in enumerate(values) if x is not None} == {
             v: cost for v, (cost, _) in want.items()
         }
@@ -518,7 +521,8 @@ def test_ld_floor_and_tree_match_the_reference_sweep(case):
             assert floor is None
             unreachable = True
             continue
-        latest = reference._latest_departures(graph, table, root, others)
+        latest = reference._latest_departures(
+            graph, reference.CandidateTable(avail, instance.traversal), root, others)
         assert floor == min(latest[v] for v in others)
         tree = build_ea_tsot(root, instance, availability, start=floor)
         assert tree.is_valid(graph)

@@ -9,7 +9,9 @@ entry for the same edge and time that the last one replaces.  Rejected
 documents are canonical ones with one to three entries replaced, dropped,
 repeated or added.  The loader must build the same models as the reference
 from every document the reference accepts, and raise the same exception
-class with the same message on every one it rejects.
+class with the same message on every one it rejects, except on the
+documents the reference misreads (see ``misread_by_the_reference``), which
+the loader must reject.
 """
 
 from __future__ import annotations
@@ -210,6 +212,28 @@ def mutated(draw, text):
     return json.dumps(payload)
 
 
+def misread_by_the_reference(text: str) -> bool:
+    """True when the document has JSON true or false as its vertex count or
+    horizon, or a string or object label row.  The reference takes the
+    first as 1 or 0 and the second's characters or keys as labels, where
+    the loader raises.  (A mutated edge or override entry that is a string
+    or an object holds no digits, so both reject it alike.)"""
+    payload = json.loads(text)
+    rows = payload.get("labels")
+    return (any(type(payload.get(key)) is bool for key in ("vertices", "tau"))
+            or isinstance(rows, list) and any(type(row) in (str, dict) for row in rows))
+
+
+def loads_like_the_reference(load, ref_load, text):
+    """The loader's outcome on ``text`` is the reference's, or a rejection
+    of a document the reference misreads."""
+    got = outcome(load, text)
+    if misread_by_the_reference(text):
+        assert got[0] == "raises"
+    else:
+        assert got == outcome(ref_load, text)
+
+
 @settings(max_examples=200, deadline=None)
 @given(instance_texts().flatmap(lambda text: st.tuples(st.just(text), reencoded(text))))
 def test_loader_builds_the_reference_models(texts):
@@ -224,7 +248,7 @@ def test_loader_builds_the_reference_models(texts):
 @settings(max_examples=400, deadline=None)
 @given(instance_texts(min_edges=1).flatmap(mutated))
 def test_loader_rejects_what_the_reference_rejects(text):
-    assert outcome(parse_instance_document, text) == outcome(ref.parse_instance_document, text)
+    loads_like_the_reference(parse_instance_document, ref.parse_instance_document, text)
 
 
 @settings(max_examples=400, deadline=None)
@@ -367,7 +391,7 @@ def test_labeling_loader_matches_the_reference(texts):
         assert new[0] == "ok"
         assert new == outcome(ref.parse_labeling, given_text)
         assert serialize_labeling(parse_labeling(given_text)) == canonical
-    assert outcome(parse_labeling, bad) == outcome(ref.parse_labeling, bad)
+    loads_like_the_reference(parse_labeling, ref.parse_labeling, bad)
 
 
 # ---------------------------------------------------------------------------

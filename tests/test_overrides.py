@@ -139,7 +139,7 @@ def _clone_reads(clone, spec, m):
 READERS = {
     "overrides": lambda spec, m: typed(spec.overrides),
     "weight": _weights,
-    "departures": lambda spec, m: typed(spec._override_departures),
+    "times": lambda spec, m: typed(spec._override_times),
     "hash": lambda spec, m: hash(spec),
     "repr": lambda spec, m: repr(spec),
     "replace": lambda spec, m: typed(dataclasses.replace(spec, defaults=(0,) * m).overrides),
@@ -176,7 +176,6 @@ def test_entry_tables_read_like_row_tables(table, order):
         else:
             assert READERS[name](lazy, m) == READERS[name](rows, m), name
     assert typed(lazy._override_index) == typed(rows._override_index)
-    assert lazy._override_departures == tuple(
-        tuple((t, t + w) for t, w in row) for row in rows.overrides)
+    assert lazy._override_times == tuple(tuple(t for t, _ in row) for row in rows.overrides)
     assert lazy._latest_override == rows._latest_override == max(
         (t for _, t, _ in entries), default=0)

@@ -1,9 +1,9 @@
 """``tests/reference_search.py`` keeps its own copies of the old
 earliest-arrival kernel, minimum-waiting search, reachability test,
-connectivity test and latest-departure bisection and never reaches the
-library's searches: a reference that called ``tmbcast``'s would follow them
-when they change, and every differential test over it would compare the new
-code with itself."""
+connectivity test, latest-departure bisection and backward search, front
+search and candidate table, and never reaches the library's searches: a
+reference that called ``tmbcast``'s would follow them when they change, and
+every differential test over it would compare the new code with itself."""
 
 from __future__ import annotations
 
@@ -58,20 +58,28 @@ def test_reference_search_keeps_its_own_min_wait_search():
 
 @pytest.mark.parametrize("name", [
     "_reaches_all", "latest_departure", "_latest_departure_to", "_free_run",
-    "connected_after_removal"])
+    "connected_after_removal", "_fronts", "_cost_fronts"])
 def test_reference_search_keeps_its_own_reachability_and_latest_departure(name):
     tree = ast.parse(REFERENCE.read_text(encoding="utf-8"))
     assert kernel_imports(tree, name) == []
-    if name != "latest_departure":  # the backward search has no old copy
-        assert [node.name for node in tree.body if isinstance(node, ast.FunctionDef)
-                ].count(name) == 1
+    assert [node.name for node in tree.body if isinstance(node, ast.FunctionDef)
+            ].count(name) == 1
+
+
+def test_reference_search_keeps_its_own_candidate_table():
+    # A reference search over the library's table would read it the way
+    # the code under test does, and follow it when the table changes.
+    tree = ast.parse(REFERENCE.read_text(encoding="utf-8"))
+    assert kernel_imports(tree, "CandidateTable") == []
+    assert [node.name for node in tree.body if isinstance(node, ast.ClassDef)
+            ].count("CandidateTable") == 1
 
 
 # The library's private names the reference may import.  A new private
 # import would tie the reference to code that may change under it; the
 # list may only shrink.
 PRIVATE_IMPORTS_ALLOWED = {
-    "_NEVER", "_time", "_EXACT_MEASURES", "_finish", "_full_graph_trees",
+    "_NEVER", "_EXACT_MEASURES", "_finish", "_full_graph_trees",
     "_require_measure",
 }
 

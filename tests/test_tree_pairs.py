@@ -131,13 +131,16 @@ json_values = st.recursive(
     max_leaves=10,
 )
 ints = st.lists(st.integers(-5, 10**20), max_size=4)
+# Int rows of one length, as edges and override entries are, empty ones too.
+rows = st.integers(0, 4).flatmap(lambda n: st.lists(
+    st.lists(st.integers(-5, 10**20), min_size=n, max_size=n), max_size=6))
 
 
 @settings(max_examples=500, deadline=None)
 @given(st.dictionaries(
     st.sampled_from(["edges", "labels", "overrides", "names", "roles", "meta",
                      "provenance", "format", "version", "kind", "vertices"]) | texts,
-    ints | st.lists(ints, max_size=4) | st.lists(texts, max_size=4) | json_values,
+    ints | st.lists(ints, max_size=4) | rows | st.lists(texts, max_size=4) | json_values,
     min_size=1, max_size=8,
 ))
 def test_canonical_writer_matches_json_dumps(payload):
