@@ -54,15 +54,15 @@ front of (first departure, arrival) for duration and of (first departure +
 travel, arrival) for waiting.  Both are polynomial in the graph size and the
 number of override times.
 
-Values come first, witnesses on demand: a search returns per-vertex values
-and a function that builds the paths of the vertices asked for.  Every
-witness is a linked step list ``(edge, time, previous)`` (see
-``_chain_path``): the front search links the states it keeps, a
-latest-departure witness comes from the run that found its vertex, and an
-earliest-arrival or fastest witness from the parent forest of its kernel
-run (a fastest witness, or a one-target latest-departure one, re-runs the
-start that attained the value, see ``_probe_paths``; the kernel is
-deterministic), so no run's parents outlive it.
+Values come first, witnesses on demand: ``_search``, the one dispatcher of
+the per-source searches, returns per-vertex values and a function that
+builds the paths of the vertices asked for.  Every witness is a linked step
+list ``(edge, time, previous)`` (see ``_chain_path``): the front search and
+the minimum-waiting search link the states they keep, and an
+earliest-arrival witness comes from the parent forest of its kernel run.
+A latest-departure or fastest witness re-runs the start that attained its
+value and reads that run's forest (see ``_probe_paths``; the kernel is
+deterministic), so no sweep keeps its runs' parents.
 """
 
 from __future__ import annotations
@@ -188,34 +188,27 @@ def _first_departure_times(
 
 
 def _latest_departures(
-    graph: StaticGraph, table: CandidateTable, source: int, chains: bool = True
-) -> tuple[list[int | None], list[tuple | None] | None]:
-    """(values, chains): the latest first departure from which each other
-    vertex is reachable, and, when ``chains`` is true, its witness from that
-    run as a linked step list (see ``_chain_path``); chains is None
-    otherwise.
+    graph: StaticGraph, table: CandidateTable, source: int
+) -> list[int | None]:
+    """The latest first departure from which each other vertex is reachable.
 
     Runs the kernel from each candidate first departure, latest first, until
     every vertex is reached; a vertex's value is the first start whose run
-    reaches it.  The chains built in one run share their prefixes, and no
-    run's parents outlive it.  Entries of the source and of unreached
-    vertices stay None.
+    reaches it, so re-running that start gives its witness (see
+    ``_probe_paths``).  Entries of the source and of unreached vertices stay
+    None.
     """
     value: list[int | None] = [None] * graph.vertex_count
-    witness: list[tuple | None] | None = [None] * graph.vertex_count if chains else None
     remaining = set(range(graph.vertex_count)) - {source}
     for t0 in reversed(_first_departure_times(graph, table, source)):
         if not remaining:
             break
-        arrivals, parents = earliest_arrival(graph, table, source, start=t0)
+        arrivals, _ = earliest_arrival(graph, table, source, start=t0)
         found = [v for v in remaining if arrivals[v] is not None]
-        links = {source: None}
         for v in found:
             value[v] = t0
-            if chains:
-                witness[v] = _parent_chain(parents, links, v)
         remaining.difference_update(found)
-    return value, witness
+    return value
 
 
 def _parent_chain(parents: list, links: dict, v: int) -> tuple:
@@ -588,8 +581,10 @@ def _chain_path(graph: StaticGraph, source: int, chain: tuple) -> TemporalPath:
 # Public distance operations
 
 
-def _search(graph, table, source, measure: Measure, target: int | None = None):
-    """(values, witnesses) of one source.
+def _search(graph, table, source, measure: Measure, target: int | None = None,
+            forest: tuple | None = None):
+    """(values, witnesses) of one source: the one dispatcher of the
+    per-source searches, for ``sssp``, ``distance`` and ``_table_pairs``.
 
     ``values[v]`` is measure(source, v), None for the source and for
     unreached vertices; ``witnesses(vertices)`` maps each given reached
@@ -598,35 +593,37 @@ def _search(graph, table, source, measure: Measure, target: int | None = None):
     then: earliest arrival and the shortest-travel and minimum-hop front
     searches stop once it is settled, latest departure is one backward run
     (``core.latest_departure``) and fastest a few forward runs
-    (``_fastest_to``) in place of one per candidate first departure, and
-    their witness re-runs the answer's first departure.
+    (``_fastest_to``) in place of one per candidate first departure.  A
+    latest-departure or fastest witness re-runs the first departure that
+    attained its value (``_probe_paths``).  ``forest`` is the kernel's
+    start-1 run if the caller has it, which fastest and minimum waiting
+    read (see ``_fastest`` and ``_min_wait_run``).
     """
     if measure is Measure.EARLIEST_ARRIVAL:
         arrivals, parents = earliest_arrival(graph, table, source, stop=target)
         return arrivals, lambda vs: _parent_paths(graph, parents, source, vs)
-    if target is not None and measure in (Measure.LATEST_DEPARTURE, Measure.FASTEST):
-        values = [None] * graph.vertex_count
-        if measure is Measure.LATEST_DEPARTURE:
-            values[target] = start = latest_departure(graph, table, source, target)
+    if measure in (Measure.LATEST_DEPARTURE, Measure.FASTEST):
+        if target is not None:
+            values = [None] * graph.vertex_count
+            if measure is Measure.LATEST_DEPARTURE:
+                values[target] = t0 = latest_departure(graph, table, source, target)
+            else:
+                values[target], t0 = _fastest_to(graph, table, source, target)
+            start = {target: t0}
+        elif measure is Measure.LATEST_DEPARTURE:
+            values = start = _latest_departures(graph, table, source)
         else:
-            values[target], start = _fastest_to(graph, table, source, target)
-        return values, lambda vs: _probe_paths(graph, table, source, {target: start}, vs)
-    if measure is Measure.LATEST_DEPARTURE:
-        value, chains = _latest_departures(graph, table, source)
-        return value, lambda vs: {v: _chain_path(graph, source, chains[v]) for v in vs}
-    if measure is Measure.FASTEST:
-        duration, start = _fastest(graph, table, source)
-        return duration, lambda vs: _probe_paths(graph, table, source, start, vs)
+            values, start = _fastest(graph, table, source, forest)
+        return values, lambda vs: _probe_paths(graph, table, source, start, vs)
     if measure is Measure.MIN_WAIT:
-        best = _min_wait_run(graph, table, source)
-    else:
-        until = None if target is None else {target}
-        fronts = _cost_fronts(graph, table, source, measure, until)
-        best = {v: (front[0][0], front[0][2]) for v, front in enumerate(fronts) if front}
-    values = [None] * graph.vertex_count
-    for v, (value, _) in best.items():
-        values[v] = value
-    return values, lambda vs: {v: _chain_path(graph, source, best[v][1]) for v in vs}
+        best = _min_wait_run(graph, table, source, forest)
+        values = [None] * graph.vertex_count
+        for v, (waiting, _) in best.items():
+            values[v] = waiting
+        return values, lambda vs: {v: _chain_path(graph, source, best[v][1]) for v in vs}
+    fronts = _cost_fronts(graph, table, source, measure, None if target is None else {target})
+    values = [front[0][0] if front else None for front in fronts]
+    return values, lambda vs: {v: _chain_path(graph, source, fronts[v][0][2]) for v in vs}
 
 
 def _availability_table(model: Instance | ReachFastInstance,
@@ -762,11 +759,9 @@ def _table_pairs(
 ) -> dict[tuple[int, int], int] | None:
     """measure(s, v) for every source s and every other vertex v, in that
     order, over a built candidate table, or None at the first source that
-    misses a vertex.  Each source's search decides that: earliest arrival's
-    kernel run, latest departure's sweep (whose last run, when a vertex is
-    still missed, is the one from the first candidate) and the
-    shortest-travel and minimum-hop fronts, which reach the kernel's
-    vertices: both walk from time 1 and never re-enter the source, and
+    misses a vertex.  Each source's values come from ``_search``, whose
+    searches reach the kernel's vertices: the shortest-travel and
+    minimum-hop fronts walk from time 1 and never re-enter the source, and
     ``candidates`` drops no departure that arrives before one it keeps.
     Fastest and minimum waiting take ``_feasible_arrivals``' runs first, as
     their start-1 runs, so an infeasible schedule pays for neither search.
@@ -774,29 +769,14 @@ def _table_pairs(
     graph = instance.graph
     if _too_sparse(graph):
         return None
-    forests = None
+    forests = {}
     if measure in (Measure.FASTEST, Measure.MIN_WAIT):
         forests = _feasible_arrivals(instance, table)
         if forests is None:
             return None
     pairs = {}
     for s in sorted(instance.sources):
-        if measure is Measure.EARLIEST_ARRIVAL:
-            values = earliest_arrival(graph, table, s)[0]
-        elif measure is Measure.LATEST_DEPARTURE:
-            values = _latest_departures(graph, table, s, chains=False)[0]
-        elif measure is Measure.FASTEST:
-            values = _fastest(graph, table, s, forests[s])[0]
-        elif measure is Measure.MIN_WAIT:
-            best = _min_wait_run(graph, table, s, forests[s])
-            pairs.update({(s, v): best[v][0] for v in range(graph.vertex_count) if v != s})
-            continue
-        else:
-            fronts = _cost_fronts(graph, table, s, measure)
-            if fronts.count([]) > 1:  # the source's own front is empty
-                return None
-            pairs.update({(s, v): front[0][0] for v, front in enumerate(fronts) if v != s})
-            continue
+        values, _ = _search(graph, table, s, measure, forest=forests.get(s))
         if values.count(None) > 1:  # the source's own entry is None
             return None
         pairs.update({(s, v): value for v, value in enumerate(values) if v != s})

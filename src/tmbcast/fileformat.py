@@ -255,6 +255,19 @@ def _load_json(text: str, what: str) -> dict:
     return payload
 
 
+def _load_header(text: str, what: str, fmt: str) -> dict:
+    """The document's top-level object, once its format is ``fmt`` and its
+    version the JSON integer 1: true and 1.0 are not, though Python's
+    ``==`` takes both for 1."""
+    payload = _load_json(text, what)
+    if payload.get("format") != fmt:
+        raise ParseError(f"{what}: format must be {fmt!r}")
+    version = payload.get("version")
+    if type(version) is not int or version != FORMAT_VERSION:
+        raise ParseError(f"{what}: unsupported version {version!r}")
+    return payload
+
+
 def _int_values(values: list, what: str) -> tuple[int, ...]:
     """``values`` through int(); ParseError when one does not convert."""
     try:
@@ -294,26 +307,19 @@ def _override_columns(items: list, edge_count: int, what: str) -> tuple:
 
 def _labeling(rows: list, what: str) -> Labeling:
     """The labeling of ``rows``, each label through int() unless all are
-    exact ints (the one int test of the labels).  A string or object row is
-    a ParseError: Python would read its characters or keys as labels."""
-    if set(map(type, rows)) & {str, dict}:
+    exact ints (the one int test of the labels).  Every row must be a JSON
+    array: Python would read a string's characters or an object's keys as
+    labels."""
+    if not set(map(type, rows)) <= {list}:
         raise ParseError(f"{what}: label rows must be arrays of integers")
-    try:
-        exact = set(map(type, chain.from_iterable(rows))) <= {int}
-    except TypeError:  # some entry is not a list
-        exact = False
-    if exact:
+    if set(map(type, chain.from_iterable(rows))) <= {int}:
         return Labeling._from_int_rows(rows)
     return Labeling(tuple(_int_values(row, what) for row in rows))
 
 
 def parse_instance_document(text: str) -> InstanceDocument:
     what = "instance document"
-    payload = _load_json(text, what)
-    if payload.get("format") != INSTANCE_FORMAT:
-        raise ParseError(f"{what}: format must be {INSTANCE_FORMAT!r}")
-    if payload.get("version") != FORMAT_VERSION:
-        raise ParseError(f"{what}: unsupported version {payload.get('version')!r}")
+    payload = _load_header(text, what, INSTANCE_FORMAT)
     kind = _need(payload, "kind", str, what)
     if kind not in ("tmb", "reachfast"):
         raise ParseError(f"{what}: kind must be tmb or reachfast")
@@ -400,11 +406,7 @@ def serialize_labeling(
 
 def parse_labeling(text: str) -> LabelingDocument:
     what = "labeling document"
-    payload = _load_json(text, what)
-    if payload.get("format") != LABELING_FORMAT:
-        raise ParseError(f"{what}: format must be {LABELING_FORMAT!r}")
-    if payload.get("version") != FORMAT_VERSION:
-        raise ParseError(f"{what}: unsupported version {payload.get('version')!r}")
+    payload = _load_header(text, what, LABELING_FORMAT)
     labels = _labeling(_need(payload, "labels", list, what), what)
     provenance = payload.get("provenance")
     if provenance is not None and not isinstance(provenance, dict):
@@ -417,14 +419,18 @@ def parse_labeling(text: str) -> LabelingDocument:
 
 
 def parse_cnf(text: str) -> CnfFormula:
-    """DIMACS CNF: comments, a 'p cnf' header, zero-terminated clauses."""
+    """DIMACS CNF: comments, a 'p cnf' header, zero-terminated clauses.  A
+    line starting with '%' ends the clause list, as in SATLIB's files,
+    which close with '%' and then '0'."""
     variable_count = None
     clause_count = None
     literals: list[int] = []
     clauses: list[tuple[int, ...]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line or line.startswith("c") or line.startswith("%"):
+        if line.startswith("%"):
+            break
+        if not line or line.startswith("c"):
             continue
         if line.startswith("p"):
             if variable_count is not None:

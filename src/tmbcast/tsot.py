@@ -12,9 +12,10 @@ Two constructions:
   root at L* or later, so every tree distance under latest departure is at
   least the worst one of the input graph: the exact solvers' ld tree;
 * the latest-departure merge tree admits vertices in nondecreasing order of
-  their latest-departure value and grafts their witness paths edge by edge:
-  a vertex keeps the first in-edge it gets, which no later witness beats.
-  It meets the same bound and serves only the FT/MW approximation, whose
+  their latest-departure value and grafts each one's path, edge by edge,
+  from the kernel's run from that value, re-run once per distinct value:
+  a vertex keeps the first in-edge it gets, which no later path beats.  It
+  meets the same bound and serves only the FT/MW approximation, whose
   schedules and ft/mw objectives the floor tree would change.
 """
 
@@ -177,41 +178,41 @@ def build_ld_tsot(
     The availability defaults and is checked by ``_availability_table`` as
     in ``build_ea_tsot``.  Raises Unreachable when the root cannot reach
     some vertex."""
-    graph, trav = instance.graph, instance.traversal
+    graph = instance.graph
     table = _availability_table(instance, availability)
     others = [v for v in range(graph.vertex_count) if v != root]
-    latest, chains = _latest_departures(graph, table, root)
+    latest = _latest_departures(graph, table, root)
+    by_start: dict[int, list[int]] = {}
     for v in others:
         if latest[v] is None:
             raise Unreachable(f"root {root} cannot reach vertex {v}")
+        by_start.setdefault(latest[v], []).append(v)
 
     # Vertices are admitted in nondecreasing latest-departure order, each
-    # grafting the witness recorded by the probe that first reached it,
-    # root side first; every vertex keeps the first in-edge it gets.  A
-    # link (edge, time, previous) is its head's parent in its probe's
-    # forest, so it arrives at that probe's earliest arrival.  Probes come
-    # in ascending start order, and a later start's walks are a subset of
-    # an earlier start's (FIFO under waiting), so a later link never
-    # arrives before the in-edge its head already has: keeping that one
-    # keeps every tree arrival no later than any witness's, and the tree
-    # time-respecting.  A link is walked once: a walk stops at the first
-    # merged link, whose prefix is already grafted.  Links are keyed by id,
-    # which the chains keep alive, because hashing a chain would walk it.
+    # grafting its path in the kernel's run from its latest departure, the
+    # run that first reached it, root side first; every vertex keeps the
+    # first in-edge it gets.  A path's step into a vertex is its parent in
+    # that run's forest, so it arrives at that run's earliest arrival.  Runs
+    # come in ascending start order, one alive at a time, and a later
+    # start's walks are a subset of an earlier start's (FIFO under
+    # waiting), so a later step never arrives before the in-edge its head
+    # already has: keeping that one keeps every tree arrival no later than
+    # any path's, and the tree time-respecting.  A climb stops at a vertex
+    # an earlier path of the same run climbed through, whose prefix is
+    # already grafted, so each run reads a parent entry at most twice.
     parent: dict[int, tuple[int, int, int] | None] = {root: None}
-    merged: dict[int, int] = {}  # id of a merged link -> its head
-    for u in sorted(others, key=lambda v: (latest[v], v)):
-        if u in parent:
-            continue
-        pending = []
-        link = chains[u]
-        while link is not None and id(link) not in merged:
-            pending.append(link)
-            link = link[2]
-        tail = root if link is None else merged[id(link)]
-        for link in reversed(pending):
-            e, t, _ = link
-            head = graph.other_endpoint(e, tail)
-            parent.setdefault(head, (e, t, tail))
-            merged[id(link)] = head
-            tail = head
-    return Tsot(root, tuple(parent[v] for v in range(graph.vertex_count)), trav)
+    for t0 in sorted(by_start):
+        _, parents = earliest_arrival(graph, table, root, start=t0)
+        climbed = {root}
+        for v in by_start[t0]:
+            if v in parent:
+                continue
+            pending = []
+            while v not in climbed:
+                climbed.add(v)
+                pending.append(v)
+                v = parents[v][0]
+            for w in reversed(pending):
+                u, e, t = parents[w]
+                parent.setdefault(w, (e, t, u))
+    return Tsot(root, tuple(parent[v] for v in range(graph.vertex_count)), instance.traversal)

@@ -21,16 +21,18 @@ differential tests can compare old and new.
 * ``_path_from_parents``, which walked a parent forest into a path, by
   ``distances._parent_chain`` and ``distances._chain_path``;
 * ``build_ld_tsot`` (with its ``_latest_departures``), which re-ran the
-  winning probe of every vertex it admitted, by the one-pass
-  ``tsot.build_ld_tsot``;
+  winning probe of every vertex it admitted, by the ``tsot.build_ld_tsot``
+  that re-runs each distinct latest departure once;
 * the recursive generator ``nonseparating_paths`` by the iterative
   ``reductions.find_nonseparating_path``;
 * ``brute_force``, which evaluated every labeling of the cross product, by
   the branch-and-bound ``solvers.brute_force``;
 * ``_fastest`` with ``_probe_paths``, and ``_latest_departures_with_chains``
-  (the ``distances._latest_departures`` that records witness chains), which
-  probe every candidate first departure, for one target by the one-target
-  fastest search ``distances._fastest_to`` and the backward search
+  (the copy of the latest-departure sweep that recorded witness chains,
+  where ``distances._latest_departures`` now returns values and its
+  witnesses re-run their start), which probe every candidate first
+  departure, for one target by the one-target fastest search
+  ``distances._fastest_to`` and the backward search
   ``core.latest_departure``;
 * ``solve_tree``, which flooded the tree once per edge to find the sources
   on each side of it, by the ``solvers.solve_tree`` that reads each

@@ -647,19 +647,24 @@ def test_malformed_values_are_parse_errors(capsys, tmp_path, network, key, at, v
 
 
 # JSON values Python would read as rows or ints: a string row unpacks to
-# its characters, and true is the int 1.  Each is a parse error naming its
-# field, in the two-source path network or, for "labels", in its schedule.
+# its characters, and true and 1.0 equal the int 1.  Each is a parse error naming its
+# field, in the two-source path network or in its schedule, whichever the
+# error names; a number label row names its field too.
 @pytest.mark.parametrize("key, value, error", [
     ("edges", ["01", "12"], "instance document: edges must be pairs of integers"),
     ("overrides", ["113"], "instance document: overrides must be [edge, time, weight]"),
     ("labels", ["12", [3]], "labeling document: label rows must be arrays of integers"),
     ("tau", True, "instance document: field 'tau' has the wrong type"),
     ("vertices", True, "instance document: field 'vertices' has the wrong type"),
+    ("version", True, "instance document: unsupported version True"),
+    ("version", True, "labeling document: unsupported version True"),
+    ("version", 1.0, "labeling document: unsupported version 1.0"),
+    ("labels", [7, [3]], "labeling document: label rows must be arrays of integers"),
 ])
 def test_string_rows_and_boolean_ints_are_parse_errors(capsys, tmp_path, key, value, error):
     network = json.loads((FIXTURES / "two-source-path.json").read_text())
     labeling = {"format": "tmbcast/labeling", "version": 1, "labels": [[1], [3]]}
-    (labeling if key == "labels" else network)[key] = value
+    (labeling if error.startswith("labeling") else network)[key] = value
     paths = []
     for name, doc in (("network", network), ("labeling", labeling)):
         paths.append(tmp_path / f"{name}.json")

@@ -327,13 +327,29 @@ def kernel_runs(monkeypatch):
     return runs
 
 
-def test_sssp_latest_departure_stops_at_the_least_value(kernel_runs):
+def test_sssp_latest_departure_stops_at_the_least_value(monkeypatch):
+    import tmbcast.distances as distances
+
+    starts = []
+    kernel = distances.earliest_arrival
+
+    def run(graph, table, source, start=1, stop=None):
+        starts.append(start)
+        return kernel(graph, table, source, start=start, stop=stop)
+
+    monkeypatch.setattr(distances, "earliest_arrival", run)
     inst = grid_instance(400, 10, 400)
     full = inst.full_availability()
     values = [r.value for r in sssp(0, full, inst, Measure.LATEST_DEPARTURE)]
-    # Probes run from tau down to the least latest departure and no further:
-    # the source, never reached, does not keep them going.
-    assert len(kernel_runs) == inst.tau - min(v for v in values if v is not None) + 1
+    least = min(v for v in values if v is not None)
+    # The sweep runs from tau down to the least latest departure and no
+    # further: the source, never reached, does not keep it going.  Then one
+    # witness run per distinct value re-runs the start that attained it.
+    sweep = list(range(inst.tau, least - 1, -1))
+    distinct = set(values) - {None}
+    assert (len(sweep), len(distinct)) == (24, 20)
+    assert starts[:len(sweep)] == sweep
+    assert sorted(starts[len(sweep):]) == sorted(distinct)
 
 
 def test_one_target_distance_runs_few_searches(kernel_runs):
@@ -506,11 +522,17 @@ def two_source_case(n, edges, weights, sources, rows, tau):
 @example(two_source_case(4, ((0, 2), (1, 3), (1, 2)), (3, 1, 0), (1, 3), ((5,), (2, 4), (2, 4)), 5))
 @settings(max_examples=300, deadline=None)
 @given(schedules())
-def test_ft_and_mw_objectives_match_the_worst_reference_pair(case):
+def test_objectives_and_pair_tables_match_the_reference_pairs(case):
     instance, labeling = case
-    for measure in (Measure.FASTEST, Measure.MIN_WAIT):
+    table = CandidateTable(labeling, instance.traversal)
+    for measure in Measure:
         pairs = reference._pair_values(instance, labeling, measure)
         assert objective(instance, labeling, measure) == reference._worst(measure, pairs.values())
+        got = _table_pairs(instance, table, measure)
+        if None in pairs.values():
+            assert got is None
+        else:
+            assert list(got.items()) == list(pairs.items())
 
 
 def test_ld_pair_values_run_each_sources_sweep_and_no_feasibility_run(objective_runs):

@@ -199,6 +199,14 @@ def test_parse_cnf_comments_and_final_clause():
     assert f.clause_count == 2
 
 
+def test_parse_cnf_stops_at_the_percent_terminator():
+    # SATLIB's files close with '%' and then '0', which is no clause.
+    f = parse_cnf("p cnf 3 2\n1 -2 0\n2 3 0\n%\n0\n\n")
+    assert f == CnfFormula(3, ((1, -2), (2, 3)))
+    with pytest.raises(ParseError, match="header promises 3 clauses, found 2"):
+        parse_cnf("p cnf 3 3\n1 -2 0\n2 3 0\n%\n0\n3 0\n")
+
+
 def test_cnf_round_trip():
     rng = random.Random(34)
     for _ in range(50):

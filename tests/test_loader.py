@@ -31,6 +31,7 @@ from tmbcast import cli
 from tmbcast.core import (
     Instance,
     Labeling,
+    ParseError,
     ReachFastInstance,
     StaticGraph,
     TmbError,
@@ -214,14 +215,16 @@ def mutated(draw, text):
 
 def misread_by_the_reference(text: str) -> bool:
     """True when the document has JSON true or false as its vertex count or
-    horizon, or a string or object label row.  The reference takes the
-    first as 1 or 0 and the second's characters or keys as labels, where
-    the loader raises.  (A mutated edge or override entry that is a string
-    or an object holds no digits, so both reject it alike.)"""
+    horizon, or a label row that is not an array.  The reference takes the
+    first as 1 or 0 and a string or object row's characters or keys as
+    labels, where the loader raises; it rejects any other such row, but
+    with a message that names no field.  (A mutated edge or override entry
+    that is a string or an object holds no digits, so both reject it
+    alike.)"""
     payload = json.loads(text)
     rows = payload.get("labels")
     return (any(type(payload.get(key)) is bool for key in ("vertices", "tau"))
-            or isinstance(rows, list) and any(type(row) in (str, dict) for row in rows))
+            or isinstance(rows, list) and any(type(row) is not list for row in rows))
 
 
 def loads_like_the_reference(load, ref_load, text):
@@ -350,7 +353,11 @@ def test_loader_names_each_fault_like_the_reference(kind, fault):
     text = json.dumps(payload)
     got = outcome(parse_instance_document, text)
     assert got[0] == "raises"
-    assert got == outcome(ref.parse_instance_document, text)
+    if fault == "label row not a list":  # the reference's message names no field
+        assert got == ("raises", ParseError,
+                       "instance document: label rows must be arrays of integers")
+    else:
+        assert got == outcome(ref.parse_instance_document, text)
 
 
 @st.composite

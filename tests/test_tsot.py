@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tmbcast import tsot
 from tmbcast.core import (
     FullAvailability,
     Instance,
@@ -16,6 +17,7 @@ from tmbcast.core import (
     TraversalSpec,
     Unreachable,
     ValidationError,
+    earliest_arrival,
 )
 from tmbcast.distances import Measure, sssp
 from tmbcast.tsot import Tsot, build_ea_tsot, build_ld_tsot
@@ -176,22 +178,27 @@ def test_tsot_outputs_single_label_per_edge():
 
 
 def test_ld_tsot_walks_each_witness_link_once_on_a_long_path(monkeypatch):
-    # On a zero-weight path one probe reaches every vertex, and admitting the
+    # On a zero-weight path one run reaches every vertex, and admitting the
     # vertices one by one used to walk each one's whole witness path again.
     n = 1100
     graph = StaticGraph(n, tuple((v, v + 1) for v in range(n - 1)))
     inst = Instance(graph, frozenset({0}), TraversalSpec.uniform(n - 1, 0), (1,) * (n - 1), 3)
-    walked = []
-    other_endpoint = StaticGraph.other_endpoint
+    reads = []
 
-    def counting(self, e, v):
-        walked.append(e)
-        return other_endpoint(self, e, v)
+    class CountingParents(list):
+        def __getitem__(self, v):
+            reads.append(v)
+            return super().__getitem__(v)
 
-    monkeypatch.setattr(StaticGraph, "other_endpoint", counting)
+    def counting(*args, **kwargs):
+        arrivals, parents = earliest_arrival(*args, **kwargs)
+        return arrivals, CountingParents(parents)
+
+    monkeypatch.setattr(tsot, "earliest_arrival", counting)
     tree = build_ld_tsot(0, inst)
     assert tree.tree_edges() == {e: 3 for e in range(n - 1)}
-    assert len(walked) == n - 1
+    # One climb to the root and one graft per vertex.
+    assert len(reads) == 2 * (n - 1) == 2198
 
 
 def test_is_valid_is_linear_on_a_long_path(monkeypatch):
