@@ -358,8 +358,9 @@ class TraversalSpec:
 
     @cached_property
     def _override_times(self) -> tuple[tuple[Time, ...], ...]:
-        """Per edge, its override times in ascending order: the departures
-        the full temporal graph lists before its default slot."""
+        """Per edge, its override times in ascending order: the full
+        temporal graph's departures besides each edge's default slot, which
+        searches compute from the override index."""
         return tuple([tuple(sorted(row)) if row else () for row in self._override_index])
 
     def weight(self, e: Edge, t: Time) -> int:
@@ -724,7 +725,10 @@ class CandidateTable:
 
     def candidates(self, e: Edge, lo: Time) -> list[tuple[Time, Time]]:
         """(departure, arrival) pairs worth trying at or after ``lo`` when
-        minimizing, in the order searches try them.
+        minimizing, in the order the front search's seeds and the
+        minimum-waiting search try them.  The kernel and the front search's
+        later steps read the full temporal graph's default slot first and
+        skip the departures that cannot win.
 
         A later departure at the default weight costs the same travel, waits
         longer and arrives later than an earlier one, so only the first
@@ -791,9 +795,12 @@ def earliest_arrival(
     ``table.candidates`` with the least arrival, read in place: the scan
     runs up the edge's ``table.times`` from the current arrival, computing
     each arrival from the override index, and stops once a departure time
-    reaches the best arrival so far; on the full temporal graph the default
-    slot comes last and wins no tie.  A labeling's ``plain`` edge needs no
-    scan: its first time at or after the current arrival is that departure.
+    reaches the best arrival so far.  On the full temporal graph the
+    default slot, the first non-override time at or after the current
+    arrival, is read first, and the override scan runs only up to the best
+    arrival, so mostly not at all; the slot still wins no tie, as it comes
+    last among the candidates.  A labeling's ``plain`` edge needs no scan: its first time
+    at or after the current arrival is that departure.
     With ``stop`` the run ends once that vertex is settled: its arrival and
     its path in the forest are final, other entries may not be.
 
@@ -832,7 +839,23 @@ def earliest_arrival(
             if done[w]:
                 continue
             times = all_times[e]
-            if plain and plain[e]:
+            if full:
+                per_edge = overrides[e]
+                slot = now
+                while slot in per_edge:
+                    slot += 1
+                best = slot + defaults[e] if slot <= tau else _NEVER
+                best_t = slot
+                i = bisect_left(times, now)
+                if i < len(times) and times[i] <= best:  # else no override can win
+                    for t in times[i:]:
+                        if t > best:
+                            break  # departs after the best arrival: cannot beat it
+                        a = t + per_edge[t]
+                        if a < best or a == best and best_t == slot:
+                            best = a
+                            best_t = t
+            elif plain[e]:
                 i = bisect_left(times, now)
                 if i == len(times):
                     continue
@@ -850,13 +873,6 @@ def earliest_arrival(
                     a = t + per_edge.get(t, default)
                     if a < best:
                         best = a
-                        best_t = t
-                if full:
-                    t = now
-                    while t in per_edge:
-                        t += 1
-                    if t <= tau and t + default < best:
-                        best = t + default
                         best_t = t
             if best < arrival[w]:
                 arrival[w] = best

@@ -381,6 +381,16 @@ def _fronts(graph: StaticGraph, table: CandidateTable, closed: Iterable[int],
     front entries ``(key, arrival, chain)`` carry simple paths as linked
     step lists (see ``_chain_path``).  With ``until`` the search stops once
     each of those vertices has its least-key state (the set is consumed).
+
+    On the full temporal graph an expansion pushes only the departures
+    that can be kept.  Under ``_KEEP`` and ``_HOP`` all of an edge's
+    departures share one key, so only the one with the least (arrival,
+    time) is pushed.  Under ``_TRAVEL`` the default slot is pushed, with
+    each override it does not dominate: one lighter than the default, or
+    one arriving before the slot.  A dropped departure would pop after the
+    state that dominates it and find the vertex's arrival no later than its
+    own, so the kept states, their chains and their pop order are those of
+    pushing every departure.
     """
     adjacency = graph.adjacency
     all_times, overrides, defaults, tau = table.times, table.overrides, table.defaults, table.tau
@@ -417,22 +427,38 @@ def _fronts(graph: StaticGraph, table: CandidateTable, closed: Iterable[int],
             if limit <= arrival:
                 continue  # no step from here can arrive earlier
             # ``table.candidates(e, arrival)``, read in place on a plain
-            # labeling edge and on the full temporal graph.
+            # labeling edge and on the full temporal graph, where only the
+            # departures that can be kept are pushed.
             if tau is not None:
                 if arrival > tau:
                     continue
                 times = all_times[e]
                 per_edge = overrides[e]
-                for t in times[bisect_left(times, arrival):]:
-                    reach = t + per_edge[t]
-                    if reach < limit and reach <= cap:
-                        push(heap, (base + reach - t if travel else base, reach, y, e, t, here))
-                t = arrival
-                while t in per_edge:
-                    t += 1
-                reach = t + defaults[e]
-                if t <= tau and reach < limit and reach <= cap:
-                    push(heap, (base + reach - t if travel else base, reach, y, e, t, here))
+                default = defaults[e]
+                slot = arrival  # the default slot: the first non-override time
+                while slot in per_edge:
+                    slot += 1
+                least = slot + default if slot <= tau else _NEVER
+                if travel:
+                    if least < limit and least <= cap:
+                        push(heap, (base + default, least, y, e, slot, here))
+                    for t in times[bisect_left(times, arrival):]:
+                        w = per_edge[t]
+                        reach = t + w
+                        if reach < limit and reach <= cap and (w < default or reach < least):
+                            push(heap, (base + w, reach, y, e, t, here))
+                else:
+                    least_t = slot
+                    i = bisect_left(times, arrival)
+                    if i < len(times) and times[i] < least:  # else no override can win
+                        for t in times[i:]:
+                            if t >= least:
+                                break  # no later departure arrives earlier
+                            reach = t + per_edge[t]
+                            if reach < least or reach == least and t < least_t:
+                                least, least_t = reach, t
+                    if least < limit and least <= cap:
+                        push(heap, (base, least, y, e, least_t, here))
             elif plain[e]:
                 times = all_times[e]
                 i = bisect_left(times, arrival)

@@ -24,7 +24,16 @@ from tmbcast.core import (
     earliest_arrival,
     latest_departure,
 )
-from tmbcast.distances import _HOP, _KEEP, _TRAVEL, _fronts, _max_stats, _min_wait_run
+from tmbcast.distances import (
+    _HOP,
+    _KEEP,
+    _TRAVEL,
+    Measure,
+    _cost_fronts,
+    _fronts,
+    _max_stats,
+    _min_wait_run,
+)
 
 import reference_search as reference
 
@@ -66,6 +75,20 @@ def both(case):
 # the labeling, edge 1 departs at 5 alone, after a wait.
 TIE = (StaticGraph(3, ((0, 1), (1, 2))), TraversalSpec.from_maps([2, 0], {0: {1: 3}}))
 TIES = [(*TIE, Labeling(((1, 2), (5,))), 0, 5), (*TIE, FullAvailability(5), 0, 5)]
+
+# On the full temporal graph, where the searches read each edge's default
+# slot first, the same path reaches vertex 1 at 2 (or at 3), and edge 1:
+# - ZERO: has a zero-weight override at 4, the slot's arrival;
+# - PAST_TAU: has overrides at 3 and 4, so from 3 its slot is past tau while
+#   both overrides are within it;
+# - TRAVEL: has an override of the default's weight after the slot, which
+#   the slot dominates, and a lighter one arriving after the slot, which it
+#   does not.
+PATH = TIE[0]
+ZERO = (PATH, TraversalSpec.from_maps([1, 2], {1: {4: 0}}), FullAvailability(5), 0, 5)
+PAST_TAU = (PATH, TraversalSpec.from_maps([2, 1], {1: {3: 2, 4: 0}}), FullAvailability(4), 0, 4)
+TRAVEL = (PATH, TraversalSpec.from_maps([1, 2], {1: {3: 2, 5: 1}}), FullAvailability(6), 0, 6)
+TIES += [ZERO, PAST_TAU, TRAVEL]
 
 
 def ties(*args):
@@ -170,3 +193,31 @@ def test_an_override_departure_wins_an_arrival_tie():
         table = CandidateTable(availability, traversal)
         assert table.candidates(0, 1) == [(1, 4), (2, 4)]
         assert earliest_arrival(graph, table, 0)[1][1] == (0, 0, 1)
+
+
+def test_a_zero_weight_override_at_the_slots_arrival():
+    graph, traversal, availability, source, _ = ZERO
+    table = CandidateTable(availability, traversal)
+    assert table.candidates(1, 2) == [(4, 4), (2, 4)]
+    # The kernel takes the override, listed first; the hop search keeps the
+    # slot, whose smaller departure time pops first.
+    assert earliest_arrival(graph, table, source)[1][2] == (1, 1, 4)
+    assert _cost_fronts(graph, table, source, Measure.MIN_HOP)[2] == [
+        (2, 4, (1, 2, (0, 1, None)))]
+
+
+def test_the_slot_drops_only_the_travel_overrides_it_dominates():
+    graph, traversal, availability, source, _ = TRAVEL
+    table = CandidateTable(availability, traversal)
+    # From 2 at vertex 1: the slot at 2 arrives at 4 after travel 2; the
+    # override at 3 has the same travel and arrives later, the one at 5
+    # travels 1 and arrives at 6.
+    assert _cost_fronts(graph, table, source, Measure.SHORTEST_TRAVEL)[2] == [
+        (2, 6, (1, 5, (0, 1, None))), (3, 4, (1, 2, (0, 1, None)))]
+
+
+def test_past_tau_the_overrides_still_depart():
+    graph, traversal, availability, source, _ = PAST_TAU
+    table = CandidateTable(availability, traversal)
+    assert table.candidates(1, 3) == [(3, 5), (4, 4)]
+    assert earliest_arrival(graph, table, source)[1][2] == (1, 1, 4)

@@ -927,3 +927,28 @@ def test_solve_ld_takes_a_horizon_past_the_machine_word(
     assert time.perf_counter() - started < 1
     assert (code, err) == (0, "")
     assert payload["objective"] == tau - 1
+
+
+# Full-graph distances on a horizon past the machine word: every search reads
+# an edge's default slot and its override times, never a pass over 1..tau.
+# Edge 1 has zero-weight overrides at 7 and at tau.  ft and mw still sweep
+# their starts (ROADMAP items 4 and 14).
+@pytest.mark.parametrize("measure, want", [
+    ("ea", 4), ("ld", 10**30 - 1), ("st", 1), ("mh", 2),
+])
+def test_full_graph_distance_takes_a_horizon_past_the_machine_word(
+        capsys, tmp_path, measure, want):
+    tau = 10**30
+    instance = tmp_path / "cycle.json"
+    instance.write_text(json.dumps({
+        "format": "tmbcast/instance", "version": 1, "kind": "tmb", "vertices": 4,
+        "edges": [[0, 1], [1, 2], [2, 3], [0, 3]], "sources": [0], "tau": tau,
+        "default_weights": [1, 2, 1, 5], "overrides": [[1, 7, 0], [1, tau, 0]],
+        "multiplicity": [1, 1, 1, 1],
+    }))
+    started = time.perf_counter()
+    code, payload, err = run(capsys, "distance", "--measure", measure, "--from", "0",
+                             "--to", "2", "--in", str(instance))
+    assert time.perf_counter() - started < 1
+    assert (code, err) == (0, "")
+    assert payload["value"] == want

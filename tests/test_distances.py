@@ -25,9 +25,13 @@ from tmbcast.core import (
     validate_path,
 )
 from tmbcast.distances import (
+    _HOP,
+    _KEEP,
     Bounds,
     Measure,
+    _cost_fronts,
     _first_departure_times,
+    _fronts,
     _min_wait_run,
     _table_pairs,
     distance,
@@ -390,6 +394,34 @@ def test_single_source_ld_solve_takes_three_full_graph_runs(kernel_runs):
     assert full_graph == ["earliest_arrival", "latest_departure", "earliest_arrival"]
     values = sssp(0, inst.full_availability(), inst, Measure.LATEST_DEPARTURE)
     assert result.objective == min(r.value for r in values[1:])
+
+
+@pytest.mark.parametrize("step", [_HOP, _KEEP], ids=["hop", "keep"])
+def test_full_graph_fronts_push_one_departure_per_edge(monkeypatch, step):
+    import tmbcast.distances as distances
+
+    inst = grid_instance(404, 10, 400)
+    graph = inst.graph
+    table = CandidateTable(inst.full_availability(), inst.traversal)
+    pushed = []
+    heappush = distances.heapq.heappush
+
+    def counting(heap, item):
+        pushed.append(item)
+        heappush(heap, item)
+
+    monkeypatch.setattr(distances.heapq, "heappush", counting)
+    # Seeds as the searches make them: from the source's candidates at 1.
+    seeds = [(t, reach, w, e, t, 0) for e, w in graph.adjacency[0]
+             for t, reach in table.candidates(e, 1)]
+    if step == _HOP:
+        fronts = _cost_fronts(graph, table, 0, Measure.MIN_HOP)
+    else:
+        fronts = _fronts(graph, table, (0,), seeds, _KEEP, cap=inst.tau)
+    # All of an edge's departures share a key, so an expansion pushes at
+    # most one per edge, not every override time ahead of it.
+    kept = sum(len(graph.adjacency[v]) * len(front) for v, front in enumerate(fronts))
+    assert pushed and len(pushed) <= len(seeds) + kept
 
 
 def test_min_wait_objective_reuses_the_feasibility_runs(monkeypatch):
